@@ -1,15 +1,16 @@
 """Exhaustive, exact verification over sequence prefixes: subadditivity
 scans with an optional error term, windowed slope maxima, and convexity.
 
-Scans enumerate every admitted pair (n <= m, n + m <= H); exactness comes
-from rescaling all values onto a common integer grid, so the hot loop is
-pure integer arithmetic and reported deficits are exact rationals.
+Scans decide every admitted pair (n <= m, n + m <= H), either one at a
+time or a whole sum at once through the lower convex minorant; exactness
+comes from rescaling all values onto a common integer grid, so the hot
+loops are pure integer arithmetic and reported deficits are exact
+rationals.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ class ViolationReport:
 
     An empty ``violations`` tuple certifies (domain, f)-subadditivity on
     the scanned prefix; ``pairs_checked`` is the exact number of admitted
-    pairs enumerated.
+    pairs, certified or enumerated.
     """
 
     domain: PairDomain
@@ -68,11 +69,10 @@ def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
     """Common-denominator integer tables A[n] = a(n)*D and FD[s] = f(s)*D."""
     horizon = a.horizon
     denom = 1
-    for v in a.values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    if f is not None:
-        for v in f.values[:horizon]:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    for v in a.values + (f.values[:horizon] if f is not None else ()):
+        d = v.denominator
+        if denom % d:
+            denom = denom // math.gcd(denom, d) * d
     table_a = [0] * (horizon + 1)
     for i, v in enumerate(a.values, start=1):
         table_a[i] = v.numerator * (denom // v.denominator)
@@ -84,10 +84,78 @@ def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
     return denom, table_a, table_f
 
 
-def _scan_block(domain, horizon, table_a, table_f, n_lo, n_hi):
+def _lower_minorant(table_a, top):
+    """The lower convex minorant of the points (n, A[n]), 1 <= n <= top,
+    at every integer n, as ``(num, width)`` lists with minorant(n) =
+    num[n] / width[n] exactly.
+
+    The hull is Andrew's monotone chain with integer cross products;
+    collinear points are dropped from it and then interpolated.
+    """
+    xs, ys = [], []
+    for x in range(1, top + 1):
+        y = table_a[x]
+        while len(xs) >= 2:
+            x1, y1, x2, y2 = xs[-2], ys[-2], xs[-1], ys[-1]
+            # keep (x2, y2) only if it lies strictly below the chord to (x, y)
+            if (y2 - y1) * (x - x1) < (y - y1) * (x2 - x1):
+                break
+            xs.pop()
+            ys.pop()
+        xs.append(x)
+        ys.append(y)
+    num = table_a[: top + 1]  # exact at the hull vertices
+    width = [1] * (top + 1)
+    for j in range(len(xs) - 1):
+        x1, y1, x2, y2 = xs[j], ys[j], xs[j + 1], ys[j + 1]
+        w, rise = x2 - x1, y2 - y1
+        for x in range(x1 + 1, x2):
+            num[x] = y1 * w + rise * (x - x1)
+            width[x] = w
+    return num, width
+
+
+# A sum whose admitted interval holds at most this many pairs is enumerated
+# directly: each pair costs one big-integer comparison, and the certificate
+# costs about two.
+_DIRECT_PAIRS = 2
+
+
+def _scan_sums(domain, horizon, table_a, table_f):
+    """Certified scan of an interval-shaped domain, one sum s at a time.
+
+    With Ǎ the lower convex minorant of A on 1..H-1, every admitted pair
+    has A[n] + A[s-n] >= Ǎ(n) + Ǎ(s-n) >= Ǎ(hi) + Ǎ(s-hi), the last by
+    convexity and symmetry about s/2.  A sum passing that one comparison
+    has no violation; only the others are enumerated, in order of n.
+    """
     checked = 0
     bad = []
-    for n, m in domain.pairs_upto(horizon, n_lo, n_hi):
+    minorant = None
+    for s in range(2, horizon + 1):
+        lo, hi = domain.sum_interval(s)
+        if lo > hi:
+            continue
+        checked += hi - lo + 1
+        target = table_a[s] - table_f[s]
+        if hi - lo >= _DIRECT_PAIRS:
+            if minorant is None:
+                minorant = _lower_minorant(table_a, horizon - 1)
+            num, width = minorant
+            wp, wq = width[hi], width[s - hi]
+            if target * wp * wq <= num[hi] * wq + num[s - hi] * wp:
+                continue
+        for n in range(lo, hi + 1):
+            diff = target - table_a[n] - table_a[s - n]
+            if diff > 0:
+                bad.append((n, s - n, diff))
+    return checked, bad
+
+
+def _scan_pairs(domain, horizon, table_a, table_f):
+    checked = 0
+    bad = []
+    for n, m in domain.pairs_upto(horizon):
         checked += 1
         s = n + m
         diff = table_a[s] - table_a[n] - table_a[m] - table_f[s]
@@ -100,13 +168,13 @@ def scan_violations(
     a: SequencePrefix,
     f: ErrorTerm | None = None,
     domain: PairDomain | None = None,
-    workers: int = 1,
 ) -> ViolationReport:
-    """Scan every admitted pair for a(n+m) <= a(n) + a(m) + f(n+m).
+    """Check a(n+m) <= a(n) + a(m) + f(n+m) on every admitted pair.
 
-    ``f=None`` means the zero error term.  With ``workers > 1`` the outer
-    index range is partitioned across processes; the merged report is
-    identical to the sequential one.
+    ``f=None`` means the zero error term.  Interval-shaped domains are
+    scanned one sum at a time through the lower convex minorant, which
+    certifies a clean convex prefix in O(H) comparisons; other domains
+    enumerate their pairs.
     """
     if domain is None:
         domain = FullDomain()
@@ -116,24 +184,10 @@ def scan_violations(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
     denom, table_a, table_f = _scaled_tables(a, f)
-    top = horizon // 2 + 1  # exclusive bound for the smaller pair member
-
-    if workers > 1 and top - 1 >= 2 * workers:
-        edges = [1 + (top - 1) * i // workers for i in range(workers + 1)]
-        checked = 0
-        raw = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_scan_block, domain, horizon, table_a, table_f, lo, hi)
-                for lo, hi in zip(edges, edges[1:])
-                if lo < hi
-            ]
-            for job in jobs:
-                part_checked, part_bad = job.result()
-                checked += part_checked
-                raw.extend(part_bad)
+    if domain.sum_interval(2) is None:
+        checked, raw = _scan_pairs(domain, horizon, table_a, table_f)
     else:
-        checked, raw = _scan_block(domain, horizon, table_a, table_f, 1, top)
+        checked, raw = _scan_sums(domain, horizon, table_a, table_f)
 
     violations = [Violation(n, m, Fraction(d, denom)) for n, m, d in raw]
     violations.sort(key=lambda v: (v.n + v.m, v.n))

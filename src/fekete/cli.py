@@ -4,15 +4,12 @@ rationals end to end, deterministic bytes for identical inputs.
 Exit codes: 0 success (and clean reports where a check was requested),
 1 when a requested check found violations or a construction reported
 failure, 2 on usage or input-format errors.
-
-``FEKETE_THREADS`` caps scan parallelism; unset means sequential.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import checker, constructions, limits, model
@@ -33,19 +30,6 @@ def _write(text: str, path: str | None) -> None:
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("FEKETE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"FEKETE_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError("FEKETE_THREADS must be >= 1")
-    return workers
 
 
 def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
@@ -95,7 +79,7 @@ def _cmd_check(args) -> int:
     seq = model.parse_sequence(_read(args.seq))
     f = _error_term_for(args.f, seq.horizon)
     domain = _domain_from(args.domain)
-    report = checker.scan_violations(seq, f, domain, workers=_workers_from_env())
+    report = checker.scan_violations(seq, f, domain)
     _write(_dump(report.to_json_dict()), args.output)
     return 0 if report.ok else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import ErrorTerm, SequencePrefix, format_rational
+from .model import ErrorTerm, SequencePrefix, _coerce, format_rational
 
 __all__ = [
     "ConstructionOutput",
@@ -106,12 +106,13 @@ def simplest_rational_in(lo, hi, forbidden: Iterable = ()) -> Fraction:
     denominator rational (ties to the smaller numerator), found by mediant
     descent; when the candidate is forbidden the search recurses into
     (lo, candidate).  A finite forbidden set can never empty an open
-    rational interval, so this always returns."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    rational interval, so this always returns.  Every argument must be an
+    exact rational; floats raise TypeError."""
+    lo = _coerce(lo)
+    hi = _coerce(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    banned = {Fraction(x) for x in forbidden}
+    banned = {_coerce(x) for x in forbidden}
     candidate = _simplest_in(lo, hi)
     while candidate in banned:
         candidate = _simplest_in(lo, candidate)
@@ -288,9 +289,10 @@ def linear_error_example(f: ErrorTerm, bound, horizon: int) -> SequencePrefix:
     smallest qualifying index at distance >= 2 from the previous); the
     sequence is f(n) on anchors and 0 elsewhere.  a(x) <= f(x) pointwise
     makes the full-domain f-scan pass automatically, while slopes oscillate
-    between 0 and values above bound/2.
+    between 0 and values above bound/2.  ``bound`` must be an exact
+    rational; floats raise TypeError.
     """
-    bound = Fraction(bound)
+    bound = _coerce(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     if horizon < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ErrorTerm, SequencePrefix, format_rational
+from .model import ErrorTerm, SequencePrefix, _coerce, format_rational
 
 __all__ = [
     "Eq8Sample",
@@ -183,8 +183,11 @@ class MuChainCertificate:
 
 
 def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
-    """Build the chain certificate for growth factor ``mu`` from base ``n``."""
-    mu = Fraction(mu)
+    """Build the chain certificate for growth factor ``mu`` from base ``n``.
+
+    ``mu`` is an exact rational (Fraction, int or ``p/q`` string); floats
+    raise TypeError."""
+    mu = _coerce(mu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     if N < 1 or n < 1:
@@ -221,9 +224,10 @@ def find_split(z: int, lo: int, hi: int, mu) -> tuple[int, int] | None:
     """Smallest x in [lo, hi] with x + y = z and x <= y <= mu * x, or None.
 
     The feasible x range is [ceil(z/(1+mu)), z//2] intersected with
-    [lo, hi], so the answer is a closed-form endpoint comparison.
+    [lo, hi], so the answer is a closed-form endpoint comparison.  ``mu``
+    must be an exact rational; floats raise TypeError.
     """
-    mu = Fraction(mu)
+    mu = _coerce(mu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     if lo > hi:

@@ -291,25 +291,24 @@ class PairDomain:
 
     ``admits`` is symmetric by construction: pairs are normalised to
     (min, max) before testing.  ``pairs_upto`` enumerates the admitted
-    pairs with n <= m and n + m <= horizon; the optional bounds restrict
-    the smaller coordinate so scans can be partitioned across workers.
+    pairs with n <= m and n + m <= horizon, in order of n, then m.
     """
 
     def admits(self, n: int, m: int) -> bool:
         raise NotImplementedError
 
-    def pairs_upto(
-        self, horizon: int, n_lo: int = 1, n_hi: int | None = None
-    ) -> Iterator[tuple[int, int]]:
+    def sum_interval(self, s: int) -> tuple[int, int] | None:
+        """The admitted smaller members n of the pairs (n, s - n), as one
+        closed interval ``(lo, s // 2)`` that is empty when lo > s // 2;
+        None when the domain is not interval-shaped, so that scans must
+        enumerate ``pairs_upto``."""
+        return None
+
+    def pairs_upto(self, horizon: int) -> Iterator[tuple[int, int]]:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-
-def _outer_top(horizon: int, n_hi: int | None) -> int:
-    top = horizon // 2
-    return top if n_hi is None else min(top, n_hi - 1)
 
 
 @dataclass(frozen=True)
@@ -319,8 +318,11 @@ class FullDomain(PairDomain):
     def admits(self, n: int, m: int) -> bool:
         return min(n, m) >= 1
 
-    def pairs_upto(self, horizon, n_lo=1, n_hi=None):
-        for n in range(max(1, n_lo), _outer_top(horizon, n_hi) + 1):
+    def sum_interval(self, s):
+        return 1, s // 2
+
+    def pairs_upto(self, horizon):
+        for n in range(1, horizon // 2 + 1):
             for m in range(n, horizon - n + 1):
                 yield n, m
 
@@ -341,8 +343,11 @@ class ThresholdDomain(PairDomain):
     def admits(self, n: int, m: int) -> bool:
         return min(n, m) >= self.N
 
-    def pairs_upto(self, horizon, n_lo=1, n_hi=None):
-        for n in range(max(self.N, n_lo), _outer_top(horizon, n_hi) + 1):
+    def sum_interval(self, s):
+        return self.N, s // 2
+
+    def pairs_upto(self, horizon):
+        for n in range(self.N, horizon // 2 + 1):
             for m in range(n, horizon - n + 1):
                 yield n, m
 
@@ -368,9 +373,14 @@ class MuBandDomain(PairDomain):
         lo, hi = (n, m) if n <= m else (m, n)
         return lo >= self.N and hi * self.mu.denominator <= self.mu.numerator * lo
 
-    def pairs_upto(self, horizon, n_lo=1, n_hi=None):
+    def sum_interval(self, s):
+        # m <= mu*n with m = s - n is n >= s / (1 + mu)
         num, den = self.mu.numerator, self.mu.denominator
-        for n in range(max(self.N, n_lo), _outer_top(horizon, n_hi) + 1):
+        return max(self.N, -(-s * den // (num + den))), s // 2
+
+    def pairs_upto(self, horizon):
+        num, den = self.mu.numerator, self.mu.denominator
+        for n in range(self.N, horizon // 2 + 1):
             m_top = min(horizon - n, (num * n) // den)
             for m in range(n, m_top + 1):
                 yield n, m
@@ -393,8 +403,11 @@ class OnePlusDomain(PairDomain):
         lo, hi = (n, m) if n <= m else (m, n)
         return lo >= self.N and hi - lo <= 1
 
-    def pairs_upto(self, horizon, n_lo=1, n_hi=None):
-        for n in range(max(self.N, n_lo), _outer_top(horizon, n_hi) + 1):
+    def sum_interval(self, s):
+        return max(self.N, s // 2), s // 2
+
+    def pairs_upto(self, horizon):
+        for n in range(self.N, horizon // 2 + 1):
             yield n, n
             if 2 * n + 1 <= horizon:
                 yield n, n + 1
@@ -421,10 +434,9 @@ class ExplicitDomain(PairDomain):
     def admits(self, n: int, m: int) -> bool:
         return (min(n, m), max(n, m)) in self.pairs
 
-    def pairs_upto(self, horizon, n_lo=1, n_hi=None):
-        top = _outer_top(horizon, n_hi)
+    def pairs_upto(self, horizon):
         for n, m in sorted(self.pairs):
-            if max(1, n_lo) <= n <= top and n + m <= horizon:
+            if n + m <= horizon:
                 yield n, m
 
     def to_json_dict(self):

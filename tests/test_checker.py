@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from fekete import (
     OnePlusDomain,
     SequencePrefix,
     ThresholdDomain,
+    Violation,
+    ViolationReport,
     builtin_error_term,
     check_convexity,
     check_q_monotone,
@@ -24,6 +27,8 @@ from fekete import (
     q_sequence,
     scan_violations,
 )
+
+from fekete.checker import _scaled_tables
 
 from conftest import ceil_sqrt, monotone_rationals, tabulate
 
@@ -96,15 +101,146 @@ def test_scan_domain_restriction():
     assert {(v.n, v.m) for v in restricted.violations} == {(3, 4)}
 
 
-def test_parallel_scan_matches_sequential():
-    f = builtin_error_term("floor_sqrt", 150)
-    a = convex_from_error(f, 150)
-    seq = scan_violations(a, f, workers=1)
-    par = scan_violations(a, f, workers=3)
-    assert seq == par
+# --- certified scan against the brute-force reference ----------------------------
 
-    bad = tabulate(lambda n: n * n, 60)
-    assert scan_violations(bad, workers=4) == scan_violations(bad)
+def brute_force_scan(a, f, domain):
+    """Every admitted pair from ``pairs_upto``, decided in Fractions."""
+    checked = 0
+    bad = []
+    for n, m in domain.pairs_upto(a.horizon):
+        checked += 1
+        deficit = a.value(n + m) - a.value(n) - a.value(m)
+        if f is not None:
+            deficit -= f.value(n + m)
+        if deficit > 0:
+            bad.append(Violation(n, m, deficit))
+    bad.sort(key=lambda v: (v.n + v.m, v.n))
+    return ViolationReport(domain=domain, pairs_checked=checked, violations=tuple(bad))
+
+
+_small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@st.composite
+def prefixes(draw):
+    """Random, convex (collinear runs included: slopes repeat) and nearly
+    convex prefixes, with H from 1 up."""
+    horizon = draw(st.integers(1, 36))
+    kind = draw(st.sampled_from(("random", "convex", "nearly-convex")))
+    if kind == "random":
+        return SequencePrefix(draw(st.lists(_small_rationals, min_size=horizon, max_size=horizon)))
+    slopes = sorted(draw(st.lists(_small_rationals, min_size=horizon, max_size=horizon)))
+    values = []
+    y = draw(_small_rationals)
+    for slope in slopes:
+        y += slope
+        values.append(y)
+    if kind == "nearly-convex":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, horizon - 1))
+            values[i] += draw(_small_rationals)
+    return SequencePrefix(values)
+
+
+@st.composite
+def error_terms(draw, horizon):
+    if draw(st.booleans()):
+        return None
+    steps = draw(st.lists(st.builds(Fraction, st.integers(0, 3), st.integers(1, 3)),
+                          min_size=horizon, max_size=horizon))
+    values = []
+    total = Fraction(0)
+    for step in steps:
+        total += step
+        values.append(total)
+    return ErrorTerm(values)
+
+
+_thresholds = st.integers(1, 14)
+domains = st.one_of(
+    st.just(FullDomain()),
+    st.builds(ThresholdDomain, _thresholds),
+    st.builds(
+        MuBandDomain,
+        st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 12), st.integers(1, 60)),
+        _thresholds,
+    ),
+    st.builds(OnePlusDomain, _thresholds),
+    st.builds(ExplicitDomain, st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24)))),
+)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_certified_scan_matches_brute_force(data):
+    a = data.draw(prefixes())
+    f = data.draw(error_terms(a.horizon))
+    domain = data.draw(domains)
+    assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        FullDomain(),
+        ThresholdDomain(2),
+        MuBandDomain(Fraction(3, 2), 1),
+        MuBandDomain(Fraction(101, 100), 5),  # odd sums and small sums admit no pair
+        OnePlusDomain(1),
+        ExplicitDomain([(1, 1), (1, 2), (4, 9)]),
+    ],
+)
+@pytest.mark.parametrize(
+    "a",
+    [
+        SequencePrefix([5]),
+        SequencePrefix([1, 3]),
+        SequencePrefix([-1, 1]),
+        tabulate(lambda n: n, 40),  # all hull points collinear, zero deficits
+        tabulate(lambda n: 3 * n - 7, 40),  # collinear, every pair breaks by 7
+        tabulate(lambda n: abs(n - 20), 40),  # two collinear runs
+        tabulate(lambda n: max(0, n - 10) * Fraction(1, 3) + (n == 30), 40),
+        # convex, but the last sum breaks by the least representable amount
+        tabulate(lambda n: Fraction(n == 40, 7), 40),
+        tabulate(lambda n: n + Fraction(n == 39, 7), 40),
+    ],
+)
+def test_certified_scan_edge_cases(a, domain):
+    for f in (None, ErrorTerm([Fraction(n // 4, 2) for n in range(1, a.horizon + 1)])):
+        assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+
+
+def _scaled_tables_reference(a, f):
+    """Earlier form: an LCM step for every denominator."""
+    horizon = a.horizon
+    denom = 1
+    for v in a.values:
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    if f is not None:
+        for v in f.values[:horizon]:
+            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    table_a = [0] + [v.numerator * (denom // v.denominator) for v in a.values]
+    table_f = [0] * (horizon + 1)
+    if f is not None:
+        for s in range(1, horizon + 1):
+            fv = f.values[s - 1]
+            table_f[s] = fv.numerator * (denom // fv.denominator)
+    return denom, table_a, table_f
+
+
+def test_scaled_tables_match_reference():
+    f = builtin_error_term("floor_sqrt", 300)
+    a = convex_from_error(f, 300)
+    longer = ErrorTerm([Fraction(n, 7) for n in range(1, 401)])
+    cases = [
+        (a, f),
+        (a, None),
+        (a, longer),
+        (tabulate(lambda n: Fraction(n * n + 1, n % 13 + 1), 120), longer),
+        (SequencePrefix([Fraction(1, 6), Fraction(-5, 4)]), None),
+    ]
+    for seq, err in cases:
+        assert _scaled_tables(seq, err) == _scaled_tables_reference(seq, err)
 
 
 def test_report_json_shape():

@@ -132,19 +132,3 @@ def test_repeated_runs_byte_identical(tmp_path):
     main(["check", "--seq", seq, "-o", out1])
     main(["check", "--seq", seq, "-o", out2])
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-
-
-def test_threads_env_matches_sequential(tmp_path, monkeypatch):
-    seq = _write_seq(tmp_path, "sq.json", tabulate(lambda n: n * n, 40))
-    out_seq, out_par = str(tmp_path / "seq.json"), str(tmp_path / "par.json")
-    main(["check", "--seq", seq, "-o", out_seq])
-    monkeypatch.setenv("FEKETE_THREADS", "3")
-    main(["check", "--seq", seq, "-o", out_par])
-    assert (tmp_path / "seq.json").read_bytes() == (tmp_path / "par.json").read_bytes()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    seq = _write_seq(tmp_path, "a.json", tabulate(lambda n: n, 10))
-    monkeypatch.setenv("FEKETE_THREADS", "zero")
-    assert main(["check", "--seq", seq]) == 2
-    capsys.readouterr()

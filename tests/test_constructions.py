@@ -138,6 +138,17 @@ def test_simplest_requires_nonempty_interval():
         simplest_rational_in(1, 1)
 
 
+def test_simplest_arguments_are_exact_rationals():
+    with pytest.raises(TypeError):
+        simplest_rational_in(0.5, 1)
+    with pytest.raises(TypeError):
+        simplest_rational_in(0, 1.0)
+    with pytest.raises(TypeError):
+        simplest_rational_in(0, 1, [0.5])
+    assert simplest_rational_in("1/3", "1/2") == Fraction(2, 5)
+    assert simplest_rational_in(0, 1, ["1/2"]) == Fraction(1, 3)
+
+
 def _simplest_oracle(lo, hi, forbidden=frozenset(), max_den=64):
     for q in range(1, max_den + 1):
         p = lo.numerator * q // lo.denominator  # scan numerators from floor(lo*q)
@@ -281,6 +292,15 @@ def test_linear_error_example_values_and_scan():
         assert a.value(n) == f.value(n)
         assert a.slope(n) > Fraction(1, 2)
     assert scan_violations(a, f).ok
+
+
+def test_linear_error_example_bound_is_exact():
+    f = builtin_error_term("linear", 20, {"c": 1})
+    with pytest.raises(TypeError):
+        linear_error_example(f, 1.0, 20)
+    expected = linear_error_example(f, 1, 20)
+    assert linear_error_example(f, Fraction(1), 20) == expected
+    assert linear_error_example(f, "1", 20) == expected
 
 
 def test_linear_error_example_needs_anchors():

@@ -172,6 +172,19 @@ def test_certificate_validation():
         mu_chain_certificate(Fraction(1, 2), 1, 5)
 
 
+def test_mu_arguments_are_exact_rationals():
+    # Fraction(1.1) would certify 2476979795053773/2251799813685248
+    with pytest.raises(TypeError):
+        mu_chain_certificate(1.1, 1, 1)
+    with pytest.raises(TypeError):
+        find_split(14, 7, 7, 2.0)
+    for mu in (Fraction(11, 10), "11/10"):
+        assert mu_chain_certificate(mu, 1, 24) == mu_chain_certificate(Fraction(11, 10), 1, 24)
+    assert mu_chain_certificate(2, 1, 10) == mu_chain_certificate(Fraction(2), 1, 10)
+    for mu in (2, "2", Fraction(2)):
+        assert find_split(14, 7, 7, mu) == (7, 7)
+
+
 # --- splits ----------------------------------------------------------------------
 
 def test_find_split_examples():

@@ -217,6 +217,22 @@ def test_pairs_upto_matches_admits():
         assert set(got) == expected
 
 
+def test_sum_interval_matches_admits():
+    for domain in (
+        FullDomain(),
+        ThresholdDomain(4),
+        MuBandDomain(Fraction(5, 3), 2),
+        MuBandDomain(Fraction(101, 100), 9),
+        OnePlusDomain(2),
+    ):
+        for s in range(2, 121):
+            lo, hi = domain.sum_interval(s)
+            assert hi == s // 2
+            admitted = [n for n in range(1, s // 2 + 1) if domain.admits(n, s - n)]
+            assert admitted == list(range(lo, hi + 1)), (domain, s)
+    assert ExplicitDomain([(1, 2)]).sum_interval(3) is None
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         MuBandDomain(Fraction(1), 1)
