@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ErrorTerm, FullDomain, PairDomain, SequencePrefix, format_rational
+from .model import ErrorTerm, FullDomain, IntervalDomain, PairDomain, SequencePrefix, format_rational
 
 __all__ = [
     "QSequence",
@@ -122,7 +122,7 @@ _DIRECT_PAIRS = 2
 
 
 def _scan_sums(domain, horizon, table_a, table_f):
-    """Certified scan of an interval-shaped domain, one sum s at a time.
+    """Certified scan of an ``IntervalDomain``, one sum s at a time.
 
     With Ǎ the lower convex minorant of A on 1..H-1, every admitted pair
     has A[n] + A[s-n] >= Ǎ(n) + Ǎ(s-n) >= Ǎ(hi) + Ǎ(s-hi), the last by
@@ -171,8 +171,8 @@ def scan_violations(
 ) -> ViolationReport:
     """Check a(n+m) <= a(n) + a(m) + f(n+m) on every admitted pair.
 
-    ``f=None`` means the zero error term.  Interval-shaped domains are
-    scanned one sum at a time through the lower convex minorant, which
+    ``f=None`` means the zero error term.  Interval domains are scanned
+    one sum at a time through the lower convex minorant, which
     certifies a clean convex prefix in O(H) comparisons; other domains
     enumerate their pairs.
     """
@@ -184,10 +184,10 @@ def scan_violations(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
     denom, table_a, table_f = _scaled_tables(a, f)
-    if domain.sum_interval(2) is None:
-        checked, raw = _scan_pairs(domain, horizon, table_a, table_f)
-    else:
+    if isinstance(domain, IntervalDomain):
         checked, raw = _scan_sums(domain, horizon, table_a, table_f)
+    else:
+        checked, raw = _scan_pairs(domain, horizon, table_a, table_f)
 
     violations = [Violation(n, m, Fraction(d, denom)) for n, m, d in raw]
     violations.sort(key=lambda v: (v.n + v.m, v.n))

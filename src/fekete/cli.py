@@ -71,7 +71,7 @@ def _domain_from(spec: str) -> model.PairDomain:
         pairs = payload.get("pairs") if isinstance(payload, dict) else None
         if not isinstance(pairs, list):
             raise ValueError("explicit domain file needs a 'pairs' list")
-        return model.ExplicitDomain(tuple(p) for p in pairs)
+        return model.ExplicitDomain(pairs)
     raise ValueError(f"unknown domain variant: {kind!r}")
 
 

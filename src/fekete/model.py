@@ -20,12 +20,12 @@ __all__ = [
     "ErrorTerm",
     "ExplicitDomain",
     "FullDomain",
+    "IntervalDomain",
     "MuBandDomain",
     "OnePlusDomain",
     "PairDomain",
     "SequencePrefix",
     "ThresholdDomain",
-    "admits",
     "builtin_error_term",
     "family_parameters",
     "format_rational",
@@ -59,11 +59,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _is_int(value) -> bool:
+    """True for ints other than bools, which JSON ``true`` decodes to."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(value) -> Fraction:
     """Accept Fraction, int, or a p/q string; anything inexact is rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -289,20 +294,16 @@ class PairDomain:
     """Selects the unordered pairs (n, m) on which the subadditivity
     inequality is asserted.
 
-    ``admits`` is symmetric by construction: pairs are normalised to
-    (min, max) before testing.  ``pairs_upto`` enumerates the admitted
-    pairs with n <= m and n + m <= horizon, in order of n, then m.
+    Two kinds exist: ``IntervalDomain``, the band ``N <= n <= m <= mu*n +
+    slack`` that every builtin variant except ``explicit`` is, and
+    ``ExplicitDomain``, a listed set of pairs.  ``admits`` is symmetric:
+    pairs are normalised to (min, max) before testing.  ``pairs_upto``
+    enumerates the admitted pairs with n <= m and n + m <= horizon, in
+    order of n, then m.
     """
 
     def admits(self, n: int, m: int) -> bool:
         raise NotImplementedError
-
-    def sum_interval(self, s: int) -> tuple[int, int] | None:
-        """The admitted smaller members n of the pairs (n, s - n), as one
-        closed interval ``(lo, s // 2)`` that is empty when lo > s // 2;
-        None when the domain is not interval-shaped, so that scans must
-        enumerate ``pairs_upto``."""
-        return None
 
     def pairs_upto(self, horizon: int) -> Iterator[tuple[int, int]]:
         raise NotImplementedError
@@ -312,108 +313,93 @@ class PairDomain:
 
 
 @dataclass(frozen=True)
-class FullDomain(PairDomain):
-    """All pairs n, m >= 1."""
+class IntervalDomain(PairDomain):
+    """The pairs with N <= n <= m and m <= mu*n + slack; ``mu = None``
+    means no upper bound on m.
 
-    def admits(self, n: int, m: int) -> bool:
-        return min(n, m) >= 1
+    For each sum s the admitted smaller members n form one interval
+    ``sum_interval(s)``, which is what lets scans certify a whole sum at
+    once.  Build it with ``FullDomain``, ``ThresholdDomain``,
+    ``MuBandDomain`` or ``OnePlusDomain``; ``variant`` names which, and
+    only selects the report shape of ``to_json_dict``.
+    """
 
-    def sum_interval(self, s):
-        return 1, s // 2
-
-    def pairs_upto(self, horizon):
-        for n in range(1, horizon // 2 + 1):
-            for m in range(n, horizon - n + 1):
-                yield n, m
-
-    def to_json_dict(self):
-        return {"variant": "full"}
-
-
-@dataclass(frozen=True)
-class ThresholdDomain(PairDomain):
-    """All pairs with n, m >= N."""
-
-    N: int
+    variant: str
+    N: int = 1
+    mu: Fraction | None = None
+    slack: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.N):
+            raise TypeError(f"threshold must be an int, got {type(self.N).__name__}")
         if self.N < 1:
             raise ValueError("threshold must be positive")
+        if self.mu is not None:
+            object.__setattr__(self, "mu", _coerce(self.mu))
+        # the report names only the variant and its parameters, so the
+        # bounds must be the ones that name implies
+        fits = {
+            "full": self.N == 1 and self.mu is None and self.slack == 0,
+            "threshold": self.mu is None and self.slack == 0,
+            "muband": self.mu is not None and self.slack == 0,
+            "oneplus": self.mu == 1 and self.slack == 1,
+        }
+        if not fits.get(self.variant, False):
+            raise ValueError(
+                f"variant {self.variant!r} does not fit N={self.N}, mu={self.mu}, slack={self.slack}"
+            )
 
-    def admits(self, n: int, m: int) -> bool:
-        return min(n, m) >= self.N
-
-    def sum_interval(self, s):
-        return self.N, s // 2
-
-    def pairs_upto(self, horizon):
-        for n in range(self.N, horizon // 2 + 1):
-            for m in range(n, horizon - n + 1):
-                yield n, m
-
-    def to_json_dict(self):
-        return {"variant": "threshold", "N": self.N}
-
-
-@dataclass(frozen=True)
-class MuBandDomain(PairDomain):
-    """Pairs with N <= n <= m <= mu * n (after normalising n <= m)."""
-
-    mu: Fraction
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _coerce(self.mu))
-        if self.mu <= 1:
-            raise ValueError("mu must exceed 1")
-        if self.N < 1:
-            raise ValueError("threshold must be positive")
+    def sum_interval(self, s: int) -> tuple[int, int]:
+        """The admitted smaller members n of the pairs (n, s - n), as the
+        closed interval ``(lo, s // 2)``, empty when lo > s // 2."""
+        if self.mu is None:
+            return self.N, s // 2
+        # s - n <= mu*n + slack is n >= (s - slack) / (1 + mu)
+        num, den = self.mu.numerator, self.mu.denominator
+        return max(self.N, -(-(s - self.slack) * den // (num + den))), s // 2
 
     def admits(self, n: int, m: int) -> bool:
         lo, hi = (n, m) if n <= m else (m, n)
-        return lo >= self.N and hi * self.mu.denominator <= self.mu.numerator * lo
-
-    def sum_interval(self, s):
-        # m <= mu*n with m = s - n is n >= s / (1 + mu)
-        num, den = self.mu.numerator, self.mu.denominator
-        return max(self.N, -(-s * den // (num + den))), s // 2
+        return self.sum_interval(lo + hi)[0] <= lo
 
     def pairs_upto(self, horizon):
-        num, den = self.mu.numerator, self.mu.denominator
         for n in range(self.N, horizon // 2 + 1):
-            m_top = min(horizon - n, (num * n) // den)
+            m_top = horizon - n
+            if self.mu is not None:
+                m_top = min(m_top, self.mu.numerator * n // self.mu.denominator + self.slack)
             for m in range(n, m_top + 1):
                 yield n, m
 
     def to_json_dict(self):
-        return {"variant": "muband", "mu": format_rational(self.mu), "N": self.N}
+        payload = {"variant": self.variant}
+        if self.variant == "muband":
+            payload["mu"] = format_rational(self.mu)
+        if self.variant != "full":
+            payload["N"] = self.N
+        return payload
 
 
-@dataclass(frozen=True)
-class OnePlusDomain(PairDomain):
+def FullDomain() -> IntervalDomain:
+    """All pairs n, m >= 1."""
+    return IntervalDomain("full")
+
+
+def ThresholdDomain(N: int) -> IntervalDomain:
+    """All pairs with n, m >= N."""
+    return IntervalDomain("threshold", N)
+
+
+def MuBandDomain(mu, N: int) -> IntervalDomain:
+    """Pairs with N <= n <= m <= mu * n (after normalising n <= m), mu > 1."""
+    mu = _coerce(mu)
+    if mu <= 1:
+        raise ValueError("mu must exceed 1")
+    return IntervalDomain("muband", N, mu)
+
+
+def OnePlusDomain(N: int) -> IntervalDomain:
     """Exactly the pairs (n, n) and (n, n + 1) for n >= N."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("threshold must be positive")
-
-    def admits(self, n: int, m: int) -> bool:
-        lo, hi = (n, m) if n <= m else (m, n)
-        return lo >= self.N and hi - lo <= 1
-
-    def sum_interval(self, s):
-        return max(self.N, s // 2), s // 2
-
-    def pairs_upto(self, horizon):
-        for n in range(self.N, horizon // 2 + 1):
-            yield n, n
-            if 2 * n + 1 <= horizon:
-                yield n, n + 1
-
-    def to_json_dict(self):
-        return {"variant": "oneplus", "N": self.N}
+    return IntervalDomain("oneplus", N, Fraction(1), 1)
 
 
 @dataclass(frozen=True, init=False)
@@ -425,9 +411,13 @@ class ExplicitDomain(PairDomain):
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         normalised = set()
         for pair in pairs:
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(_is_int(x) and x >= 1 for x in pair)
+            ):
+                raise ValueError(f"invalid pair {pair!r}: need two positive integers")
             n, m = pair
-            if not (isinstance(n, int) and isinstance(m, int)) or min(n, m) < 1:
-                raise ValueError(f"invalid pair {pair!r}: need positive integers")
             normalised.add((min(n, m), max(n, m)))
         object.__setattr__(self, "pairs", frozenset(normalised))
 
@@ -441,11 +431,6 @@ class ExplicitDomain(PairDomain):
 
     def to_json_dict(self):
         return {"variant": "explicit", "pairs": [list(p) for p in sorted(self.pairs)]}
-
-
-def admits(domain: PairDomain, n: int, m: int) -> bool:
-    """True iff the unordered pair {n, m} is asserted by ``domain``."""
-    return domain.admits(n, m)
 
 
 # --- serialization ----------------------------------------------------------
@@ -536,8 +521,10 @@ def parse_error_term(text: str) -> ErrorTerm:
             raise ValueError("expected a JSON object")
         if "family" in payload:
             family = payload["family"]
+            if not isinstance(family, str):
+                raise ValueError("family descriptor needs a string 'family'")
             horizon = payload.get("H")
-            if not isinstance(horizon, int):
+            if not _is_int(horizon):
                 raise ValueError("family descriptor needs an integer 'H'")
             raw = payload.get("params", {})
             if not isinstance(raw, dict):

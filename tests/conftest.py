@@ -38,3 +38,24 @@ def monotone_rationals(horizon: int, seed: int) -> list[Fraction]:
         total += Fraction(rng.randrange(0, 7), rng.randrange(1, 9))
         out.append(total)
     return out
+
+
+def reference_admits(domain, n: int, m: int) -> bool:
+    """Whether ``domain`` admits {n, m}, from each variant's definition.
+
+    Written from the report shape alone, in Fraction arithmetic, so it
+    shares no code with the domains' own interval bounds.
+    """
+    n, m = min(n, m), max(n, m)
+    spec = domain.to_json_dict()
+    variant = spec["variant"]
+    if variant == "explicit":
+        return [n, m] in spec["pairs"]
+    if n < spec.get("N", 1):
+        return False
+    if variant == "muband":
+        return m <= Fraction(spec["mu"]) * n
+    if variant == "oneplus":
+        return m - n <= 1
+    assert variant in ("full", "threshold"), variant
+    return True

@@ -42,6 +42,32 @@ def test_check_domain_specs(tmp_path):
     assert main(["check", "--seq", seq, "--domain", f"explicit:{explicit}"]) == 1
 
 
+@pytest.mark.parametrize("pairs", ["[1, 2]", "[[true, 2]]"])
+def test_check_malformed_explicit_pairs_exit_two(tmp_path, capsys, pairs):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0]))
+    explicit = tmp_path / "pairs.json"
+    explicit.write_text(f'{{"pairs": {pairs}}}')
+    assert main(["check", "--seq", seq, "--domain", f"explicit:{explicit}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid pair" in captured.err
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ['{"family": ["x"], "H": 5}', '{"family": {"name": "zero"}, "H": 5}',
+     '{"family": "floor_sqrt", "H": true}'],
+)
+def test_check_malformed_family_descriptor_exit_two(tmp_path, capsys, descriptor):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0]))
+    f = tmp_path / "f.json"
+    f.write_text(descriptor)
+    assert main(["check", "--seq", seq, "--f", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "family descriptor" in captured.err
+
+
 def test_check_family_error_term(tmp_path):
     from fekete import builtin_error_term, convex_from_error
 

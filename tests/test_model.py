@@ -13,11 +13,11 @@ from fekete import (
     ErrorTerm,
     ExplicitDomain,
     FullDomain,
+    IntervalDomain,
     MuBandDomain,
     OnePlusDomain,
     SequencePrefix,
     ThresholdDomain,
-    admits,
     builtin_error_term,
     format_rational,
     parse_error_term,
@@ -27,6 +27,8 @@ from fekete import (
     sequence_to_json,
     zero_error_term,
 )
+
+from conftest import reference_admits
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -170,15 +172,15 @@ def test_families_monotone_nonnegative_at_scale(family, params):
 # --- pair domains --------------------------------------------------------------
 
 def test_admits_examples():
-    assert admits(MuBandDomain(Fraction(2), 1), 3, 5)
-    assert not admits(MuBandDomain(Fraction(3, 2), 1), 2, 4)
-    assert admits(OnePlusDomain(4), 4, 5)
-    assert not admits(OnePlusDomain(4), 4, 6)
-    assert admits(FullDomain(), 1, 999)
-    assert not admits(ThresholdDomain(3), 2, 10)
+    assert MuBandDomain(Fraction(2), 1).admits(3, 5)
+    assert not MuBandDomain(Fraction(3, 2), 1).admits(2, 4)
+    assert OnePlusDomain(4).admits(4, 5)
+    assert not OnePlusDomain(4).admits(4, 6)
+    assert FullDomain().admits(1, 999)
+    assert not ThresholdDomain(3).admits(2, 10)
     dom = ExplicitDomain([(5, 3), (7, 7)])
-    assert admits(dom, 3, 5) and admits(dom, 5, 3) and admits(dom, 7, 7)
-    assert not admits(dom, 3, 7)
+    assert dom.admits(3, 5) and dom.admits(5, 3) and dom.admits(7, 7)
+    assert not dom.admits(3, 7)
 
 
 @pytest.mark.parametrize(
@@ -197,40 +199,64 @@ def test_admits_symmetric_exhaustive(domain):
             assert domain.admits(n, m) == domain.admits(m, n)
 
 
+_CLOSED_FORM_DOMAINS = (
+    FullDomain(),
+    ThresholdDomain(1),
+    ThresholdDomain(4),
+    MuBandDomain(Fraction(5, 3), 2),
+    MuBandDomain(Fraction(101, 100), 9),
+    MuBandDomain(Fraction(2), 1),
+    MuBandDomain(Fraction(7, 3), 13),
+    OnePlusDomain(1),
+    OnePlusDomain(2),
+    OnePlusDomain(11),
+    ExplicitDomain([(3, 5), (10, 40), (2, 2), (30, 31)]),
+)
+
+
 def test_pairs_upto_matches_admits():
+    """``admits`` (both orders) and ``pairs_upto`` (by n, then m) agree
+    with the closed-form definition of each variant."""
     horizon = 60
-    for domain in (
-        FullDomain(),
-        ThresholdDomain(4),
-        MuBandDomain(Fraction(5, 3), 2),
-        OnePlusDomain(2),
-        ExplicitDomain([(3, 5), (10, 40), (2, 2), (30, 31)]),
-    ):
-        expected = {
+    for domain in _CLOSED_FORM_DOMAINS:
+        for n in range(-1, horizon + 1):
+            for m in range(-1, horizon + 1):
+                want = reference_admits(domain, n, m)
+                assert domain.admits(n, m) == want, (domain, n, m)
+        expected = [
             (n, m)
             for n in range(1, horizon + 1)
             for m in range(n, horizon - n + 1)
-            if domain.admits(n, m)
-        }
-        got = list(domain.pairs_upto(horizon))
-        assert len(got) == len(set(got))
-        assert set(got) == expected
+            if reference_admits(domain, n, m)
+        ]
+        assert list(domain.pairs_upto(horizon)) == expected, domain
 
 
 def test_sum_interval_matches_admits():
-    for domain in (
-        FullDomain(),
-        ThresholdDomain(4),
-        MuBandDomain(Fraction(5, 3), 2),
-        MuBandDomain(Fraction(101, 100), 9),
-        OnePlusDomain(2),
-    ):
+    """The per-sum interval holds exactly the smaller members n that the
+    closed-form definition admits with s - n."""
+    for domain in _CLOSED_FORM_DOMAINS:
+        if not isinstance(domain, IntervalDomain):
+            continue
         for s in range(2, 121):
             lo, hi = domain.sum_interval(s)
             assert hi == s // 2
-            admitted = [n for n in range(1, s // 2 + 1) if domain.admits(n, s - n)]
+            admitted = [n for n in range(1, s // 2 + 1) if reference_admits(domain, n, s - n)]
             assert admitted == list(range(lo, hi + 1)), (domain, s)
-    assert ExplicitDomain([(1, 2)]).sum_interval(3) is None
+
+
+def test_domain_json_golden():
+    assert FullDomain().to_json_dict() == {"variant": "full"}
+    assert ThresholdDomain(1).to_json_dict() == {"variant": "threshold", "N": 1}
+    assert ThresholdDomain(7).to_json_dict() == {"variant": "threshold", "N": 7}
+    assert MuBandDomain(Fraction(3, 2), 2).to_json_dict() == {
+        "variant": "muband", "mu": "3/2", "N": 2,
+    }
+    assert MuBandDomain("4/2", 1).to_json_dict() == {"variant": "muband", "mu": "2", "N": 1}
+    assert OnePlusDomain(4).to_json_dict() == {"variant": "oneplus", "N": 4}
+    assert ExplicitDomain([(5, 3), (1, 1)]).to_json_dict() == {
+        "variant": "explicit", "pairs": [[1, 1], [3, 5]],
+    }
 
 
 def test_domain_validation():
@@ -240,6 +266,63 @@ def test_domain_validation():
         ThresholdDomain(0)
     with pytest.raises(ValueError):
         ExplicitDomain([(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("full", 3),
+        ("full", 1, Fraction(2)),
+        ("threshold", 2, None, 1),
+        ("muband", 2),
+        ("muband", 2, Fraction(3, 2), 1),
+        ("oneplus", 2),
+        ("oneplus", 2, Fraction(2), 1),
+        ("band", 1),
+    ],
+)
+def test_interval_domain_variant_must_fit_bounds(fields):
+    with pytest.raises(ValueError, match="does not fit"):
+        IntervalDomain(*fields)
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.0, True])
+def test_interval_domain_rejects_inexact_mu(mu):
+    with pytest.raises(TypeError):
+        IntervalDomain("muband", 1, mu)
+    with pytest.raises(TypeError):
+        IntervalDomain("oneplus", 1, mu, 1)
+
+
+_THRESHOLD_DOMAINS = [
+    ThresholdDomain,
+    OnePlusDomain,
+    lambda N: MuBandDomain(Fraction(3, 2), N),
+    lambda N: IntervalDomain("threshold", N),
+]
+
+
+@pytest.mark.parametrize("make", _THRESHOLD_DOMAINS)
+@pytest.mark.parametrize("N", [2.5, 1.0, True, False, "3", Fraction(3), None])
+def test_domain_threshold_must_be_int(make, N):
+    with pytest.raises(TypeError):
+        make(N)
+
+
+@pytest.mark.parametrize("make", _THRESHOLD_DOMAINS)
+@pytest.mark.parametrize("N", [0, -1])
+def test_domain_threshold_must_be_positive(make, N):
+    with pytest.raises(ValueError):
+        make(N)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[1, 2], [(True, 2)], [(1, False)], [(1, 2, 3)], [(1,)], [(1.0, 2)], [("1", 2)], [None]],
+)
+def test_explicit_domain_rejects_malformed_pairs(pairs):
+    with pytest.raises(ValueError):
+        ExplicitDomain(pairs)
 
 
 # --- serialization --------------------------------------------------------------
@@ -301,3 +384,19 @@ def test_parse_error_term_forms():
     assert k.values == (0, 2, Fraction(5, 2))
     with pytest.raises(ValueError):
         parse_error_term('{"family": "floor_sqrt"}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": ["x"], "H": 5}',
+        '{"family": {"name": "zero"}, "H": 5}',
+        '{"family": null, "H": 5}',
+        '{"family": "floor_sqrt", "H": true}',
+        '{"family": "floor_sqrt", "H": 5.0}',
+        '{"family": "floor_sqrt", "H": "5"}',
+    ],
+)
+def test_parse_error_term_rejects_malformed_descriptor(text):
+    with pytest.raises(ValueError):
+        parse_error_term(text)
