@@ -37,8 +37,8 @@ class HorizonExhausted(ValueError):
 
 
 def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
-    """The convex sequence a(n) = n * sum(f(i)/i^2 for i <= n), with f(1)
-    forced to 0 so that a(1) = 0.
+    """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
+    is n * W(n) with W streamed from ``f.weight_sums()``, so a(1) = 0.
 
     For any non-negative non-decreasing f the output is non-negative,
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
@@ -50,13 +50,8 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
         raise ValueError(
             f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
         )
-    total = Fraction(0)
-    values = []
-    for x in range(1, horizon + 1):
-        if x > 1:
-            total += f.values[x - 1] / (x * x)
-        values.append(x * total)
-    return SequencePrefix(values)
+    sums = zip(range(horizon + 1), f.weight_sums())
+    return SequencePrefix(x * w for x, w in sums if x)  # skips W(0)
 
 
 def _calkin_wilf(j: int) -> Fraction:

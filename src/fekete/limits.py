@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .model import ErrorTerm, SequencePrefix, _coerce, format_rational
 
@@ -102,17 +101,6 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     return LimitBracket(N, min_slope, argmin, tuple(samples))
 
 
-@lru_cache(maxsize=32)
-def _weight_prefix_sums(f: ErrorTerm) -> tuple[Fraction, ...]:
-    """W[j] = sum over x <= j of f(x)/x^2, with W[0] = 0."""
-    sums = [Fraction(0)]
-    total = Fraction(0)
-    for x in range(1, f.horizon + 1):
-        total += f.values[x - 1] / (x * x)
-        sums.append(total)
-    return tuple(sums)
-
-
 def g_deficit(
     a: SequencePrefix, f: ErrorTerm | None, n: int, m: int
 ) -> Fraction:
@@ -138,7 +126,7 @@ def g_deficit(
         return plain
     if s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
-    weights = _weight_prefix_sums(f)
+    weights = f.weights
     return (
         plain
         - 3 * n * (weights[s - 1] - weights[n - 1])

@@ -1,10 +1,10 @@
 """Exact scalar, sequence, and pair-domain types shared by every other module.
 
 All scalars are arbitrary-precision rationals (``fractions.Fraction``), so
-every inequality decided anywhere in the package is decided exactly; no
-floating point enters the core arithmetic.  Sequences are finite 1-indexed
-prefixes ``a(1..H)``, with ``a(0) = 0`` supplied implicitly where an
-operation needs it.
+every inequality decided anywhere in the package is decided exactly (the
+one float, in ``_floor_ratio_log2``, is settled in integers at its
+boundary).  Sequences are finite 1-indexed prefixes ``a(1..H)``, with
+``a(0) = 0`` supplied implicitly where an operation needs it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -144,6 +145,22 @@ class ErrorTerm:
             raise IndexError(f"index {n} outside 1..{len(self.values)}")
         return self.values[n - 1]
 
+    def weight_sums(self) -> Iterator[Fraction]:
+        """Yield W(0), ..., W(H), W(j) = sum(f(x)/x^2 for 1 < x <= j): the
+        partial sums of the de Bruijn-Erdős series, anchored at W(1) = 0,
+        so W(0) = -f(1) and W(j) - W(i) = sum(f(x)/x^2 for i < x <= j).
+        """
+        total = -self.values[0]
+        yield total
+        for x, v in enumerate(self.values, start=1):
+            total += v / (x * x)
+            yield total
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The tuple (W(0), ..., W(H)), built on first use and kept."""
+        return tuple(self.weight_sums())
+
 
 # --- builtin error-term families -------------------------------------------
 
@@ -189,19 +206,15 @@ def _floor_root(x: int, r: int) -> int:
 def _floor_ratio_log2(n: int) -> int:
     """floor(n / log2(n + 1)), decided exactly.
 
-    t <= n/log2(n+1) iff (n+1)**t <= 2**n, so boundary cases are settled by
-    integer powering; away from the boundary a double is already conclusive
-    (absolute error of the float estimate stays far below the 1e-6 margin
-    for any horizon this package handles).
+    t <= n/log2(n+1) iff (n+1)**t <= 2**n, so a double estimate within
+    1e-6 of an integer (in 1..20000, only n = 1) is settled by powering.
+    Elsewhere it is conclusive while its error is below 1e-6: with log2
+    within 2 ulps and a correctly rounded division the relative error is
+    below 2.5 * 2**-52 < 5.6e-16, which holds the absolute error under
+    1e-6 while n/log2(n+1) < 1.8e9, that is, for n < 6.4e10.
     """
     if n < 1:
         raise ValueError("index must be positive")
-    if n <= 4096:
-        t = 1
-        cap = 1 << n
-        while (n + 1) ** (t + 1) <= cap:
-            t += 1
-        return t
     est = n / math.log2(n + 1)
     t = int(est)
     if min(est - t, t + 1 - est) < 1e-6:
@@ -460,13 +473,19 @@ def _sequence_from_json(text: str) -> SequencePrefix:
         raise ValueError("expected a JSON object with a 'values' field")
     if "values" not in payload and isinstance(payload.get("b"), dict):
         payload = payload["b"]  # construction outputs wrap their sequence in "b"
+    return SequencePrefix(_table_from_json(payload, "expected a 'values' list"))
+
+
+def _table_from_json(payload: dict, missing: str) -> list[Fraction]:
+    """The table of ``{"values": [...], "offset": 1}``; tables are 1-indexed,
+    so the offset is absent or the int 1.  ``missing``: no 'values' list."""
     values = payload.get("values")
     if not isinstance(values, list):
-        raise ValueError("expected a JSON object with a 'values' list")
+        raise ValueError(missing)
     offset = payload.get("offset", 1)
-    if offset != 1:
-        raise ValueError(f"unsupported offset {offset!r}: sequences are 1-indexed")
-    return SequencePrefix(parse_rational(v) for v in values)
+    if not (_is_int(offset) and offset == 1):
+        raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
+    return [parse_rational(v) for v in values]
 
 
 def _table_from_csv(text: str) -> list[Fraction]:
@@ -531,8 +550,5 @@ def parse_error_term(text: str) -> ErrorTerm:
                 raise ValueError("'params' must be an object")
             params = {k: parse_rational(v) for k, v in raw.items()}
             return builtin_error_term(family, horizon, params)
-        values = payload.get("values")
-        if not isinstance(values, list):
-            raise ValueError("expected 'family' or 'values'")
-        return ErrorTerm(parse_rational(v) for v in values)
+        return ErrorTerm(_table_from_json(payload, "expected 'family' or 'values'"))
     return ErrorTerm(_table_from_csv(text))

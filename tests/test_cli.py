@@ -68,6 +68,20 @@ def test_check_malformed_family_descriptor_exit_two(tmp_path, capsys, descriptor
     assert "family descriptor" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--seq", "--f"])
+@pytest.mark.parametrize("offset", ["true", "1.0", "0", '"1"'])
+def test_check_bad_offset_exit_two(tmp_path, capsys, flag, offset):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 1, 1]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"values": ["0", "0", "1", "1"], "offset": {offset}}}')
+    argv = ["check", "--seq", seq, "--f", "zero"]
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "offset" in captured.err
+
+
 def test_check_family_error_term(tmp_path):
     from fekete import builtin_error_term, convex_from_error
 

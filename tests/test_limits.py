@@ -109,6 +109,42 @@ def test_g_deficit_nonpositive_on_band_for_subadditive_input():
             assert g_deficit(a, f, n, m) <= 0
 
 
+@st.composite
+def _error_terms_positive_at_one(draw):
+    """Non-decreasing rational error terms with f(1) > 0."""
+    ratios = st.fractions(min_value=0, max_value=20, max_denominator=12)
+    first = draw(ratios.filter(lambda v: v > 0))
+    steps = draw(st.lists(ratios, min_size=1, max_size=13))
+    values = [first]
+    for step in steps:
+        values.append(values[-1] + step)
+    return ErrorTerm(values)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_weight_sums_against_term_by_term_forms(data):
+    f = data.draw(_error_terms_positive_at_one())
+    horizon = f.horizon
+    a = SequencePrefix(data.draw(st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=9),
+        min_size=horizon, max_size=horizon,
+    )))
+
+    def series(lo, hi):  # sum(f(x)/x^2 for lo <= x < hi)
+        return sum((f.value(x) / (x * x) for x in range(lo, hi)), Fraction(0))
+
+    # every pair, so (1, 1) and the pairs (1, m) are always included
+    for n in range(1, horizon // 2 + 1):
+        for m in range(n, horizon - n + 1):
+            plain = a.value(n + m) - a.value(n) - a.value(m)
+            expected = plain - 3 * n * series(n, n + m) - 3 * m * series(m, n + m)
+            assert g_deficit(a, f, n, m) == expected, (n, m)
+    conv = convex_from_error(f, horizon)
+    for n in range(1, horizon + 1):
+        assert conv.value(n) == n * series(2, n + 1), n
+
+
 def test_g_deficit_validation():
     a = tabulate(lambda n: n, 10)
     with pytest.raises(ValueError):

@@ -112,6 +112,23 @@ def test_linear_over_log_against_integer_oracle():
         assert f.value(n) == _lol_oracle(n), n
 
 
+def test_weight_sums_anchored_at_one():
+    f = ErrorTerm([2, 3, 3])
+    expected = (-2, 0, Fraction(3, 4), Fraction(3, 4) + Fraction(1, 3))
+    assert tuple(f.weight_sums()) == expected
+    assert f.weights == expected
+    assert f.weights is f.weights  # built once per instance
+
+
+def test_linear_over_log_brackets_every_n():
+    # t = floor(n/log2(n+1)) iff (n+1)**t <= 2**n < (n+1)**(t+1)
+    f = builtin_error_term("linear_over_log", 5000)
+    for n in range(1, 5001):
+        t = f.value(n)
+        cap = 1 << n
+        assert (n + 1) ** t <= cap < (n + 1) ** (t + 1), n
+
+
 def test_linear_over_log_against_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 60
@@ -373,6 +390,13 @@ def test_round_trip_json_and_csv(values):
     assert parse_sequence(sequence_to_csv(a)) == a
 
 
+@pytest.mark.parametrize("parse", [parse_sequence, parse_error_term])
+@pytest.mark.parametrize("offset", ["true", "1.0", "0", '"1"', "null", "2"])
+def test_parse_rejects_offset_other_than_int_one(parse, offset):
+    with pytest.raises(ValueError, match="offset"):
+        parse(f'{{"values": ["1", "2"], "offset": {offset}}}')
+
+
 def test_parse_error_term_forms():
     f = parse_error_term('{"family": "floor_sqrt", "H": 5}')
     assert f.values == (1, 1, 1, 2, 2)
@@ -380,6 +404,7 @@ def test_parse_error_term_forms():
     assert g.values == (1, 3, 4)
     h = parse_error_term('{"values": ["0", "1", "1"]}')
     assert h.values == (0, 1, 1)
+    assert parse_error_term('{"values": ["0", "1", "1"], "offset": 1}') == h
     k = parse_error_term("1,0\n2,2\n3,5/2")
     assert k.values == (0, 2, Fraction(5, 2))
     with pytest.raises(ValueError):
