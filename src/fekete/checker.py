@@ -5,16 +5,26 @@ Scans decide every admitted pair (n <= m, n + m <= H), either one at a
 time or a whole sum at once through the lower convex minorant; exactness
 comes from rescaling all values onto a common integer grid, so the hot
 loops are pure integer arithmetic and reported deficits are exact
-rationals.
+rationals.  Window maxima of the slopes come from one sliding-window
+pass (a monotone deque), O(H) exact comparisons for the whole table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ErrorTerm, FullDomain, IntervalDomain, PairDomain, SequencePrefix, format_rational
+from .model import (
+    ErrorTerm,
+    FullDomain,
+    IntervalDomain,
+    PairDomain,
+    SequencePrefix,
+    _require_int,
+    format_rational,
+)
 
 __all__ = [
     "QSequence",
@@ -213,14 +223,30 @@ class QSequence:
 
 
 def q_sequence(a: SequencePrefix, n_lo: int) -> QSequence:
-    """Tabulate the doubling-window slope maxima of the prefix."""
+    """Tabulate the doubling-window slope maxima of the prefix.
+
+    Both ends of the window [n, 2n] only move right, so a deque of
+    candidate indices with strictly decreasing slopes gives every q(n) in
+    amortised O(1) exact comparisons: O(H) for the whole table.
+    """
+    _require_int(n_lo, "window start")
     horizon = a.horizon
     if n_lo < 1 or 2 * n_lo > horizon:
         raise ValueError(f"horizon {horizon} too small for windows starting at {n_lo}")
     slopes = a.slopes()
+    window: deque[int] = deque()  # 1-based indices j, front holds the max
+    top = n_lo - 1  # largest index pushed so far
     out = []
     for n in range(n_lo, horizon // 2 + 1):
-        out.append(max(slopes[n - 1 : 2 * n]))
+        while top < 2 * n:
+            top += 1
+            s = slopes[top - 1]
+            while window and slopes[window[-1] - 1] <= s:
+                window.pop()
+            window.append(top)
+        if window[0] < n:  # only n - 1 can have left the window
+            window.popleft()
+        out.append(slopes[window[0] - 1])
     return QSequence(n_lo, tuple(out))
 
 
@@ -231,6 +257,7 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
     computable range, which must be the case whenever the prefix passes a
     OnePlus(N) scan.
     """
+    _require_int(N, "threshold")
     if N < 1 or 2 * (N + 1) > a.horizon:
         raise ValueError(f"horizon {a.horizon} too small for threshold {N}")
     vals = q_sequence(a, N).values

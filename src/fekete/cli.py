@@ -14,6 +14,16 @@ import sys
 
 from . import checker, constructions, limits, model
 
+# The longest integer literal, in decimal digits, that the CLI parses or
+# prints (Python's default is 4300).  ``construct convex`` writes values
+# over the denominator lcm(x**2 for x <= H), which has at most
+# 2*1.03883*H/ln(10) < 0.903*H digits (Rosser-Schoenfeld: psi(x) <
+# 1.03883x), so every file it writes for H <= 10000 fits while n*W(n)
+# has fewer than 960 digits; floor_sqrt at H = 10000 needs 8679.  The
+# bound stays finite because converting a long literal takes quadratic
+# time.
+MAX_INT_DIGITS = 10_000
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -233,6 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

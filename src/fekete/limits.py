@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ErrorTerm, SequencePrefix, _coerce, format_rational
+from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, format_rational
 
 __all__ = [
     "Eq8Sample",
@@ -77,6 +77,7 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     k <= H//2, where the window [k+1, 2k-1] lies inside the horizon and
     n = H satisfies n >= 2k; an empty window contributes 0.
     """
+    _require_int(N, "threshold")
     horizon = a.horizon
     if not 1 <= N <= horizon:
         raise ValueError(f"threshold {N} outside 1..{horizon}")

@@ -65,6 +65,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value, what: str) -> None:
+    """Reject bools, floats and every other non-int with a TypeError."""
+    if not _is_int(value):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def _coerce(value) -> Fraction:
     """Accept Fraction, int, or a p/q string; anything inexact is rejected."""
     if isinstance(value, Fraction):
@@ -343,8 +349,7 @@ class IntervalDomain(PairDomain):
     slack: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.N):
-            raise TypeError(f"threshold must be an int, got {type(self.N).__name__}")
+        _require_int(self.N, "threshold")
         if self.N < 1:
             raise ValueError("threshold must be positive")
         if self.mu is not None:
@@ -482,10 +487,15 @@ def _table_from_json(payload: dict, missing: str) -> list[Fraction]:
     values = payload.get("values")
     if not isinstance(values, list):
         raise ValueError(missing)
+    _check_offset(payload)
+    return [parse_rational(v) for v in values]
+
+
+def _check_offset(payload: dict) -> None:
+    """Tables are 1-indexed: an ``offset`` key is absent or the int 1."""
     offset = payload.get("offset", 1)
     if not (_is_int(offset) and offset == 1):
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
-    return [parse_rational(v) for v in values]
 
 
 def _table_from_csv(text: str) -> list[Fraction]:
@@ -548,6 +558,7 @@ def parse_error_term(text: str) -> ErrorTerm:
             raw = payload.get("params", {})
             if not isinstance(raw, dict):
                 raise ValueError("'params' must be an object")
+            _check_offset(payload)
             params = {k: parse_rational(v) for k, v in raw.items()}
             return builtin_error_term(family, horizon, params)
         return ErrorTerm(_table_from_json(payload, "expected 'family' or 'values'"))

@@ -59,3 +59,10 @@ def reference_admits(domain, n: int, m: int) -> bool:
         return m - n <= 1
     assert variant in ("full", "threshold"), variant
     return True
+
+
+def reference_q(a: SequencePrefix, n_lo: int) -> list[Fraction]:
+    """q(n) = max of a(j)/j over n <= j <= 2n for n in [n_lo, H//2], one
+    slice and one max per n, straight from the definition."""
+    slopes = [Fraction(v) / j for j, v in enumerate(a.values, start=1)]
+    return [max(slopes[n - 1 : 2 * n]) for n in range(n_lo, a.horizon // 2 + 1)]

@@ -24,13 +24,14 @@ from fekete import (
     check_convexity,
     check_q_monotone,
     convex_from_error,
+    fekete_bracket,
     q_sequence,
     scan_violations,
 )
 
 from fekete.checker import _scaled_tables
 
-from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate
+from conftest import ceil_sqrt, monotone_rationals, reference_admits, reference_q, tabulate
 
 
 def test_scan_identity_sequence_clean():
@@ -312,6 +313,71 @@ def test_check_q_monotone_cross_check_with_one_plus_scan():
         for N in (1, 2, 5):
             assert scan_violations(a, None, OnePlusDomain(N)).ok
             assert check_q_monotone(a, N) == []
+
+
+# slopes as runs of one value drawn from a small pool: ties, constant runs,
+# negative slopes and plateaus of the window maximum all come up often
+_slope_runs = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), st.integers(1, 5)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(st.one_of(
+    _slope_runs.map(lambda runs: [s for s, k in runs for _ in range(k)]).filter(
+        lambda slopes: len(slopes) >= 2
+    ),
+    st.lists(_small_rationals, min_size=2, max_size=40).map(
+        lambda vals: [v / j for j, v in enumerate(vals, start=1)]
+    ),
+))
+@settings(max_examples=300, deadline=None)
+def test_q_sequence_matches_slice_reference(slopes):
+    a = SequencePrefix([s * j for j, s in enumerate(slopes, start=1)])
+    horizon = a.horizon
+    for n_lo in range(1, horizon // 2 + 1):  # n_lo = H//2 leaves one window
+        want = reference_q(a, n_lo)
+        qs = q_sequence(a, n_lo)
+        assert qs.n_lo == n_lo and list(qs.values) == want
+        if 2 * (n_lo + 1) <= horizon:
+            rises = [n_lo + i for i in range(len(want) - 1) if want[i] < want[i + 1]]
+            assert check_q_monotone(a, n_lo) == rises
+
+
+@pytest.mark.parametrize(
+    "family, params, first_rise",
+    [("floor_sqrt", None, 1), ("linear", {"c": Fraction(1, 100)}, 49)],
+)
+def test_check_q_monotone_closed_form_on_convex_prefix(family, params, first_rise):
+    # a(n) = n*W(n) with W non-decreasing, so q(n) = a(2n)/(2n) = W(2n); at
+    # H = 4000 the slice-and-max form needed minutes.  floor(x/100) is 0
+    # below 100, so W and q are flat there.
+    horizon = 4000
+    f = builtin_error_term(family, horizon, params)
+    a = convex_from_error(f, horizon)
+    w = f.weights
+    for N in (1, 7):
+        want = [n for n in range(N, horizon // 2) if w[2 * n] < w[2 * n + 2]]
+        assert check_q_monotone(a, N) == want
+        assert want == list(range(max(N, first_rise), horizon // 2))
+    assert q_sequence(a, 1999).values == (w[3998], w[4000])
+
+
+@pytest.mark.parametrize("call", [q_sequence, check_q_monotone, fekete_bracket])
+@pytest.mark.parametrize("threshold", [True, False, 1.0, 2.0, Fraction(1), "1", None])
+def test_thresholds_must_be_ints(call, threshold):
+    a = tabulate(lambda n: n, 20)
+    with pytest.raises(TypeError, match="must be an int"):
+        call(a, threshold)
+
+
+@pytest.mark.parametrize("call", [q_sequence, check_q_monotone, fekete_bracket])
+def test_thresholds_out_of_range_stay_value_errors(call):
+    a = tabulate(lambda n: n, 20)
+    for threshold in (0, -1, 21):
+        with pytest.raises(ValueError):
+            call(a, threshold)
 
 
 # --- convexity --------------------------------------------------------------------

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from fekete import sequence_to_json, SequencePrefix
-from fekete.cli import main
+from fekete.cli import MAX_INT_DIGITS, main
 
 from conftest import tabulate
 
@@ -77,6 +78,17 @@ def test_check_bad_offset_exit_two(tmp_path, capsys, flag, offset):
     argv = ["check", "--seq", seq, "--f", "zero"]
     argv[argv.index(flag) + 1] = str(bad)
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "offset" in captured.err
+
+
+@pytest.mark.parametrize("offset", ["0", "true"])
+def test_check_family_descriptor_bad_offset_exit_two(tmp_path, capsys, offset):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 1, 1]))
+    f = tmp_path / "f.json"
+    f.write_text(f'{{"family": "zero", "H": 4, "offset": {offset}}}')
+    assert main(["check", "--seq", seq, "--f", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "offset" in captured.err
@@ -172,3 +184,25 @@ def test_repeated_runs_byte_identical(tmp_path):
     main(["check", "--seq", seq, "-o", out1])
     main(["check", "--seq", seq, "-o", out2])
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+def test_construct_convex_round_trip_past_default_digit_limit(tmp_path):
+    # at H = 5100 the values have more than Python's default 4300 digits
+    out = tmp_path / "conv.json"
+    limit = sys.get_int_max_str_digits()
+    assert main(["construct", "convex", "--f", "family:floor_sqrt",
+                 "--H", "5100", "-o", str(out)]) == 0
+    assert max(len(v) for v in json.loads(out.read_text())["values"]) > 4300
+    assert main(["check", "--seq", str(out), "--f", "family:floor_sqrt",
+                 "--domain", "oneplus:1"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("digits, code", [(MAX_INT_DIGITS, 0), (MAX_INT_DIGITS + 1, 2)])
+def test_integer_literal_digit_bound(tmp_path, capsys, digits, code):
+    seq = tmp_path / "big.json"
+    seq.write_text(json.dumps({"values": ["9" * digits, "0"]}))
+    assert main(["check", "--seq", str(seq)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "limit" in captured.err

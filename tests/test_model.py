@@ -397,6 +397,12 @@ def test_parse_rejects_offset_other_than_int_one(parse, offset):
         parse(f'{{"values": ["1", "2"], "offset": {offset}}}')
 
 
+@pytest.mark.parametrize("offset", ["true", "1.0", "0", '"1"', "null", "2"])
+def test_family_descriptor_rejects_offset_other_than_int_one(offset):
+    with pytest.raises(ValueError, match="offset"):
+        parse_error_term(f'{{"family": "zero", "H": 3, "offset": {offset}}}')
+
+
 def test_parse_error_term_forms():
     f = parse_error_term('{"family": "floor_sqrt", "H": 5}')
     assert f.values == (1, 1, 1, 2, 2)
@@ -405,6 +411,7 @@ def test_parse_error_term_forms():
     h = parse_error_term('{"values": ["0", "1", "1"]}')
     assert h.values == (0, 1, 1)
     assert parse_error_term('{"values": ["0", "1", "1"], "offset": 1}') == h
+    assert parse_error_term('{"family": "floor_sqrt", "H": 5, "offset": 1}') == f
     k = parse_error_term("1,0\n2,2\n3,5/2")
     assert k.values == (0, 2, Fraction(5, 2))
     with pytest.raises(ValueError):
