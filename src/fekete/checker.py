@@ -2,11 +2,14 @@
 scans with an optional error term, windowed slope maxima, and convexity.
 
 Scans decide every admitted pair (n <= m, n + m <= H), either one at a
-time or a whole sum at once through the lower convex minorant; exactness
-comes from rescaling all values onto a common integer grid, so the hot
-loops are pure integer arithmetic and reported deficits are exact
-rationals.  Window maxima of the slopes come from one sliding-window
-pass (a monotone deque), O(H) exact comparisons for the whole table.
+time or a whole sum at once through the lower convex minorant.  Exactness
+comes from the integer grid that lives on the prefix
+(``SequencePrefix.grid``: one common denominator and integer numerators,
+built once per prefix), joined with the error term's own grid at one
+common denominator, so the hot loops are pure integer arithmetic and
+reported deficits are exact rationals.  Window maxima of the slopes come
+from one sliding-window pass (a monotone deque), O(H) exact comparisons
+for the whole table.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     IntervalDomain,
     PairDomain,
     SequencePrefix,
+    _integer_grid,
     _require_int,
     format_rational,
 )
@@ -76,22 +80,21 @@ class ViolationReport:
 
 
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
-    """Common-denominator integer tables A[n] = a(n)*D and FD[s] = f(s)*D."""
+    """Common-denominator integer tables A[n] = a(n)*D and FD[s] = f(s)*D.
+
+    A is the prefix's grid and FD the grid of f, both brought to the lcm
+    of their denominators; the grid kept on the prefix is never changed.
+    """
     horizon = a.horizon
-    denom = 1
-    for v in a.values + (f.values[:horizon] if f is not None else ()):
-        d = v.denominator
-        if denom % d:
-            denom = denom // math.gcd(denom, d) * d
-    table_a = [0] * (horizon + 1)
-    for i, v in enumerate(a.values, start=1):
-        table_a[i] = v.numerator * (denom // v.denominator)
-    table_f = [0] * (horizon + 1)
-    if f is not None:
-        for s in range(1, horizon + 1):
-            fv = f.values[s - 1]
-            table_f[s] = fv.numerator * (denom // fv.denominator)
-    return denom, table_a, table_f
+    denom, grid = a.grid
+    if f is None:
+        return denom, list(grid), [0] * (horizon + 1)
+    f_denom, f_grid = _integer_grid([(v.numerator, v.denominator) for v in f.values[:horizon]])
+    wide = math.lcm(denom, f_denom)
+    scale = wide // denom
+    table_a = list(grid) if scale == 1 else [x * scale for x in grid]
+    f_scale = wide // f_denom
+    return wide, table_a, [x * f_scale for x in f_grid]
 
 
 def _lower_minorant(table_a, top):

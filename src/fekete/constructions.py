@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import ErrorTerm, SequencePrefix, _coerce, format_rational
+from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, format_rational
 
 __all__ = [
     "ConstructionOutput",
@@ -241,7 +241,12 @@ def threshold_gap_example(
     before the last anchor, where the next band would depend on anchors
     not given.
     """
-    anchors = [int(x) for x in anchors]
+    _require_int(N, "threshold")
+    anchors = list(anchors)
+    for x in anchors:
+        _require_int(x, "anchor")
+    if horizon is not None:
+        _require_int(horizon, "horizon")
     if N < 2:
         raise ValueError("threshold must be at least 2")
     if len(anchors) < 2:
@@ -349,6 +354,8 @@ class TwoGoodChain:
 def two_good_chain(n: int, k: int) -> TwoGoodChain:
     """Decompose n as (floor(n/k) - 1) parts k plus a remainder beta in
     [k, 2k-1], then merge two minimal members at a time down to {n}."""
+    _require_int(n, "n")
+    _require_int(k, "k")
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
     parts = n // k

@@ -68,6 +68,15 @@ class LimitBracket:
         }
 
 
+def _least_slope(table, lo: int, hi: int) -> int:
+    """The first k in [lo, hi] minimising table[k] / k."""
+    best = lo
+    for k in range(lo + 1, hi + 1):
+        if table[k] * best < table[best] * k:
+            best = k
+    return best
+
+
 def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     """Minimum slope over N <= k <= H, with window-bound samples at n = H.
 
@@ -75,31 +84,26 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     sequence extending the prefix that is subadditive for pairs above the
     threshold.  Samples are emitted for k in {N, argmin} restricted to
     k <= H//2, where the window [k+1, 2k-1] lies inside the horizon and
-    n = H satisfies n >= 2k; an empty window contributes 0.
+    n = H satisfies n >= 2k; an empty window contributes 0.  Slopes are
+    compared on the prefix's integer grid by cross products.
     """
     _require_int(N, "threshold")
     horizon = a.horizon
     if not 1 <= N <= horizon:
         raise ValueError(f"threshold {N} outside 1..{horizon}")
-    slopes = a.slopes()
-    argmin = N
-    min_slope = slopes[N - 1]
-    for k in range(N + 1, horizon + 1):
-        if slopes[k - 1] < min_slope:
-            min_slope = slopes[k - 1]
-            argmin = k
+    denom, table = a.grid
+    argmin = _least_slope(table, N, horizon)
     half = horizon // 2
     candidates = {N, argmin}
     if half >= N:
-        inner = min(range(N, half + 1), key=lambda k: slopes[k - 1])
-        candidates.add(inner)
+        candidates.add(_least_slope(table, N, half))
     samples = []
     for k in sorted(c for c in candidates if c <= half):
-        window = max(
-            (abs(a.value(j)) for j in range(k + 1, 2 * k)), default=Fraction(0)
-        )
-        samples.append(Eq8Sample(n=horizon, k=k, bound=slopes[k - 1] + window / horizon))
-    return LimitBracket(N, min_slope, argmin, tuple(samples))
+        window = max((abs(table[j]) for j in range(k + 1, 2 * k)), default=0)
+        # a(k)/k + max|a(j)|/H, with window = D * max|a(j)|
+        bound = Fraction(table[k] * horizon + window * k, denom * k * horizon)
+        samples.append(Eq8Sample(n=horizon, k=k, bound=bound))
+    return LimitBracket(N, Fraction(table[argmin], denom * argmin), argmin, tuple(samples))
 
 
 def g_deficit(
@@ -117,6 +121,8 @@ def g_deficit(
 
     so the value is exactly computable even though G itself is not.
     """
+    _require_int(n, "n")
+    _require_int(m, "m")
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got ({n}, {m})")
     s = n + m
@@ -177,6 +183,8 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     ``mu`` is an exact rational (Fraction, int or ``p/q`` string); floats
     raise TypeError."""
     mu = _coerce(mu)
+    _require_int(N, "threshold")
+    _require_int(n, "base")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     if N < 1 or n < 1:
@@ -217,6 +225,9 @@ def find_split(z: int, lo: int, hi: int, mu) -> tuple[int, int] | None:
     must be an exact rational; floats raise TypeError.
     """
     mu = _coerce(mu)
+    _require_int(z, "z")
+    _require_int(lo, "lo")
+    _require_int(hi, "hi")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     if lo > hi:

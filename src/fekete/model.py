@@ -38,19 +38,31 @@ __all__ = [
     "zero_error_term",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+# The same language over ASCII digits only, tried first: it matches about
+# three times faster than \d, which also admits (as int() does) the other
+# Unicode decimal digits.
+_ASCII_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
+
+
+def _rational_pair(text: str | int) -> tuple[int, int]:
+    """The integers (p, q), q >= 1, of an integer literal or a ``p/q``
+    string, as written: not reduced."""
+    if isinstance(text, bool):
+        raise ValueError(f"malformed rational: {text!r}")
+    if isinstance(text, int):
+        return text, 1
+    s = str(text).strip()
+    match = _ASCII_RATIONAL_RE.match(s) or _RATIONAL_RE.match(s)
+    if not match:
+        raise ValueError(f"malformed rational: {text!r}")
+    num, den = match.groups()
+    return int(num), int(den) if den else 1
 
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse an exact rational from an integer literal or a ``p/q`` string."""
-    if isinstance(text, bool):
-        raise ValueError(f"malformed rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    s = str(text).strip()
-    if not _RATIONAL_RE.match(s):
-        raise ValueError(f"malformed rational: {text!r}")
-    return Fraction(s)
+    return Fraction(*_rational_pair(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -82,32 +94,67 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, init=False)
 class SequencePrefix:
     """Finite exact table ``a(1..H)`` of a sequence.
 
     ``value(0)`` is defined as 0 so that decomposition identities hold
-    without special cases.
+    without special cases.  Besides ``values``, a prefix holds its integer
+    ``grid``.  A prefix read by ``parse_sequence`` gets its grid from the
+    integer pairs (p, q) of its text, keeps those pairs, and builds the
+    ``Fraction``s of ``values`` only when they are first asked for; a
+    prefix built from ``Fraction``s builds its grid on first use.
+    Equality and hashing are those of ``values``.
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("_horizon", "_values", "_pairs", "_grid")
 
     def __init__(self, values: Iterable) -> None:
         vals = tuple(_coerce(v) for v in values)
         if not vals:
             raise ValueError("empty sequence")
-        object.__setattr__(self, "values", vals)
+        self._horizon = len(vals)
+        self._values = vals
+        self._pairs = self._grid = None
+
+    @classmethod
+    def _from_pairs(cls, pairs: list[tuple[int, int]]) -> SequencePrefix:
+        """The prefix of the rationals p/q, q >= 1, not necessarily reduced."""
+        if not pairs:
+            raise ValueError("empty sequence")
+        prefix = cls.__new__(cls)
+        prefix._horizon = len(pairs)
+        prefix._pairs = pairs
+        prefix._values = None
+        prefix._grid = _integer_grid(pairs)
+        return prefix
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """a(1), ..., a(H) as reduced ``Fraction``s."""
+        if self._values is None:
+            self._values = tuple(Fraction(p, q) for p, q in self._pairs)
+        return self._values
 
     @property
     def horizon(self) -> int:
-        return len(self.values)
+        return self._horizon
+
+    @property
+    def grid(self) -> tuple[int, tuple[int, ...]]:
+        """``(D, A)``: a common denominator D > 0 of the values and the
+        integers A = (0, A[1], ..., A[H]) with a(n) = A[n] / D exactly."""
+        if self._grid is None:
+            self._grid = _integer_grid([(v.numerator, v.denominator) for v in self._values])
+        return self._grid
 
     def value(self, n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"index {n} outside 1..{len(self.values)}")
-        return self.values[n - 1]
+        if not 1 <= n <= self._horizon:
+            raise IndexError(f"index {n} outside 1..{self._horizon}")
+        if self._values is None:
+            return Fraction(*self._pairs[n - 1])
+        return self._values[n - 1]
 
     def slope(self, n: int) -> Fraction:
         """The ratio a(n)/n."""
@@ -115,6 +162,48 @@ class SequencePrefix:
 
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(v / (i + 1) for i, v in enumerate(self.values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
+
+    def __repr__(self):
+        return f"SequencePrefix(values={self.values!r})"
+
+
+def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """The grid of the rationals p/q in ``pairs``: D = lcm of the q, and
+    A[0] = 0, A[n] = p_n * (D // q_n).
+
+    D // q_n is not computed by dividing D.  With L_n the lcm of q_1..q_n
+    and r_n = L_n // L_(n-1) (mostly 1, otherwise small), D // q_n =
+    r_(n+1) * ... * r_H * (L_n // q_n): the suffix products, built from
+    the right, take one small multiplication per step, and L_n // q_n is
+    a short division when q_n is close to L_n, as in constructed prefixes.
+    """
+    steps = []
+    lcm = 1
+    for _, q in pairs:
+        step = 1
+        if lcm % q:
+            step = q // math.gcd(lcm, q)
+            lcm *= step
+        steps.append(step)
+    denom = lcm
+    table = [0] * (len(pairs) + 1)
+    above = 1  # D // L_n
+    for n in range(len(pairs), 0, -1):
+        p, q = pairs[n - 1]
+        table[n] = p * (above * (lcm // q))
+        step = steps[n - 1]
+        if step != 1:
+            above *= step
+            lcm //= step
+    return denom, tuple(table)
 
 
 @dataclass(frozen=True, init=False)
@@ -478,17 +567,18 @@ def _sequence_from_json(text: str) -> SequencePrefix:
         raise ValueError("expected a JSON object with a 'values' field")
     if "values" not in payload and isinstance(payload.get("b"), dict):
         payload = payload["b"]  # construction outputs wrap their sequence in "b"
-    return SequencePrefix(_table_from_json(payload, "expected a 'values' list"))
+    return SequencePrefix._from_pairs(_table_from_json(payload, "expected a 'values' list"))
 
 
-def _table_from_json(payload: dict, missing: str) -> list[Fraction]:
-    """The table of ``{"values": [...], "offset": 1}``; tables are 1-indexed,
-    so the offset is absent or the int 1.  ``missing``: no 'values' list."""
+def _table_from_json(payload: dict, missing: str) -> list[tuple[int, int]]:
+    """The table of ``{"values": [...], "offset": 1}`` as integer pairs
+    (p, q); tables are 1-indexed, so the offset is absent or the int 1.
+    ``missing``: the error for an object with no 'values' list."""
     values = payload.get("values")
     if not isinstance(values, list):
         raise ValueError(missing)
     _check_offset(payload)
-    return [parse_rational(v) for v in values]
+    return [_rational_pair(v) for v in values]
 
 
 def _check_offset(payload: dict) -> None:
@@ -498,8 +588,13 @@ def _check_offset(payload: dict) -> None:
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
 
 
-def _table_from_csv(text: str) -> list[Fraction]:
-    entries: dict[int, Fraction] = {}
+_INDEX_RE = re.compile(r"[0-9]+")
+
+
+def _table_from_csv(text: str) -> list[tuple[int, int]]:
+    """The table of ``index,value`` rows as integer pairs (p, q); indices
+    are ASCII digits and run over 1..H, in any order."""
+    entries: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -507,15 +602,14 @@ def _table_from_csv(text: str) -> list[Fraction]:
         idx_s, sep, val_s = line.partition(",")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'index,value'")
-        try:
-            idx = int(idx_s.strip())
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed index {idx_s!r}") from None
+        if not _INDEX_RE.fullmatch(idx_s.strip()):
+            raise ValueError(f"line {lineno}: malformed index {idx_s!r}")
+        idx = int(idx_s)
         if idx < 1:
             raise ValueError(f"line {lineno}: index must be positive, got {idx}")
         if idx in entries:
             raise ValueError(f"line {lineno}: duplicate index {idx}")
-        entries[idx] = parse_rational(val_s)
+        entries[idx] = _rational_pair(val_s)
     if not entries:
         raise ValueError("empty sequence")
     horizon = max(entries)
@@ -530,11 +624,14 @@ def parse_sequence(text: str) -> SequencePrefix:
 
     JSON objects carry ``{"values": [...], "offset": 1}``; construction
     outputs (objects with a ``b`` field) are unwrapped to their sequence.
-    CSV rows are ``index,value`` with contiguous indices 1..H.
+    CSV rows are ``index,value`` with contiguous indices 1..H.  Values are
+    read as the integers p, q of ``p/q``, unreduced, straight onto the
+    prefix's grid, with no gcd per value; the prefix builds its
+    ``Fraction``s only when they are used.
     """
     if text.lstrip().startswith("{"):
         return _sequence_from_json(text)
-    return SequencePrefix(_table_from_csv(text))
+    return SequencePrefix._from_pairs(_table_from_csv(text))
 
 
 def parse_error_term(text: str) -> ErrorTerm:
@@ -561,5 +658,7 @@ def parse_error_term(text: str) -> ErrorTerm:
             _check_offset(payload)
             params = {k: parse_rational(v) for k, v in raw.items()}
             return builtin_error_term(family, horizon, params)
-        return ErrorTerm(_table_from_json(payload, "expected 'family' or 'values'"))
-    return ErrorTerm(_table_from_csv(text))
+        pairs = _table_from_json(payload, "expected 'family' or 'values'")
+    else:
+        pairs = _table_from_csv(text)
+    return ErrorTerm(Fraction(p, q) for p, q in pairs)

@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from fekete import SequencePrefix
+from fekete import SequencePrefix, Violation, ViolationReport
 
 
 def tabulate(fn, horizon: int) -> SequencePrefix:
@@ -66,3 +66,23 @@ def reference_q(a: SequencePrefix, n_lo: int) -> list[Fraction]:
     slice and one max per n, straight from the definition."""
     slopes = [Fraction(v) / j for j, v in enumerate(a.values, start=1)]
     return [max(slopes[n - 1 : 2 * n]) for n in range(n_lo, a.horizon // 2 + 1)]
+
+
+def brute_force_scan(a, f, domain):
+    """Every pair n <= m, n + m <= H that the closed-form definition of the
+    domain admits, decided in Fractions."""
+    admitted = [
+        (n, m)
+        for n in range(1, a.horizon + 1)
+        for m in range(n, a.horizon - n + 1)
+        if reference_admits(domain, n, m)
+    ]
+    bad = []
+    for n, m in admitted:
+        deficit = a.value(n + m) - a.value(n) - a.value(m)
+        if f is not None:
+            deficit -= f.value(n + m)
+        if deficit > 0:
+            bad.append(Violation(n, m, deficit))
+    bad.sort(key=lambda v: (v.n + v.m, v.n))
+    return ViolationReport(domain=domain, pairs_checked=len(admitted), violations=tuple(bad))

@@ -31,7 +31,14 @@ from fekete import (
 
 from fekete.checker import _scaled_tables
 
-from conftest import ceil_sqrt, monotone_rationals, reference_admits, reference_q, tabulate
+from conftest import (
+    brute_force_scan,
+    ceil_sqrt,
+    monotone_rationals,
+    reference_admits,
+    reference_q,
+    tabulate,
+)
 
 
 def test_scan_identity_sequence_clean():
@@ -103,26 +110,6 @@ def test_scan_domain_restriction():
 
 
 # --- certified scan against the brute-force reference ----------------------------
-
-def brute_force_scan(a, f, domain):
-    """Every pair n <= m, n + m <= H that the closed-form definition of the
-    domain admits, decided in Fractions."""
-    admitted = [
-        (n, m)
-        for n in range(1, a.horizon + 1)
-        for m in range(n, a.horizon - n + 1)
-        if reference_admits(domain, n, m)
-    ]
-    bad = []
-    for n, m in admitted:
-        deficit = a.value(n + m) - a.value(n) - a.value(m)
-        if f is not None:
-            deficit -= f.value(n + m)
-        if deficit > 0:
-            bad.append(Violation(n, m, deficit))
-    bad.sort(key=lambda v: (v.n + v.m, v.n))
-    return ViolationReport(domain=domain, pairs_checked=len(admitted), violations=tuple(bad))
-
 
 _small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 

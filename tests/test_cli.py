@@ -94,6 +94,16 @@ def test_check_family_descriptor_bad_offset_exit_two(tmp_path, capsys, offset):
     assert "offset" in captured.err
 
 
+@pytest.mark.parametrize("index", ["0_1", "+1", "\u0661"])
+def test_check_malformed_csv_index_exit_two(tmp_path, capsys, index):
+    seq = tmp_path / "a.csv"
+    seq.write_text(f"{index},5\n2,7\n", encoding="utf-8")
+    assert main(["check", "--seq", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed index" in captured.err
+
+
 def test_check_family_error_term(tmp_path):
     from fekete import builtin_error_term, convex_from_error
 

@@ -1,0 +1,91 @@
+"""Golden CLI bytes: ``check`` on every ``--domain`` variant and error-term
+kind, ``limit`` and ``gdeficit``, on the small committed inputs in
+``golden/``.  Each run is pinned by its exit code and the sha256 of its
+stdout and of its ``-o`` file.
+
+The inputs cover a ``construct convex`` prefix (JSON), a rational prefix
+with violations (CSV), unreduced ``p/q`` values with signs and leading
+zeros (JSON and CSV), and a ``construct rational-slopes`` output.  The
+digests in ``golden/digests.json`` were recorded from a known-good
+version with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+Record them again only in a change that means to alter CLI output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fekete.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+
+SEQUENCES = ("convex.json", "dirty.csv", "unreduced.json", "unreduced.csv", "slopes.json")
+DOMAINS = ("full", "threshold:4", "muband:3/2,2", "oneplus:1", "explicit:pairs.json")
+ERROR_TERMS = ("zero", "family:floor_sqrt", "f_rational.json")
+G_PAIRS = ((1, 1), (3, 5), (8, 13))
+
+
+def _commands(seq: str):
+    """The argv of every golden run on one input; file names are relative
+    to ``golden/`` and ``OUT`` stands for the ``-o`` file."""
+    for domain in DOMAINS:
+        for f in ERROR_TERMS:
+            yield ["check", "--seq", seq, "--f", f, "--domain", domain, "-o", "OUT"]
+    yield ["check", "--seq", seq]
+    for n in (0, 1, 3):
+        yield ["limit", "--seq", seq, "--N", str(n), "-o", "OUT"]
+    for f in ERROR_TERMS:
+        for n, m in G_PAIRS:
+            yield ["gdeficit", "--seq", seq, "--f", f, "--n", str(n), "--m", str(m)]
+
+
+def _resolve(arg: str, out: Path) -> str:
+    if arg == "OUT":
+        return str(out)
+    if arg.startswith("explicit:"):
+        return "explicit:" + str(GOLDEN / arg[len("explicit:"):])
+    return str(GOLDEN / arg) if (GOLDEN / arg).is_file() else arg
+
+
+def _sha(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def run_digests(seq: str, out: Path) -> dict[str, list]:
+    """Run every golden command on ``seq``: ``{argv: [exit code, sha256 of
+    stdout, sha256 of the -o file or None]}``."""
+    digests = {}
+    for argv in _commands(seq):
+        out.unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([_resolve(arg, out) for arg in argv])
+        written = out.read_bytes() if out.exists() else None
+        digests[" ".join(argv)] = [code, _sha(stdout.getvalue().encode()), _sha(written)]
+    return digests
+
+
+@pytest.mark.parametrize("seq", SEQUENCES)
+def test_cli_bytes_match_golden_digests(seq, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[seq]
+    assert run_digests(seq, tmp_path / "out.json") == recorded
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {seq: run_digests(seq, Path(tmp) / "out.json") for seq in SEQUENCES}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {sum(map(len, table.values()))} runs in {DIGESTS}", file=sys.stderr)

@@ -20,6 +20,7 @@ from fekete import (
     mu_chain_certificate,
     scan_violations,
     threshold_gap_example,
+    two_good_chain,
 )
 
 from conftest import ceil_sqrt, monotone_rationals, tabulate
@@ -219,6 +220,48 @@ def test_mu_arguments_are_exact_rationals():
     assert mu_chain_certificate(2, 1, 10) == mu_chain_certificate(Fraction(2), 1, 10)
     for mu in (2, "2", Fraction(2)):
         assert find_split(14, 7, 7, mu) == (7, 7)
+
+
+_LINE = tabulate(lambda n: n, 10)
+
+# Every integer argument of these calls, with the other arguments valid.
+_INT_ARGUMENTS = {
+    "mu_chain_certificate.N": lambda x: mu_chain_certificate(2, x, 3),
+    "mu_chain_certificate.n": lambda x: mu_chain_certificate(2, 1, x),
+    "find_split.z": lambda x: find_split(x, 1, 5, 2),
+    "find_split.lo": lambda x: find_split(7, x, 5, 2),
+    "find_split.hi": lambda x: find_split(7, 1, x, 2),
+    "g_deficit.n": lambda x: g_deficit(_LINE, None, x, 2),
+    "g_deficit.m": lambda x: g_deficit(_LINE, None, 1, x),
+    "threshold_gap_example.N": lambda x: threshold_gap_example(x, [5, 12]),
+    "threshold_gap_example.anchor": lambda x: threshold_gap_example(3, [5, x, 40]),
+    "two_good_chain.n": lambda x: two_good_chain(x, 2),
+    "two_good_chain.k": lambda x: two_good_chain(9, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1", None])
+@pytest.mark.parametrize("call", _INT_ARGUMENTS.values(), ids=_INT_ARGUMENTS.keys())
+def test_integer_arguments_must_be_ints(call, bad):
+    with pytest.raises(TypeError, match="must be an int"):
+        call(bad)
+
+
+def test_integer_arguments_out_of_range_stay_value_errors():
+    out_of_range = {
+        "mu_chain_certificate.N": 0, "mu_chain_certificate.n": 0,
+        "find_split.lo": 6, "find_split.hi": 0,
+        "g_deficit.n": 0, "g_deficit.m": 10,
+        "threshold_gap_example.N": 1, "threshold_gap_example.anchor": 4,
+        "two_good_chain.n": 3, "two_good_chain.k": 0,
+    }
+    for name, value in out_of_range.items():
+        with pytest.raises(ValueError):
+            _INT_ARGUMENTS[name](value)
+    for horizon in (True, 5.0, Fraction(5), "5"):
+        with pytest.raises(TypeError, match="must be an int"):
+            threshold_gap_example(3, [5, 12], horizon)
+    assert threshold_gap_example(3, [5, 12], None) == threshold_gap_example(3, [5, 12], 11)
 
 
 # --- splits ----------------------------------------------------------------------

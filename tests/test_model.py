@@ -377,6 +377,19 @@ def test_parse_sequence_csv_errors():
         parse_sequence("")
 
 
+@pytest.mark.parametrize("index", ["0_1", "+1", "\u0661", "-1", "1.0", "0x1", "1 1", "\uff11"])
+@pytest.mark.parametrize("parse", [parse_sequence, parse_error_term])
+def test_csv_index_is_ascii_digits(parse, index):
+    with pytest.raises(ValueError, match="malformed index"):
+        parse(f"{index},5\n2,7")
+
+
+def test_csv_index_padding_and_leading_zeros():
+    assert parse_sequence(" 02 ,7\n 1,5").values == (5, 7)
+    with pytest.raises(ValueError, match="positive"):
+        parse_sequence("00,5")
+
+
 def test_parse_sequence_unwraps_construction_output():
     text = '{"b": {"values": ["1", "2"], "offset": 1}, "c": ["0"], "coverage": {}}'
     assert parse_sequence(text).values == (1, 2)
