@@ -8,8 +8,8 @@ comes from the integer grid that lives on the prefix
 built once per prefix), joined with the error term's own grid at one
 common denominator, so the hot loops are pure integer arithmetic and
 reported deficits are exact rationals.  Window maxima of the slopes come
-from one sliding-window pass (a monotone deque), O(H) exact comparisons
-for the whole table.
+from one sliding-window pass (a monotone deque) over the same grid, O(H)
+integer cross products for the whole table.
 """
 
 from __future__ import annotations
@@ -225,32 +225,43 @@ class QSequence:
         return self.values[n - self.n_lo]
 
 
+def _window_argmax(a: SequencePrefix, n_lo: int) -> list[int]:
+    """For n = n_lo..H//2, an index j in [n, 2n] maximising a(j)/j.
+
+    Both ends of the window [n, 2n] only move right, so a deque of
+    candidate indices with strictly decreasing slopes gives every argmax
+    in amortised O(1) comparisons: O(H) for the whole table.  Slopes are
+    compared on the prefix's grid, a(i)/i <= a(j)/j iff A[i]*j <= A[j]*i.
+    """
+    _, table = a.grid
+    window: deque[int] = deque()  # 1-based indices j, front holds the max
+    top = n_lo - 1  # largest index pushed so far
+    out = []
+    for n in range(n_lo, a.horizon // 2 + 1):
+        while top < 2 * n:
+            top += 1
+            t = table[top]
+            while window and table[window[-1]] * top <= t * window[-1]:
+                window.pop()
+            window.append(top)
+        if window[0] < n:  # only n - 1 can have left the window
+            window.popleft()
+        out.append(window[0])
+    return out
+
+
 def q_sequence(a: SequencePrefix, n_lo: int) -> QSequence:
     """Tabulate the doubling-window slope maxima of the prefix.
 
-    Both ends of the window [n, 2n] only move right, so a deque of
-    candidate indices with strictly decreasing slopes gives every q(n) in
-    amortised O(1) exact comparisons: O(H) for the whole table.
+    The maxima come from one sliding-window pass over the prefix's
+    integer grid; a ``Fraction`` is built only for the argmax of each
+    window.
     """
     _require_int(n_lo, "window start")
     horizon = a.horizon
     if n_lo < 1 or 2 * n_lo > horizon:
         raise ValueError(f"horizon {horizon} too small for windows starting at {n_lo}")
-    slopes = a.slopes()
-    window: deque[int] = deque()  # 1-based indices j, front holds the max
-    top = n_lo - 1  # largest index pushed so far
-    out = []
-    for n in range(n_lo, horizon // 2 + 1):
-        while top < 2 * n:
-            top += 1
-            s = slopes[top - 1]
-            while window and slopes[window[-1] - 1] <= s:
-                window.pop()
-            window.append(top)
-        if window[0] < n:  # only n - 1 can have left the window
-            window.popleft()
-        out.append(slopes[window[0] - 1])
-    return QSequence(n_lo, tuple(out))
+    return QSequence(n_lo, tuple(a.slope(j) for j in _window_argmax(a, n_lo)))
 
 
 def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
@@ -258,13 +269,19 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
 
     An empty list means the window maxima are non-increasing over the whole
     computable range, which must be the case whenever the prefix passes a
-    OnePlus(N) scan.
+    OnePlus(N) scan.  Consecutive maxima are compared on the grid by
+    cross products; no ``Fraction`` is built.
     """
     _require_int(N, "threshold")
     if N < 1 or 2 * (N + 1) > a.horizon:
         raise ValueError(f"horizon {a.horizon} too small for threshold {N}")
-    vals = q_sequence(a, N).values
-    return [N + i for i in range(len(vals) - 1) if vals[i] < vals[i + 1]]
+    _, table = a.grid
+    argmax = _window_argmax(a, N)
+    return [
+        N + i
+        for i, (j, k) in enumerate(zip(argmax, argmax[1:]))
+        if table[j] * k < table[k] * j
+    ]
 
 
 def check_convexity(a: SequencePrefix) -> list[int]:

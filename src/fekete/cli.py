@@ -59,6 +59,13 @@ def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
     return model.parse_error_term(_read(spec))
 
 
+def _threshold(text: str) -> int:
+    """A domain threshold: ASCII digits, as for CSV indices."""
+    if not model._INDEX_RE.fullmatch(text.strip()):
+        raise ValueError(f"malformed threshold {text!r}: need ASCII digits")
+    return int(text)
+
+
 def _domain_from(spec: str) -> model.PairDomain:
     """--domain grammar: full | threshold:N | muband:P/Q,N | oneplus:N |
     explicit:FILE (a JSON object with a "pairs" list)."""
@@ -68,14 +75,14 @@ def _domain_from(spec: str) -> model.PairDomain:
     if not sep:
         raise ValueError(f"malformed domain spec: {spec!r}")
     if kind == "threshold":
-        return model.ThresholdDomain(int(rest))
+        return model.ThresholdDomain(_threshold(rest))
     if kind == "oneplus":
-        return model.OnePlusDomain(int(rest))
+        return model.OnePlusDomain(_threshold(rest))
     if kind == "muband":
         mu_s, sep2, n_s = rest.partition(",")
         if not sep2:
             raise ValueError("muband needs 'P/Q,N'")
-        return model.MuBandDomain(model.parse_rational(mu_s), int(n_s))
+        return model.MuBandDomain(model.parse_rational(mu_s), _threshold(n_s))
     if kind == "explicit":
         payload = json.loads(_read(rest))
         pairs = payload.get("pairs") if isinstance(payload, dict) else None

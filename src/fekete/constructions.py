@@ -44,6 +44,7 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
     passes the full-domain f-scan.
     """
+    _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if horizon > f.horizon:
@@ -70,6 +71,7 @@ def enumerate_rationals(i: int) -> Fraction:
     """Bijective enumeration of the rationals: 0 first, then for j >= 1 the
     j-th positive rational of the breadth-first mediant order at position
     2j and its negation at position 2j + 1."""
+    _require_int(i, "enumeration index")
     if i < 1:
         raise ValueError("enumeration index starts at 1")
     if i == 1:
@@ -156,6 +158,8 @@ def rational_slope_sequence(f: ErrorTerm, K: int, h_max: int) -> ConstructionOut
     target inside ``h_max``; with a summable sum of f(n)/n^2 that is the
     expected outcome, since the source slope stays bounded.
     """
+    _require_int(K, "K")
+    _require_int(h_max, "window")
     if K < 1:
         raise ValueError("K must be positive")
     if h_max < 1:
@@ -293,6 +297,7 @@ def linear_error_example(f: ErrorTerm, bound, horizon: int) -> SequencePrefix:
     rational; floats raise TypeError.
     """
     bound = _coerce(bound)
+    _require_int(horizon, "horizon")
     if bound <= 0:
         raise ValueError("bound must be positive")
     if horizon < 1:

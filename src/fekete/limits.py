@@ -2,6 +2,11 @@
 exact finite form of the error-smoothing transform, and doubling-chain
 certificates for band-restricted subadditivity.
 
+Brackets compare slopes, and the smoothing deficit is evaluated, in
+integers on the prefix's grid (``SequencePrefix.grid``) and, for the
+deficit, the error term's ``ErrorTerm.weight_grid``; a ``Fraction`` is
+built only for a reported value.
+
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
 minus infinity).  Every output is an exact, finitely-checkable witness:
 an upper bound with the index attaining it, window-bound samples, or a
@@ -10,6 +15,7 @@ chain whose inequalities were verified as stated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,7 +125,12 @@ def g_deficit(
             - 3n * sum(f(x)/x^2 for n <= x < n+m)
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
-    so the value is exactly computable even though G itself is not.
+    so the value is exactly computable even though G itself is not.  With
+    W(j) = sum(f(x)/x^2 for 1 < x <= j) and s = n + m, that form is
+    g(s) - g(n) - g(m) for g(k) = a(k) - 3k * W(k-1).  It is evaluated in
+    integers on the prefix's grid ``a.grid`` and the error term's
+    ``f.weight_grid``, brought to the lcm of their denominators, and
+    reduced to a ``Fraction`` once.
     """
     _require_int(n, "n")
     _require_int(m, "m")
@@ -128,17 +139,16 @@ def g_deficit(
     s = n + m
     if s > a.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds sequence horizon {a.horizon}")
-    plain = a.value(s) - a.value(n) - a.value(m)
+    denom, table = a.grid
+    plain = table[s] - table[n] - table[m]
     if f is None:
-        return plain
+        return Fraction(plain, denom)
     if s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
-    weights = f.weights
-    return (
-        plain
-        - 3 * n * (weights[s - 1] - weights[n - 1])
-        - 3 * m * (weights[s - 1] - weights[m - 1])
-    )
+    w_denom, w = f.weight_grid
+    wide = math.lcm(denom, w_denom)
+    tails = s * w[s] - n * w[n] - m * w[m]
+    return Fraction(plain * (wide // denom) - 3 * tails * (wide // w_denom), wide)
 
 
 @dataclass(frozen=True)

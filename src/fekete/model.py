@@ -212,6 +212,8 @@ class ErrorTerm:
 
     Both invariants are enforced at construction, so holding an ErrorTerm
     is itself a certificate that the table qualifies as an error term.
+    The partial sums W of sum f(x)/x^2 come in two cached views: the
+    ``Fraction``s of ``weights`` and the integers of ``weight_grid``.
     """
 
     values: tuple[Fraction, ...]
@@ -255,6 +257,27 @@ class ErrorTerm:
     def weights(self) -> tuple[Fraction, ...]:
         """The tuple (W(0), ..., W(H)), built on first use and kept."""
         return tuple(self.weight_sums())
+
+    @cached_property
+    def weight_grid(self) -> tuple[int, tuple[int, ...]]:
+        """``(D_W, Wt)``: the W(j) on an integer grid, indexed like
+        ``SequencePrefix.grid``: Wt[0] = 0 and Wt[k] = D_W * W(k-1) for
+        k = 1..H+1, so Wt[k] sits at the index of a(k).  Built on first
+        use and kept.
+
+        With f(x) = p_x/q_x, D_W is the lcm of the q_x * x^2: a common
+        denominator of every W(j), not always the least one.  Wt is the
+        integer prefix sum of p_x * (D_W // (q_x * x^2)), each division a
+        long number over a short one; no ``Fraction`` is built.
+        """
+        denoms = [v.denominator * x * x for x, v in enumerate(self.values, start=1)]
+        denom = math.lcm(*denoms)
+        total = -self.values[0].numerator * (denom // denoms[0])
+        table = [0, total]
+        for v, d in zip(self.values, denoms):
+            total += v.numerator * (denom // d)
+            table.append(total)
+        return denom, tuple(table)
 
 
 # --- builtin error-term families -------------------------------------------
@@ -323,6 +346,7 @@ def _floor_ratio_log2(n: int) -> int:
 
 def zero_error_term(horizon: int) -> ErrorTerm:
     """The identically-zero error term (plain subadditivity)."""
+    _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     return ErrorTerm((Fraction(0),) * horizon, family_tag="zero")
@@ -345,6 +369,7 @@ def builtin_error_term(
     Every value is an exact integer (floors applied throughout), so
     monotonicity and non-negativity are decided exactly.
     """
+    _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     expected = family_parameters(family)

@@ -25,6 +25,7 @@ from fekete import (
     check_q_monotone,
     convex_from_error,
     fekete_bracket,
+    parse_sequence,
     q_sequence,
     scan_violations,
 )
@@ -311,25 +312,33 @@ _slope_runs = st.lists(
 )
 
 
-@given(st.one_of(
-    _slope_runs.map(lambda runs: [s for s, k in runs for _ in range(k)]).filter(
-        lambda slopes: len(slopes) >= 2
+@given(
+    st.one_of(
+        _slope_runs.map(lambda runs: [s for s, k in runs for _ in range(k)]).filter(
+            lambda slopes: len(slopes) >= 2
+        ),
+        st.lists(_small_rationals, min_size=2, max_size=40).map(
+            lambda vals: [v / j for j, v in enumerate(vals, start=1)]
+        ),
     ),
-    st.lists(_small_rationals, min_size=2, max_size=40).map(
-        lambda vals: [v / j for j, v in enumerate(vals, start=1)]
-    ),
-))
+    st.integers(2, 5),
+)
 @settings(max_examples=300, deadline=None)
-def test_q_sequence_matches_slice_reference(slopes):
+def test_q_sequence_matches_slice_reference(slopes, scale):
     a = SequencePrefix([s * j for j, s in enumerate(slopes, start=1)])
+    # the same values read from unreduced p/q text: a grid with D > 1
+    written = [f"{v.numerator * scale}/{v.denominator * scale}" for v in a.values]
+    parsed = parse_sequence(json.dumps({"values": written}))
+    assert parsed.grid[0] > 1
     horizon = a.horizon
     for n_lo in range(1, horizon // 2 + 1):  # n_lo = H//2 leaves one window
         want = reference_q(a, n_lo)
-        qs = q_sequence(a, n_lo)
-        assert qs.n_lo == n_lo and list(qs.values) == want
-        if 2 * (n_lo + 1) <= horizon:
-            rises = [n_lo + i for i in range(len(want) - 1) if want[i] < want[i + 1]]
-            assert check_q_monotone(a, n_lo) == rises
+        rises = [n_lo + i for i in range(len(want) - 1) if want[i] < want[i + 1]]
+        for prefix in (a, parsed):
+            qs = q_sequence(prefix, n_lo)
+            assert qs.n_lo == n_lo and list(qs.values) == want
+            if 2 * (n_lo + 1) <= horizon:
+                assert check_q_monotone(prefix, n_lo) == rises
 
 
 @pytest.mark.parametrize(

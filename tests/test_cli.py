@@ -104,6 +104,26 @@ def test_check_malformed_csv_index_exit_two(tmp_path, capsys, index):
     assert "malformed index" in captured.err
 
 
+@pytest.mark.parametrize(
+    "domain",
+    ["threshold:1_0", "threshold:+2", "threshold:\u0663", "threshold:-2", "threshold:",
+     "oneplus:+2", "oneplus:1_0", "muband:3/2,1_0", "muband:3/2,+2", "muband:3/2,\u0661"],
+)
+def test_check_malformed_domain_threshold_exit_two(tmp_path, capsys, domain):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0, 0, 0, 0, 0]))
+    assert main(["check", "--seq", seq, "--domain", domain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed threshold" in captured.err
+
+
+@pytest.mark.parametrize("domain", ["threshold:0", "oneplus:-2", "muband:1,1", "oneplus:0"])
+def test_check_out_of_range_domain_exit_two(tmp_path, capsys, domain):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0, 0, 0, 0, 0]))
+    assert main(["check", "--seq", seq, "--domain", domain]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_check_family_error_term(tmp_path):
     from fekete import builtin_error_term, convex_from_error
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,18 @@ from fekete import (
     builtin_error_term,
     chain_coverage_failures,
     convex_from_error,
+    enumerate_rationals,
     fekete_bracket,
     find_split,
     g_deficit,
+    linear_error_example,
     mu_chain_certificate,
+    parse_sequence,
+    rational_slope_sequence,
     scan_violations,
     threshold_gap_example,
     two_good_chain,
+    zero_error_term,
 )
 
 from conftest import ceil_sqrt, monotone_rationals, tabulate
@@ -146,6 +152,69 @@ def test_weight_sums_against_term_by_term_forms(data):
         assert conv.value(n) == n * series(2, n + 1), n
 
 
+_F_DENOMS = (1, 2, 9, 127, 131)
+
+
+@st.composite
+def _rational_error_terms(draw, min_size=1):
+    """Non-decreasing error terms with f(1) > 0 over the denominators
+    ``_F_DENOMS``, whose primes 127 and 131 no x^2 of a short table
+    supplies, so that D_W is far from lcm(x^2)."""
+    step = st.builds(Fraction, st.integers(0, 40), st.sampled_from(_F_DENOMS))
+    values = [draw(step.filter(lambda v: v > 0))]
+    for inc in draw(st.lists(step, min_size=min_size - 1, max_size=13)):
+        values.append(values[-1] + inc)
+    return ErrorTerm(values)
+
+
+@given(_rational_error_terms())
+@settings(max_examples=100, deadline=None)
+def test_weight_grid_matches_weights(f):
+    denom, grid = f.weight_grid
+    assert len(grid) == f.horizon + 2 and grid[0] == 0
+    for k in range(1, f.horizon + 2):
+        assert Fraction(grid[k], denom) == f.weights[k - 1], k
+    for x, v in enumerate(f.values, start=1):
+        assert denom % (v.denominator * x * x) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_g_deficit_on_grids_against_term_by_term_form(data):
+    f = data.draw(_rational_error_terms(min_size=2))
+    horizon = data.draw(st.integers(2, f.horizon))  # often shorter than f
+    kind = data.draw(st.sampled_from(("convex", "foreign")))
+    if kind == "convex":  # D divides D_W
+        values = list(convex_from_error(f, horizon).values)
+    else:  # odd denominators and a(1) over 137: neither of D, D_W divides the other
+        values = [Fraction(data.draw(st.integers(-30, 30).filter(bool)), 137)]
+        values += data.draw(st.lists(
+            st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 3, 137))),
+            min_size=horizon - 1, max_size=horizon - 1,
+        ))
+    a = SequencePrefix(values)
+    # the same values written unreduced: the parsed grid's D is not the least one
+    scale = data.draw(st.integers(2, 4))
+    written = [f"{v.numerator * scale}/{v.denominator * scale}" for v in values]
+    parsed = parse_sequence(json.dumps({"values": written}))
+    w_denom = f.weight_grid[0]
+    if kind == "convex":
+        assert w_denom % a.grid[0] == 0
+    else:
+        assert w_denom % a.grid[0] and a.grid[0] % w_denom
+
+    def series(lo, hi):  # sum(f(x)/x^2 for lo <= x < hi)
+        return sum((f.value(x) / (x * x) for x in range(lo, hi)), Fraction(0))
+
+    for n in range(1, horizon // 2 + 1):
+        for m in range(n, horizon - n + 1):
+            plain = a.value(n + m) - a.value(n) - a.value(m)
+            expected = plain - 3 * n * series(n, n + m) - 3 * m * series(m, n + m)
+            for prefix in (a, parsed):
+                assert g_deficit(prefix, f, n, m) == expected, (n, m)
+                assert g_deficit(prefix, None, n, m) == plain, (n, m)
+
+
 def test_g_deficit_validation():
     a = tabulate(lambda n: n, 10)
     with pytest.raises(ValueError):
@@ -223,6 +292,7 @@ def test_mu_arguments_are_exact_rationals():
 
 
 _LINE = tabulate(lambda n: n, 10)
+_SQRT = builtin_error_term("floor_sqrt", 10)
 
 # Every integer argument of these calls, with the other arguments valid.
 _INT_ARGUMENTS = {
@@ -237,6 +307,13 @@ _INT_ARGUMENTS = {
     "threshold_gap_example.anchor": lambda x: threshold_gap_example(3, [5, x, 40]),
     "two_good_chain.n": lambda x: two_good_chain(x, 2),
     "two_good_chain.k": lambda x: two_good_chain(9, x),
+    "builtin_error_term.horizon": lambda x: builtin_error_term("zero", x),
+    "zero_error_term.horizon": lambda x: zero_error_term(x),
+    "convex_from_error.horizon": lambda x: convex_from_error(_SQRT, x),
+    "linear_error_example.horizon": lambda x: linear_error_example(_SQRT, 1, x),
+    "enumerate_rationals.i": lambda x: enumerate_rationals(x),
+    "rational_slope_sequence.K": lambda x: rational_slope_sequence(_SQRT, x, 10),
+    "rational_slope_sequence.h_max": lambda x: rational_slope_sequence(_SQRT, 1, x),
 }
 
 
@@ -254,6 +331,10 @@ def test_integer_arguments_out_of_range_stay_value_errors():
         "g_deficit.n": 0, "g_deficit.m": 10,
         "threshold_gap_example.N": 1, "threshold_gap_example.anchor": 4,
         "two_good_chain.n": 3, "two_good_chain.k": 0,
+        "builtin_error_term.horizon": 0, "zero_error_term.horizon": 0,
+        "convex_from_error.horizon": 11, "linear_error_example.horizon": 0,
+        "enumerate_rationals.i": 0,
+        "rational_slope_sequence.K": 0, "rational_slope_sequence.h_max": 11,
     }
     for name, value in out_of_range.items():
         with pytest.raises(ValueError):

@@ -118,6 +118,10 @@ def test_weight_sums_anchored_at_one():
     assert tuple(f.weight_sums()) == expected
     assert f.weights == expected
     assert f.weights is f.weights  # built once per instance
+    # D_W = lcm(1*1, 1*4, 1*9); Wt[k] = 36 * W(k-1), at the index of a(k)
+    assert f.weight_grid == (36, (0, -72, 0, 27, 39))
+    assert f.weight_grid is f.weight_grid
+    assert ErrorTerm([2, 3, 3]).weight_grid is not f.weight_grid
 
 
 def test_linear_over_log_brackets_every_n():
