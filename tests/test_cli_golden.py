@@ -1,7 +1,8 @@
 """Golden CLI bytes: ``check`` on every ``--domain`` variant and error-term
 kind, ``limit`` and ``gdeficit``, on the small committed inputs in
-``golden/``.  Each run is pinned by its exit code and the sha256 of its
-stdout and of its ``-o`` file.
+``golden/``; and every ``construct`` command, ``certify-mu`` and
+``decompose``, which read no sequence file.  Each run is pinned by its
+exit code and the sha256 of its stdout and of its ``-o`` file.
 
 The inputs cover a ``construct convex`` prefix (JSON), a rational prefix
 with violations (CSV), unreduced ``p/q`` values with signs and leading
@@ -34,6 +35,14 @@ SEQUENCES = ("convex.json", "dirty.csv", "unreduced.json", "unreduced.csv", "slo
 DOMAINS = ("full", "threshold:4", "muband:3/2,2", "oneplus:1", "explicit:pairs.json")
 ERROR_TERMS = ("zero", "family:floor_sqrt", "f_rational.json")
 G_PAIRS = ((1, 1), (3, 5), (8, 13))
+# every builtin family, and a rational table, as the error term of
+# ``construct convex``
+CONVEX_F = (
+    "zero", "family:zero", "family:constant,9/4", "family:floor_sqrt",
+    "family:floor_power,3/2,1/3", "family:linear_over_log", "family:linear,1/3",
+    "f_rational.json",
+)
+CONSTRUCT = "construct"  # the digests key of the runs that read no sequence
 
 
 def _commands(seq: str):
@@ -50,6 +59,33 @@ def _commands(seq: str):
             yield ["gdeficit", "--seq", seq, "--f", f, "--n", str(n), "--m", str(m)]
 
 
+def _construct_commands():
+    """The argv of every golden run that builds its output from options
+    alone, in both output formats."""
+    for fmt in ("json", "csv"):
+        tail = ["-o", "OUT", "--format", fmt]
+        for f in CONVEX_F:
+            yield ["construct", "convex", "--f", f, "--H", "60", *tail]
+        yield ["construct", "rational-slopes", "--f", "family:linear,1", "--K", "7",
+               "--Hmax", "500", *tail]
+        # exhausted: exit 1 and no file
+        yield ["construct", "rational-slopes", "--f", "family:floor_sqrt", "--K", "5",
+               "--Hmax", "60", *tail]
+        yield ["construct", "linear-error", "--f", "family:linear,1", "--L", "1",
+               "--H", "40", *tail]
+        yield ["construct", "linear-error", "--f", "f_rational.json", "--L", "1/10",
+               "--H", "60", *tail]
+        yield ["construct", "threshold-gap", "--N", "3", "--anchors", "5,10,20", *tail]
+        yield ["construct", "threshold-gap", "--N", "3", "--anchors", "5,10,20",
+               "--H", "12", *tail]
+    for mu, N, n in (("3/2", "2", "5"), ("5/4", "3", "7")):
+        yield ["certify-mu", "--mu", mu, "--N", N, "--n", n, "-o", "OUT"]
+    yield ["certify-mu", "--mu", "3/2", "--N", "2", "--n", "5"]
+    for n, k in (("20", "3"), ("9", "4")):
+        yield ["decompose", "--n", n, "--k", k, "-o", "OUT"]
+    yield ["decompose", "--n", "20", "--k", "3"]
+
+
 def _resolve(arg: str, out: Path) -> str:
     if arg == "OUT":
         return str(out)
@@ -62,11 +98,11 @@ def _sha(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-def run_digests(seq: str, out: Path) -> dict[str, list]:
-    """Run every golden command on ``seq``: ``{argv: [exit code, sha256 of
+def run_digests(commands, out: Path) -> dict[str, list]:
+    """Run every argv of ``commands``: ``{argv: [exit code, sha256 of
     stdout, sha256 of the -o file or None]}``."""
     digests = {}
-    for argv in _commands(seq):
+    for argv in commands:
         out.unlink(missing_ok=True)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -79,13 +115,20 @@ def run_digests(seq: str, out: Path) -> dict[str, list]:
 @pytest.mark.parametrize("seq", SEQUENCES)
 def test_cli_bytes_match_golden_digests(seq, tmp_path):
     recorded = json.loads(DIGESTS.read_text())[seq]
-    assert run_digests(seq, tmp_path / "out.json") == recorded
+    assert run_digests(_commands(seq), tmp_path / "out.json") == recorded
+
+
+def test_construct_bytes_match_golden_digests(tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[CONSTRUCT]
+    assert run_digests(_construct_commands(), tmp_path / "out") == recorded
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {seq: run_digests(seq, Path(tmp) / "out.json") for seq in SEQUENCES}
+        out = Path(tmp) / "out"
+        table = {seq: run_digests(_commands(seq), out) for seq in SEQUENCES}
+        table[CONSTRUCT] = run_digests(_construct_commands(), out)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {sum(map(len, table.values()))} runs in {DIGESTS}", file=sys.stderr)
