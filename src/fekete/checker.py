@@ -25,7 +25,6 @@ from .model import (
     IntervalDomain,
     PairDomain,
     SequencePrefix,
-    _integer_grid,
     _require_int,
     format_rational,
 )
@@ -82,19 +81,20 @@ class ViolationReport:
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
     """Common-denominator integer tables A[n] = a(n)*D and FD[s] = f(s)*D.
 
-    A is the prefix's grid and FD the grid of f, both brought to the lcm
-    of their denominators; the grid kept on the prefix is never changed.
+    A is the prefix's grid and FD the grid of f cut to the prefix's
+    horizon, both brought to the lcm of their denominators; the grids kept
+    on a and f are never changed.
     """
     horizon = a.horizon
     denom, grid = a.grid
     if f is None:
         return denom, list(grid), [0] * (horizon + 1)
-    f_denom, f_grid = _integer_grid([(v.numerator, v.denominator) for v in f.values[:horizon]])
+    f_denom, f_grid = f.grid
     wide = math.lcm(denom, f_denom)
     scale = wide // denom
     table_a = list(grid) if scale == 1 else [x * scale for x in grid]
     f_scale = wide // f_denom
-    return wide, table_a, [x * f_scale for x in f_grid]
+    return wide, table_a, [x * f_scale for x in f_grid[: horizon + 1]]
 
 
 def _lower_minorant(table_a, top):

@@ -59,11 +59,12 @@ def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
     return model.parse_error_term(_read(spec))
 
 
-def _threshold(text: str) -> int:
-    """A domain threshold: ASCII digits, as for CSV indices."""
-    if not model._INDEX_RE.fullmatch(text.strip()):
-        raise ValueError(f"malformed threshold {text!r}: need ASCII digits")
-    return int(text)
+def _int_option(text: str) -> int:
+    """An integer option: ASCII digits, as for CSV indices."""
+    try:
+        return model.parse_ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _domain_from(spec: str) -> model.PairDomain:
@@ -75,14 +76,15 @@ def _domain_from(spec: str) -> model.PairDomain:
     if not sep:
         raise ValueError(f"malformed domain spec: {spec!r}")
     if kind == "threshold":
-        return model.ThresholdDomain(_threshold(rest))
+        return model.ThresholdDomain(model.parse_ascii_int(rest, "threshold"))
     if kind == "oneplus":
-        return model.OnePlusDomain(_threshold(rest))
+        return model.OnePlusDomain(model.parse_ascii_int(rest, "threshold"))
     if kind == "muband":
         mu_s, sep2, n_s = rest.partition(",")
         if not sep2:
             raise ValueError("muband needs 'P/Q,N'")
-        return model.MuBandDomain(model.parse_rational(mu_s), _threshold(n_s))
+        N = model.parse_ascii_int(n_s, "threshold")
+        return model.MuBandDomain(model.parse_rational(mu_s), N)
     if kind == "explicit":
         payload = json.loads(_read(rest))
         pairs = payload.get("pairs") if isinstance(payload, dict) else None
@@ -156,7 +158,7 @@ def _cmd_construct_rational_slopes(args) -> int:
 
 
 def _cmd_construct_threshold_gap(args) -> int:
-    anchors = [int(x) for x in args.anchors.split(",")]
+    anchors = [model.parse_ascii_int(x, "anchor") for x in args.anchors.split(",")]
     _emit_sequence(constructions.threshold_gap_example(args.N, anchors, args.H), args)
     return 0
 
@@ -187,28 +189,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     limit = sub.add_parser("limit", help="certified slope bracket for a prefix")
     limit.add_argument("--seq", required=True)
-    limit.add_argument("--N", type=int, required=True)
+    limit.add_argument("--N", type=_int_option, required=True)
     limit.add_argument("-o", "--output", default=None)
     limit.set_defaults(func=_cmd_limit)
 
     certify = sub.add_parser("certify-mu", help="doubling-chain certificate")
     certify.add_argument("--mu", required=True, help="growth factor P/Q, > 1")
-    certify.add_argument("--N", type=int, required=True)
-    certify.add_argument("--n", type=int, required=True, help="chain base")
+    certify.add_argument("--N", type=_int_option, required=True)
+    certify.add_argument("--n", type=_int_option, required=True, help="chain base")
     certify.add_argument("-o", "--output", default=None)
     certify.set_defaults(func=_cmd_certify_mu)
 
     decompose = sub.add_parser("decompose", help="2-good merge chain for (n, k)")
-    decompose.add_argument("--n", type=int, required=True)
-    decompose.add_argument("--k", type=int, required=True)
+    decompose.add_argument("--n", type=_int_option, required=True)
+    decompose.add_argument("--k", type=_int_option, required=True)
     decompose.add_argument("-o", "--output", default=None)
     decompose.set_defaults(func=_cmd_decompose)
 
     gdef = sub.add_parser("gdeficit", help="exact smoothing-transform deficit")
     gdef.add_argument("--seq", required=True)
     gdef.add_argument("--f", default="zero")
-    gdef.add_argument("--n", type=int, required=True)
-    gdef.add_argument("--m", type=int, required=True)
+    gdef.add_argument("--n", type=_int_option, required=True)
+    gdef.add_argument("--m", type=_int_option, required=True)
     gdef.set_defaults(func=_cmd_gdeficit)
 
     construct = sub.add_parser("construct", help="generate a named sequence")
@@ -216,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     convex = csub.add_parser("convex", help="convex sequence from an error term")
     convex.add_argument("--f", required=True)
-    convex.add_argument("--H", type=int, required=True)
+    convex.add_argument("--H", type=_int_option, required=True)
     convex.add_argument("-o", "--output", required=True)
     convex.add_argument("--format", choices=("json", "csv"), default="json")
     convex.set_defaults(func=_cmd_construct_convex)
@@ -224,16 +226,16 @@ def _build_parser() -> argparse.ArgumentParser:
     slopes = csub.add_parser("rational-slopes",
                              help="shifted convex sequence covering enumerated rationals")
     slopes.add_argument("--f", required=True)
-    slopes.add_argument("--K", type=int, required=True)
-    slopes.add_argument("--Hmax", type=int, required=True)
+    slopes.add_argument("--K", type=_int_option, required=True)
+    slopes.add_argument("--Hmax", type=_int_option, required=True)
     slopes.add_argument("-o", "--output", required=True)
     slopes.add_argument("--format", choices=("json", "csv"), default="json")
     slopes.set_defaults(func=_cmd_construct_rational_slopes)
 
     gap = csub.add_parser("threshold-gap", help="ramp sequence with pinned bands")
-    gap.add_argument("--N", type=int, required=True)
+    gap.add_argument("--N", type=_int_option, required=True)
     gap.add_argument("--anchors", required=True, help="comma-separated increasing list")
-    gap.add_argument("--H", type=int, default=None)
+    gap.add_argument("--H", type=_int_option, default=None)
     gap.add_argument("-o", "--output", required=True)
     gap.add_argument("--format", choices=("json", "csv"), default="json")
     gap.set_defaults(func=_cmd_construct_threshold_gap)
@@ -241,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     linerr = csub.add_parser("linear-error", help="spike sequence with oscillating slopes")
     linerr.add_argument("--f", required=True)
     linerr.add_argument("--L", required=True, help="oscillation bound P/Q, > 0")
-    linerr.add_argument("--H", type=int, required=True)
+    linerr.add_argument("--H", type=_int_option, required=True)
     linerr.add_argument("-o", "--output", required=True)
     linerr.add_argument("--format", choices=("json", "csv"), default="json")
     linerr.set_defaults(func=_cmd_construct_linear_error)

@@ -30,6 +30,7 @@ __all__ = [
     "builtin_error_term",
     "family_parameters",
     "format_rational",
+    "parse_ascii_int",
     "parse_error_term",
     "parse_rational",
     "parse_sequence",
@@ -58,6 +59,18 @@ def _rational_pair(text: str | int) -> tuple[int, int]:
         raise ValueError(f"malformed rational: {text!r}")
     num, den = match.groups()
     return int(num), int(den) if den else 1
+
+
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
+def parse_ascii_int(text: str, what: str = "integer") -> int:
+    """The int written in ``text`` as ASCII digits, surrounding whitespace
+    aside.  Signs, underscores and other Unicode decimal digits, which
+    ``int()`` accepts, raise ValueError ("malformed <what>: ...")."""
+    if not _DIGITS_RE.fullmatch(text.strip()):
+        raise ValueError(f"malformed {what}: {text!r} (need ASCII digits)")
+    return int(text)
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -172,7 +185,7 @@ class SequencePrefix:
         return hash((self.values,))
 
     def __repr__(self):
-        return f"SequencePrefix(values={self.values!r})"
+        return f"{type(self).__name__}(values={self.values!r})"
 
 
 def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -206,23 +219,20 @@ def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(table)
 
 
-@dataclass(frozen=True, init=False)
-class ErrorTerm:
+class ErrorTerm(SequencePrefix):
     """Non-negative, non-decreasing exact table ``f(1..H)``.
 
-    Both invariants are enforced at construction, so holding an ErrorTerm
-    is itself a certificate that the table qualifies as an error term.
-    The partial sums W of sum f(x)/x^2 come in two cached views: the
-    ``Fraction``s of ``weights`` and the integers of ``weight_grid``.
+    A ``SequencePrefix`` whose construction also enforces both invariants,
+    so holding an ErrorTerm is itself a certificate that the table
+    qualifies as an error term.  ``values``, the cached ``grid``,
+    ``value`` (with ``f.value(0) == 0``), equality and hashing are those of
+    the prefix.  The partial sums W of sum f(x)/x^2 come as the stream
+    ``weight_sums()`` and as the cached integers of ``weight_grid``.
     """
 
-    values: tuple[Fraction, ...]
-    family_tag: str | None
-
-    def __init__(self, values: Iterable, family_tag: str | None = None) -> None:
-        vals = tuple(_coerce(v) for v in values)
-        if not vals:
-            raise ValueError("empty error term")
+    def __init__(self, values: Iterable) -> None:
+        super().__init__(values)
+        vals = self._values
         if vals[0] < 0:
             raise ValueError("error term must be non-negative")
         for i in range(1, len(vals)):
@@ -230,17 +240,6 @@ class ErrorTerm:
                 raise ValueError(
                     f"error term must be non-decreasing, drops at index {i + 1}"
                 )
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "family_tag", family_tag)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def value(self, n: int) -> Fraction:
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"index {n} outside 1..{len(self.values)}")
-        return self.values[n - 1]
 
     def weight_sums(self) -> Iterator[Fraction]:
         """Yield W(0), ..., W(H), W(j) = sum(f(x)/x^2 for 1 < x <= j): the
@@ -252,11 +251,6 @@ class ErrorTerm:
         for x, v in enumerate(self.values, start=1):
             total += v / (x * x)
             yield total
-
-    @cached_property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The tuple (W(0), ..., W(H)), built on first use and kept."""
-        return tuple(self.weight_sums())
 
     @cached_property
     def weight_grid(self) -> tuple[int, tuple[int, ...]]:
@@ -349,7 +343,7 @@ def zero_error_term(horizon: int) -> ErrorTerm:
     _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    return ErrorTerm((Fraction(0),) * horizon, family_tag="zero")
+    return ErrorTerm((Fraction(0),) * horizon)
 
 
 def builtin_error_term(
@@ -382,16 +376,13 @@ def builtin_error_term(
 
     if family == "zero":
         values = [0] * horizon
-        tag = "zero"
     elif family == "constant":
         c = args["c"]
         if c < 0:
             raise ValueError("parameter out of range: c must be >= 0")
         values = [c.numerator // c.denominator] * horizon
-        tag = f"constant({format_rational(c)})"
     elif family == "floor_sqrt":
         values = [math.isqrt(n) for n in range(1, horizon + 1)]
-        tag = "floor_sqrt"
     elif family == "floor_power":
         c, delta = args["c"], args["delta"]
         if c < 0:
@@ -404,20 +395,17 @@ def builtin_error_term(
         values = [
             _floor_root(cp ** dq * n ** dp, dq) // cq for n in range(1, horizon + 1)
         ]
-        tag = f"floor_power({format_rational(c)},{format_rational(delta)})"
     elif family == "linear_over_log":
         values = [_floor_ratio_log2(n) for n in range(1, horizon + 1)]
-        tag = "linear_over_log"
     elif family == "linear":
         c = args["c"]
         if c < 0:
             raise ValueError("parameter out of range: c must be >= 0")
         values = [(c.numerator * n) // c.denominator for n in range(1, horizon + 1)]
-        tag = f"linear({format_rational(c)})"
     else:  # pragma: no cover - family_parameters already rejected it
         raise ValueError(f"unknown error-term family: {family!r}")
 
-    return ErrorTerm(values, family_tag=tag)
+    return ErrorTerm(values)
 
 
 # --- pair domains -----------------------------------------------------------
@@ -583,16 +571,16 @@ def sequence_to_csv(prefix: SequencePrefix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sequence_from_json(text: str) -> SequencePrefix:
+def _json_object(text: str) -> dict:
+    """The object of a JSON text; malformed JSON or any other JSON value
+    raises ValueError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ValueError("expected a JSON object with a 'values' field")
-    if "values" not in payload and isinstance(payload.get("b"), dict):
-        payload = payload["b"]  # construction outputs wrap their sequence in "b"
-    return SequencePrefix._from_pairs(_table_from_json(payload, "expected a 'values' list"))
+        raise ValueError("expected a JSON object")
+    return payload
 
 
 def _table_from_json(payload: dict, missing: str) -> list[tuple[int, int]]:
@@ -613,9 +601,6 @@ def _check_offset(payload: dict) -> None:
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
 
 
-_INDEX_RE = re.compile(r"[0-9]+")
-
-
 def _table_from_csv(text: str) -> list[tuple[int, int]]:
     """The table of ``index,value`` rows as integer pairs (p, q); indices
     are ASCII digits and run over 1..H, in any order."""
@@ -627,9 +612,7 @@ def _table_from_csv(text: str) -> list[tuple[int, int]]:
         idx_s, sep, val_s = line.partition(",")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'index,value'")
-        if not _INDEX_RE.fullmatch(idx_s.strip()):
-            raise ValueError(f"line {lineno}: malformed index {idx_s!r}")
-        idx = int(idx_s)
+        idx = parse_ascii_int(idx_s, f"index on line {lineno}")
         if idx < 1:
             raise ValueError(f"line {lineno}: index must be positive, got {idx}")
         if idx in entries:
@@ -655,8 +638,13 @@ def parse_sequence(text: str) -> SequencePrefix:
     ``Fraction``s only when they are used.
     """
     if text.lstrip().startswith("{"):
-        return _sequence_from_json(text)
-    return SequencePrefix._from_pairs(_table_from_csv(text))
+        payload = _json_object(text)
+        if "values" not in payload and isinstance(payload.get("b"), dict):
+            payload = payload["b"]  # construction outputs wrap their sequence in "b"
+        pairs = _table_from_json(payload, "expected a 'values' list")
+    else:
+        pairs = _table_from_csv(text)
+    return SequencePrefix._from_pairs(pairs)
 
 
 def parse_error_term(text: str) -> ErrorTerm:
@@ -664,12 +652,7 @@ def parse_error_term(text: str) -> ErrorTerm:
     ``{"family": name, "params": {...}, "H": n}``, a plain values JSON,
     or an ``index,value`` CSV table."""
     if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object")
+        payload = _json_object(text)
         if "family" in payload:
             family = payload["family"]
             if not isinstance(family, str):

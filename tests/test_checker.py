@@ -30,6 +30,7 @@ from fekete import (
     scan_violations,
 )
 
+from fekete import checker, model
 from fekete.checker import _scaled_tables
 
 from conftest import (
@@ -235,6 +236,31 @@ def test_scaled_tables_match_reference():
     ]
     for seq, err in cases:
         assert _scaled_tables(seq, err) == _scaled_tables_reference(seq, err)
+    # f's grid covers all of f, so a denominator met only past the prefix's
+    # horizon widens D; the tables still hold the same rationals
+    tail = ErrorTerm([Fraction(n, 7) for n in range(1, 301)] + [Fraction(13158, 307)])
+    denom, table_a, table_f = _scaled_tables(a, tail)
+    ref_denom, ref_a, ref_f = _scaled_tables_reference(a, tail)
+    assert denom == 307 * ref_denom
+    assert [Fraction(x, denom) for x in table_a] == [Fraction(x, ref_denom) for x in ref_a]
+    assert [Fraction(x, denom) for x in table_f] == [Fraction(x, ref_denom) for x in ref_f]
+    assert scan_violations(a, tail) == scan_violations(a, ErrorTerm(tail.values[:300]))
+
+
+def test_scans_read_the_cached_grids(monkeypatch):
+    f = ErrorTerm([Fraction(n // 3, 5) for n in range(1, 61)])
+    a = tabulate(lambda n: Fraction(n * n % 17, 3), 50)
+    grids = a.grid, f.grid
+
+    def rebuilt(pairs):
+        raise AssertionError("a grid was built again")
+
+    monkeypatch.setattr(model, "_integer_grid", rebuilt)
+    monkeypatch.setattr(checker, "_integer_grid", rebuilt, raising=False)  # an imported copy
+    first = scan_violations(a, f)
+    assert scan_violations(a, f) == first
+    assert scan_violations(a, f, MuBandDomain(2, 1)).pairs_checked
+    assert a.grid is grids[0] and f.grid is grids[1]
 
 
 def test_report_json_shape():
@@ -352,7 +378,7 @@ def test_check_q_monotone_closed_form_on_convex_prefix(family, params, first_ris
     horizon = 4000
     f = builtin_error_term(family, horizon, params)
     a = convex_from_error(f, horizon)
-    w = f.weights
+    w = tuple(f.weight_sums())
     for N in (1, 7):
         want = [n for n in range(N, horizon // 2) if w[2 * n] < w[2 * n + 2]]
         assert check_q_monotone(a, N) == want

@@ -117,6 +117,55 @@ def test_check_malformed_domain_threshold_exit_two(tmp_path, capsys, domain):
     assert "malformed threshold" in captured.err
 
 
+# A valid run of every command with an integer option, and the option to
+# replace; SEQ stands for a sequence file and OUT for the -o file.
+_INT_OPTION_RUNS = [
+    (["limit", "--seq", "SEQ", "--N", "1", "-o", "OUT"], "--N"),
+    (["certify-mu", "--mu", "3/2", "--N", "1", "--n", "10", "-o", "OUT"], "--N"),
+    (["certify-mu", "--mu", "3/2", "--N", "1", "--n", "10", "-o", "OUT"], "--n"),
+    (["decompose", "--n", "10", "--k", "3", "-o", "OUT"], "--n"),
+    (["decompose", "--n", "10", "--k", "3", "-o", "OUT"], "--k"),
+    (["gdeficit", "--seq", "SEQ", "--n", "2", "--m", "3"], "--n"),
+    (["gdeficit", "--seq", "SEQ", "--n", "2", "--m", "3"], "--m"),
+    (["construct", "convex", "--f", "family:floor_sqrt", "--H", "20", "-o", "OUT"], "--H"),
+    (["construct", "rational-slopes", "--f", "family:linear,1", "--K", "2",
+      "--Hmax", "60", "-o", "OUT"], "--K"),
+    (["construct", "rational-slopes", "--f", "family:linear,1", "--K", "2",
+      "--Hmax", "60", "-o", "OUT"], "--Hmax"),
+    (["construct", "threshold-gap", "--N", "3", "--anchors", "5,10,20", "--H", "12",
+      "-o", "OUT"], "--N"),
+    (["construct", "threshold-gap", "--N", "3", "--anchors", "5,10,20", "--H", "12",
+      "-o", "OUT"], "--H"),
+    (["construct", "linear-error", "--f", "family:linear,1", "--L", "1", "--H", "20",
+      "-o", "OUT"], "--H"),
+]
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+2", "\u0663"])
+@pytest.mark.parametrize("argv, option", _INT_OPTION_RUNS)
+def test_int_option_is_ascii_digits(tmp_path, capsys, argv, option, bad):
+    seq = _write_seq(tmp_path, "lin.json", tabulate(lambda n: n, 40))
+    out = tmp_path / "out"
+    argv = [{"SEQ": seq, "OUT": str(out)}.get(arg, arg) for arg in argv]
+    argv[argv.index(option) + 1] = bad
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need ASCII digits" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("anchors", ["5,1_0,20", "5,+10,20", "5,\u0661\u0660,20", "5,+20"])
+def test_threshold_gap_anchors_are_ascii_digits(tmp_path, capsys, anchors):
+    out = tmp_path / "gap.json"
+    argv = ["construct", "threshold-gap", "--N", "3", "--anchors", anchors, "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed anchor" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("domain", ["threshold:0", "oneplus:-2", "muband:1,1", "oneplus:0"])
 def test_check_out_of_range_domain_exit_two(tmp_path, capsys, domain):
     seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0, 0, 0, 0, 0]))

@@ -28,6 +28,8 @@ from fekete import (
     zero_error_term,
 )
 
+from fekete.model import _integer_grid, parse_ascii_int
+
 from conftest import reference_admits
 
 rationals = st.fractions(
@@ -48,6 +50,18 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
         parse_rational(bad)
+
+
+def test_parse_ascii_int():
+    assert parse_ascii_int("0") == 0
+    assert parse_ascii_int(" 0042 ") == 42
+    assert parse_ascii_int("9" * 30) == int("9" * 30)
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+2", "-1", "\u0663", "\uff11", "", " ", "1.0", "0x1", "1 1"])
+def test_parse_ascii_int_rejects(bad):
+    with pytest.raises(ValueError, match="^malformed anchor: .* \\(need ASCII digits\\)$"):
+        parse_ascii_int(bad, "anchor")
 
 
 @given(rationals)
@@ -74,10 +88,48 @@ def test_sequence_prefix_basics():
 
 def test_error_term_invariants():
     ErrorTerm([0, 0, 1, 1, 5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^error term must be non-negative$"):
         ErrorTerm([-1, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^error term must be non-decreasing, drops at index 3$"):
         ErrorTerm([0, 2, 1])
+    with pytest.raises(ValueError, match="drops at index 2"):
+        parse_error_term('{"values": ["1/2", "1/3"]}')
+
+
+def test_error_term_is_a_validated_prefix():
+    f = ErrorTerm(["1/3", 1, "3/2"])
+    assert isinstance(f, SequencePrefix)
+    assert f.value(0) == 0
+    assert f.value(3) == Fraction(3, 2)
+    with pytest.raises(IndexError):
+        f.value(f.horizon + 1)
+    assert f.grid == _integer_grid([(v.numerator, v.denominator) for v in f.values])
+    assert f.grid == (6, (0, 2, 6, 9))
+    assert repr(f) == "ErrorTerm(values=(Fraction(1, 3), Fraction(1, 1), Fraction(3, 2)))"
+    with pytest.raises(TypeError):
+        ErrorTerm([0, 1.0])
+
+
+def test_error_term_equality_is_table_equality():
+    want = ErrorTerm([0, Fraction(1, 2), Fraction(1, 2), 3])
+    for text in (
+        '{"values": ["0", "2/4", "1/2", "3"], "offset": 1}',
+        "1,0\n3,1/2\n2,2/4\n4,03\n",
+    ):
+        f = parse_error_term(text)
+        assert f == want and hash(f) == hash(want)
+    sqrt = ErrorTerm([1, 1, 1, 2, 2])
+    for f in (
+        builtin_error_term("floor_sqrt", 5),
+        parse_error_term('{"family": "floor_sqrt", "H": 5}'),
+        parse_error_term('{"family": "floor_power", "params": {"c": 1, "delta": "1/2"}, "H": 5}'),
+    ):
+        assert f == sqrt and hash(f) == hash(sqrt)
+    two = builtin_error_term("constant", 3, {"c": 2})
+    assert two == builtin_error_term("constant", 3, {"c": "9/4"}) == ErrorTerm([2, 2, 2])
+    assert hash(two) == hash(builtin_error_term("constant", 3, {"c": "9/4"}))
+    assert zero_error_term(4) == builtin_error_term("zero", 4) == ErrorTerm([0] * 4)
+    assert ErrorTerm([0, 1]) != ErrorTerm([0, 2])
 
 
 # --- builtin families ---------------------------------------------------------
@@ -116,8 +168,6 @@ def test_weight_sums_anchored_at_one():
     f = ErrorTerm([2, 3, 3])
     expected = (-2, 0, Fraction(3, 4), Fraction(3, 4) + Fraction(1, 3))
     assert tuple(f.weight_sums()) == expected
-    assert f.weights == expected
-    assert f.weights is f.weights  # built once per instance
     # D_W = lcm(1*1, 1*4, 1*9); Wt[k] = 36 * W(k-1), at the index of a(k)
     assert f.weight_grid == (36, (0, -72, 0, 27, 39))
     assert f.weight_grid is f.weight_grid
