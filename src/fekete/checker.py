@@ -25,6 +25,7 @@ from .model import (
     IntervalDomain,
     PairDomain,
     SequencePrefix,
+    _json_text_with_array,
     _require_int,
     format_rational,
 )
@@ -76,6 +77,21 @@ class ViolationReport:
                 for v in self.violations
             ],
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) +
+        "\\n"``, written in one pass: one f-string per violation, whose
+        deficit is ASCII digits, "-" and "/" and needs no escaping."""
+        items = (
+            f'{{\n      "deficit": "{format_rational(v.deficit)}",\n'
+            f'      "m": {v.m},\n      "n": {v.n}\n    }}'
+            for v in self.violations
+        )
+        head = {
+            "domain": self.domain.to_json_dict(),
+            "pairs_checked": self.pairs_checked,
+        }
+        return _json_text_with_array(head, "violations", items)
 
 
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
@@ -285,9 +301,12 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
 
 
 def check_convexity(a: SequencePrefix) -> list[int]:
-    """Indices n in [2, H-1] where a(n-1) + a(n+1) - 2 a(n) < 0."""
+    """Indices n in [2, H-1] where a(n-1) + a(n+1) - 2 a(n) < 0, decided
+    on the prefix's grid as A[n-1] + A[n+1] - 2 A[n] < 0."""
     horizon = a.horizon
     if horizon < 3:
         raise ValueError("horizon too small: need at least 3 values")
-    v = a.values
-    return [n for n in range(2, horizon) if v[n - 2] + v[n] - 2 * v[n - 1] < 0]
+    _, table = a.grid
+    return [
+        n for n in range(2, horizon) if table[n - 1] + table[n + 1] - 2 * table[n] < 0
+    ]

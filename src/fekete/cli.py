@@ -24,6 +24,11 @@ from . import checker, constructions, limits, model
 # time.
 MAX_INT_DIGITS = 10_000
 
+# The most parts ``decompose`` starts its merge chain from, n // k.  The
+# chain lists about (n // k)**2 / 2 integers, so its JSON grows with the
+# square: 2000 parts write about 18 MB.
+MAX_CHAIN_PARTS = 2000
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -99,7 +104,7 @@ def _cmd_check(args) -> int:
     f = _error_term_for(args.f, seq.horizon)
     domain = _domain_from(args.domain)
     report = checker.scan_violations(seq, f, domain)
-    _write(_dump(report.to_json_dict()), args.output)
+    _write(report.to_json_text(), args.output)
     return 0 if report.ok else 1
 
 
@@ -117,6 +122,11 @@ def _cmd_certify_mu(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.k and args.n // args.k > MAX_CHAIN_PARTS:
+        raise ValueError(
+            f"a chain of n // k = {args.n // args.k} parts exceeds the limit of "
+            f"{MAX_CHAIN_PARTS}"
+        )
     chain = constructions.two_good_chain(args.n, args.k)
     _write(_dump(chain.to_json_dict()), args.output)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, format_rational
 
@@ -98,6 +98,18 @@ def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     return whole + 1 / inner
 
 
+def _simplest_avoiding(
+    lo: Fraction, hi: Fraction, is_banned: Callable[[Fraction], bool]
+) -> Fraction:
+    """The minimal-denominator rational of (lo, hi) for which ``is_banned``
+    is false; a banned candidate sends the search into (lo, candidate).
+    The predicate must ban finitely many rationals of (lo, hi)."""
+    candidate = _simplest_in(lo, hi)
+    while is_banned(candidate):
+        candidate = _simplest_in(lo, candidate)
+    return candidate
+
+
 def simplest_rational_in(lo, hi, forbidden: Iterable = ()) -> Fraction:
     """Deterministic pick from the open interval (lo, hi): the minimal-
     denominator rational (ties to the smaller numerator), found by mediant
@@ -110,10 +122,7 @@ def simplest_rational_in(lo, hi, forbidden: Iterable = ()) -> Fraction:
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     banned = {_coerce(x) for x in forbidden}
-    candidate = _simplest_in(lo, hi)
-    while candidate in banned:
-        candidate = _simplest_in(lo, candidate)
-    return candidate
+    return _simplest_avoiding(lo, hi, banned.__contains__)
 
 
 @dataclass
@@ -180,12 +189,17 @@ def rational_slope_sequence(f: ErrorTerm, K: int, h_max: int) -> ConstructionOut
         c[x] = cx
         slope_index[slope[x] - cx] = x
 
+    def place_fresh(x: int, lo: Fraction, hi: Fraction) -> Fraction:
+        """Assign x the simplest shift in (lo, hi) whose slope is fresh,
+        tested by one registry lookup per candidate."""
+        sx = slope[x]
+        cx = _simplest_avoiding(lo, hi, lambda cand: sx - cand in slope_index)
+        assign(x, cx)
+        return cx
+
     prev = Fraction(0)
     for x in range(1, n0 + 1):
-        banned = {slope[x] - s for s in slope_index}
-        cx = simplest_rational_in(prev, 1, banned)
-        assign(x, cx)
-        prev = cx
+        prev = place_fresh(x, prev, Fraction(1))
 
     coverage: dict[int, int] = {}
     n_cur = n0
@@ -207,13 +221,11 @@ def rational_slope_sequence(f: ErrorTerm, K: int, h_max: int) -> ConstructionOut
                 f"maximum available is {float(slope[h_max]):.6g}"
             )
         c_next = slope[n_next] - target
+        # Before n_next, slope[x] <= target + floor_c, so every shift above
+        # floor_c leaves x a slope below target: none needs banning here.
         prev = floor_c
         for x in range(n_cur + 1, n_next):
-            banned = {slope[x] - s for s in slope_index}
-            banned.add(slope[x] - target)
-            cx = simplest_rational_in(prev, c_next, banned)
-            assign(x, cx)
-            prev = cx
+            prev = place_fresh(x, prev, c_next)
         assign(n_next, c_next)
         coverage[i] = n_next
         n_cur = n_next

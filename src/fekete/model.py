@@ -556,12 +556,27 @@ class ExplicitDomain(PairDomain):
 # --- serialization ----------------------------------------------------------
 
 
+def _json_text_with_array(head: dict, key: str, items: Iterable[str]) -> str:
+    """The text ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    of ``head`` with one more member: ``key``, a list whose elements
+    ``json.dumps`` writes as ``items`` (at depth 2, less the leading
+    indent).
+
+    Only ``head`` goes through ``json.dumps``, which never uses its C
+    encoder when ``indent`` is set.  The array is joined in one pass and
+    spliced in after the head, so ``key`` must sort after every key of
+    the non-empty ``head``.
+    """
+    text = json.dumps(head, indent=2, sort_keys=True)
+    body = ",\n    ".join(items)
+    array = f"[\n    {body}\n  ]" if body else "[]"
+    return f'{text[:-2]},\n  "{key}": {array}\n}}\n'
+
+
 def sequence_to_json(prefix: SequencePrefix) -> str:
-    payload = {
-        "values": [format_rational(v) for v in prefix.values],
-        "offset": 1,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a rendered rational is ASCII digits, "-" and "/": no escaping needed
+    values = (f'"{format_rational(v)}"' for v in prefix.values)
+    return _json_text_with_array({"offset": 1}, "values", values)
 
 
 def sequence_to_csv(prefix: SequencePrefix) -> str:

@@ -6,7 +6,17 @@ import math
 import random
 from fractions import Fraction
 
-from fekete import SequencePrefix, Violation, ViolationReport
+from fekete import (
+    HorizonExhausted,
+    SequencePrefix,
+    Violation,
+    ViolationReport,
+    convex_from_error,
+    enumerate_rationals,
+    format_rational,
+    simplest_rational_in,
+)
+from fekete.constructions import ConstructionOutput
 
 
 def tabulate(fn, horizon: int) -> SequencePrefix:
@@ -86,3 +96,73 @@ def brute_force_scan(a, f, domain):
             bad.append(Violation(n, m, deficit))
     bad.sort(key=lambda v: (v.n + v.m, v.n))
     return ViolationReport(domain=domain, pairs_checked=len(admitted), violations=tuple(bad))
+
+
+def reference_rational_slope_sequence(f, K: int, h_max: int) -> ConstructionOutput:
+    """The slope walk of ``rational_slope_sequence`` in its set-based form:
+    for every index x the set of every banned shift, slope(x) - s over the
+    registered slopes s, is built and handed to ``simplest_rational_in``,
+    O(H) subtractions and hashes per index."""
+    source = convex_from_error(f, h_max)
+    slope = [Fraction(0)] + list(source.slopes())  # 1-based
+
+    n0 = next((x for x in range(2, h_max + 1) if f.values[x - 1] > 0), None)
+    if n0 is None:
+        raise ValueError("f identically zero within the window")
+
+    c = [None] * (h_max + 1)
+    slope_index = {}
+
+    def assign(x, cx):
+        c[x] = cx
+        slope_index[slope[x] - cx] = x
+
+    prev = Fraction(0)
+    for x in range(1, n0 + 1):
+        banned = {slope[x] - s for s in slope_index}
+        cx = simplest_rational_in(prev, 1, banned)
+        assign(x, cx)
+        prev = cx
+
+    coverage = {}
+    n_cur = n0
+    for i in range(1, K + 1):
+        target = enumerate_rationals(i)
+        hit = slope_index.get(target)
+        if hit is not None:
+            coverage[i] = hit
+            continue
+        floor_c = c[n_cur]
+        needed = target + floor_c
+        n_next = next(
+            (x for x in range(n_cur + 1, h_max + 1) if slope[x] > needed), None
+        )
+        if n_next is None:
+            raise HorizonExhausted(
+                f"cannot place rational #{i} ({format_rational(target)}) within "
+                f"{h_max}: needs a source slope above {float(needed):.6g}, "
+                f"maximum available is {float(slope[h_max]):.6g}"
+            )
+        c_next = slope[n_next] - target
+        prev = floor_c
+        for x in range(n_cur + 1, n_next):
+            banned = {slope[x] - s for s in slope_index}
+            banned.add(slope[x] - target)
+            cx = simplest_rational_in(prev, c_next, banned)
+            assign(x, cx)
+            prev = cx
+        assign(n_next, c_next)
+        coverage[i] = n_next
+        n_cur = n_next
+
+    c_final = tuple(c[1 : n_cur + 1])
+    b_values = [
+        source.values[x - 1] - c_final[x - 1] * x for x in range(1, n_cur + 1)
+    ]
+    return ConstructionOutput(
+        b=SequencePrefix(b_values),
+        c=c_final,
+        slopes=dict(slope_index),
+        coverage=coverage,
+        a=SequencePrefix(source.values[:n_cur]),
+    )

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fekete import (
@@ -270,6 +270,30 @@ def test_report_json_shape():
     assert payload["pairs_checked"] == 2
     assert payload["domain"] == {"variant": "full"}
     assert payload["violations"] == [{"n": 1, "m": 2, "deficit": "1"}]
+
+
+_deficits = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40)),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30)),
+)
+
+
+@given(
+    domains,
+    st.integers(0, 10 ** 6),
+    st.lists(
+        st.tuples(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), _deficits), max_size=6
+    ),
+)
+@example(MuBandDomain(Fraction(3, 2), 2), 5, [(2, 3, Fraction(-7, 3)), (3, 4, Fraction(2))])
+@example(ExplicitDomain([(1, 2), (3, 3)]), 0, [])
+@example(FullDomain(), 1, [(1, 1, Fraction(1, 2))])
+@settings(max_examples=300, deadline=None)
+def test_report_json_text_is_the_dumped_dict(domain, pairs_checked, raw):
+    violations = tuple(Violation(n, m, d) for n, m, d in raw)
+    report = ViolationReport(domain, pairs_checked, violations)
+    dumped = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert report.to_json_text() == dumped
 
 
 # --- q sequence -----------------------------------------------------------------

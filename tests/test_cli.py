@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from fekete import sequence_to_json, SequencePrefix
-from fekete.cli import MAX_INT_DIGITS, main
+from fekete import cli
+from fekete.cli import MAX_CHAIN_PARTS, MAX_INT_DIGITS, main
 
 from conftest import tabulate
 
@@ -255,6 +256,31 @@ def test_limit_certify_decompose_gdeficit(tmp_path, capsys):
 
     assert main(["gdeficit", "--seq", seq, "--f", "zero", "--n", "2", "--m", "3"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        ("99999999999999999999", "3"),  # once an OverflowError traceback, exit 1
+        (str(MAX_CHAIN_PARTS + 1), "1"),  # the first chain too long
+        (str(3 * MAX_CHAIN_PARTS + 3), "3"),
+    ],
+)
+def test_decompose_rejects_chains_past_the_bound(tmp_path, capsys, n, k):
+    out = tmp_path / "chain.json"
+    assert main(["decompose", "--n", n, "--k", k, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(MAX_CHAIN_PARTS) in captured.err
+    assert not out.exists()
+
+
+def test_decompose_bound_admits_exactly_max_parts(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CHAIN_PARTS", 10)
+    assert main(["decompose", "--n", "32", "--k", "3"]) == 0  # 10 parts
+    assert json.loads(capsys.readouterr().out)["chain"][0] == [3] * 9 + [5]
+    assert main(["decompose", "--n", "33", "--k", "3"]) == 2  # 11 parts
+    assert capsys.readouterr().out == ""
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fekete import (
@@ -28,7 +28,7 @@ from fekete import (
     zero_error_term,
 )
 
-from conftest import tabulate
+from conftest import reference_rational_slope_sequence, tabulate
 
 
 # --- convex sequence from an error term ------------------------------------------
@@ -244,6 +244,57 @@ def test_slope_construction_json_fields():
     assert payload["enumeration"] == "calkin-wilf-signed"
     assert payload["coverage"]["1"] == out.coverage[1]
     assert len(payload["c"]) == out.b.horizon
+
+
+def _walk_outcome(walk, f, K, h_max):
+    """Everything the walk returns, or the message it is exhausted with."""
+    try:
+        out = walk(f, K, h_max)
+    except HorizonExhausted as exc:
+        return "exhausted", str(exc)
+    return out.b, out.c, out.slopes, out.coverage, out.a
+
+
+_linear_slopes = st.integers(1, 16).flatmap(
+    lambda q: st.builds(Fraction, st.integers(q, q + q // 2), st.just(q))
+)
+
+
+@given(
+    st.one_of(
+        st.builds(lambda c: ("linear", {"c": c}), _linear_slopes),
+        st.just(("floor_sqrt", {})),
+    ),
+    st.integers(1, 8),
+    st.integers(20, 300),
+)
+@example(("floor_sqrt", {}), 5, 60)  # exhausted at rational #2
+@example(("linear", {"c": Fraction(1)}), 8, 300)  # exhausted after a long walk
+@example(("linear", {"c": Fraction(3, 2)}), 7, 300)
+@settings(max_examples=50, deadline=None)
+def test_slope_walk_matches_set_based_reference(family, K, h_max):
+    f = builtin_error_term(family[0], h_max, family[1])
+    assert _walk_outcome(rational_slope_sequence, f, K, h_max) == _walk_outcome(
+        reference_rational_slope_sequence, f, K, h_max
+    )
+
+
+def test_slope_walk_hashes_linearly_many_fractions(monkeypatch):
+    # the walk tests each candidate shift by one registry lookup; a return
+    # to building the set of banned shifts at every index hashes O(H^2)
+    # Fractions (55,307 here, against 473)
+    f = builtin_error_term("linear", 500, {"c": 1})
+    calls = 0
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    rational_slope_sequence(f, 7, 500)
+    assert 0 < calls < 2 * 500
 
 
 # --- threshold gap example -----------------------------------------------------------

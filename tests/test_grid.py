@@ -1,6 +1,7 @@
 """Prefixes read by ``parse_sequence`` onto the integer grid, against the
-same prefixes built from ``Fraction``s: values, scan reports, brackets
-and deficits must all be equal, and equal to Fraction references."""
+same prefixes built from ``Fraction``s: values, scan reports, brackets,
+deficits, convexity defects and JSON text must all be equal, and equal
+to Fraction references."""
 
 from __future__ import annotations
 
@@ -19,10 +20,13 @@ from fekete import (
     SequencePrefix,
     ThresholdDomain,
     builtin_error_term,
+    check_convexity,
     fekete_bracket,
+    format_rational,
     g_deficit,
     parse_sequence,
     scan_violations,
+    sequence_to_json,
 )
 
 from conftest import brute_force_scan
@@ -124,3 +128,21 @@ def test_parsed_grid_matches_fraction_prefix(written, increments):
                     assert g_deficit(parsed, f, n, m) == g_deficit(reference, f, n, m)
         assert parsed.values == reference.values
         assert parsed == reference and hash(parsed) == hash(reference)
+
+
+@given(written_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_parsed_convexity_and_json_match_fraction_forms(written):
+    values, json_text, csv_text = written
+    payload = {"values": [format_rational(v) for v in values], "offset": 1}
+    want_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    want_defects = [
+        n for n in range(2, len(values)) if values[n - 2] + values[n] - 2 * values[n - 1] < 0
+    ]
+    assert sequence_to_json(SequencePrefix(values)) == want_json
+    for text in (json_text, csv_text):
+        parsed = parse_sequence(text)
+        if len(values) >= 3:
+            assert check_convexity(parsed) == want_defects
+            assert parsed._values is None  # decided on the grid, nothing reduced
+        assert sequence_to_json(parsed) == want_json
