@@ -29,6 +29,12 @@ MAX_INT_DIGITS = 10_000
 # square: 2000 parts write about 18 MB.
 MAX_CHAIN_PARTS = 2000
 
+# The largest horizon ``construct`` tabulates, as --H or --Hmax (for
+# ``threshold-gap``, --H or else the last anchor less one).  Every file
+# ``construct convex`` writes up to it fits MAX_INT_DIGITS, so it reads
+# back; a larger horizon exits 2 before any table is built.
+MAX_HORIZON = 10_000
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -45,6 +51,11 @@ def _write(text: str, path: str | None) -> None:
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _check_horizon(option: str, horizon: int) -> None:
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"{option} {horizon} exceeds the limit of {MAX_HORIZON}")
 
 
 def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
@@ -148,6 +159,7 @@ def _emit_sequence(prefix: model.SequencePrefix, args) -> None:
 
 
 def _cmd_construct_convex(args) -> int:
+    _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
     if f is None:
         f = model.zero_error_term(args.H)
@@ -156,6 +168,7 @@ def _cmd_construct_convex(args) -> int:
 
 
 def _cmd_construct_rational_slopes(args) -> int:
+    _check_horizon("--Hmax", args.Hmax)
     f = _error_term_for(args.f, args.Hmax)
     if f is None:
         f = model.zero_error_term(args.Hmax)
@@ -169,11 +182,13 @@ def _cmd_construct_rational_slopes(args) -> int:
 
 def _cmd_construct_threshold_gap(args) -> int:
     anchors = [model.parse_ascii_int(x, "anchor") for x in args.anchors.split(",")]
+    _check_horizon("horizon", anchors[-1] - 1 if args.H is None else args.H)
     _emit_sequence(constructions.threshold_gap_example(args.N, anchors, args.H), args)
     return 0
 
 
 def _cmd_construct_linear_error(args) -> int:
+    _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
     if f is None:
         f = model.zero_error_term(args.H)

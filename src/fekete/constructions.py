@@ -38,7 +38,15 @@ class HorizonExhausted(ValueError):
 
 def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
-    is n * W(n) with W streamed from ``f.weight_sums()``, so a(1) = 0.
+    is n * W(n), so a(1) = 0.
+
+    The prefix builds each of its two representations only when it is
+    first used, both from f's own partial sums: ``values`` as the reduced
+    n * W(n) of the stream ``f.weight_sums()``, and ``grid`` as
+    ``(D_W, (0, 1*Wt[2], ..., H*Wt[H+1]))`` from the ``weight_grid`` of f
+    (of f cut to ``horizon`` when f is longer), O(H) multiplications with
+    no gcd.  So a scan reduces no value, and writing the values builds no
+    grid.
 
     For any non-negative non-decreasing f the output is non-negative,
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
@@ -51,8 +59,19 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
         raise ValueError(
             f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
         )
-    sums = zip(range(horizon + 1), f.weight_sums())
-    return SequencePrefix(x * w for x, w in sums if x)  # skips W(0)
+
+    def values() -> tuple[Fraction, ...]:
+        sums = zip(range(horizon + 1), f.weight_sums())
+        return tuple(x * w for x, w in sums if x)  # skips W(0)
+
+    def grid() -> tuple[int, tuple[int, ...]]:
+        # the lcm of a longer f's weight grid would also take in the
+        # denominators of f past the horizon
+        head = f if f.horizon == horizon else ErrorTerm(f.values[:horizon])
+        denom, wt = head.weight_grid
+        return denom, (0, *(x * wt[x + 1] for x in range(1, horizon + 1)))
+
+    return SequencePrefix._deferred_prefix(horizon, values, grid)
 
 
 def _calkin_wilf(j: int) -> Fraction:
@@ -84,18 +103,29 @@ def enumerate_rationals(i: int) -> Fraction:
 def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     """Minimal-denominator rational in the open interval (lo, hi), ties on
     denominator 1 broken by the smaller numerator (the only denominator
-    that can tie)."""
-    smallest_int = lo.numerator // lo.denominator + 1  # smallest integer > lo
-    if smallest_int < hi:
-        return Fraction(smallest_int)
-    whole = lo.numerator // lo.denominator
-    if lo == whole:
-        # interval (whole, hi) with hi - whole <= 1: answer is whole + 1/t
-        span = hi - whole
-        t = span.denominator // span.numerator + 1
-        return whole + Fraction(1, t)
-    inner = _simplest_in(1 / (hi - whole), 1 / (lo - whole))
-    return whole + 1 / inner
+    that can tie).
+
+    The continued fraction is worked on the integers of both ends: while
+    no integer lies in (a/b, c/d), the answer is w + 1/y with w = floor(a/b)
+    and y the simplest rational of (d/(c - w*d), b/(a - w*b)).  The
+    convergent matrix (p q; r s), answer = (p*y + q) / (r*y + s), takes
+    the place of the recursion, and one ``Fraction`` is built at the end.
+    """
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        whole = a // b
+        if (whole + 1) * d < c:  # the smallest integer above lo is below hi
+            num, den = whole + 1, 1
+            break
+        if a == whole * b:
+            # (whole, hi) with hi - whole <= 1: the answer is whole + 1/t
+            t = d // (c - whole * d) + 1
+            num, den = whole * t + 1, t
+            break
+        p, q, r, s = p * whole + q, p, r * whole + s, r
+        a, b, c, d = d, c - whole * d, b, a - whole * b
+    return Fraction(p * num + q * den, r * num + s * den)
 
 
 def _simplest_avoiding(
@@ -112,11 +142,11 @@ def _simplest_avoiding(
 
 def simplest_rational_in(lo, hi, forbidden: Iterable = ()) -> Fraction:
     """Deterministic pick from the open interval (lo, hi): the minimal-
-    denominator rational (ties to the smaller numerator), found by mediant
-    descent; when the candidate is forbidden the search recurses into
-    (lo, candidate).  A finite forbidden set can never empty an open
-    rational interval, so this always returns.  Every argument must be an
-    exact rational; floats raise TypeError."""
+    denominator rational (ties to the smaller numerator), found from the
+    continued fraction of the two ends; when the candidate is forbidden
+    the search recurses into (lo, candidate).  A finite forbidden set can
+    never empty an open rational interval, so this always returns.  Every
+    argument must be an exact rational; floats raise TypeError."""
     lo = _coerce(lo)
     hi = _coerce(hi)
     if not lo < hi:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "ErrorTerm",
@@ -115,11 +115,13 @@ class SequencePrefix:
     ``grid``.  A prefix read by ``parse_sequence`` gets its grid from the
     integer pairs (p, q) of its text, keeps those pairs, and builds the
     ``Fraction``s of ``values`` only when they are first asked for; a
-    prefix built from ``Fraction``s builds its grid on first use.
+    prefix built from ``Fraction``s builds its grid on first use.  A
+    prefix made by ``_deferred_prefix`` (a convex prefix, for one) builds
+    each of the two only when it is first used, each from its own source.
     Equality and hashing are those of ``values``.
     """
 
-    __slots__ = ("_horizon", "_values", "_pairs", "_grid")
+    __slots__ = ("_horizon", "_values", "_pairs", "_grid", "_deferred")
 
     def __init__(self, values: Iterable) -> None:
         vals = tuple(_coerce(v) for v in values)
@@ -127,7 +129,7 @@ class SequencePrefix:
             raise ValueError("empty sequence")
         self._horizon = len(vals)
         self._values = vals
-        self._pairs = self._grid = None
+        self._pairs = self._grid = self._deferred = None
 
     @classmethod
     def _from_pairs(cls, pairs: list[tuple[int, int]]) -> SequencePrefix:
@@ -137,15 +139,34 @@ class SequencePrefix:
         prefix = cls.__new__(cls)
         prefix._horizon = len(pairs)
         prefix._pairs = pairs
-        prefix._values = None
+        prefix._values = prefix._deferred = None
         prefix._grid = _integer_grid(pairs)
+        return prefix
+
+    @classmethod
+    def _deferred_prefix(
+        cls,
+        horizon: int,
+        values: Callable[[], tuple[Fraction, ...]],
+        grid: Callable[[], tuple[int, tuple[int, ...]]],
+    ) -> SequencePrefix:
+        """The prefix of ``horizon`` values whose ``values`` and ``grid``
+        are built, each at most once, by the zero-argument callables when
+        first used; they must describe the same rationals."""
+        prefix = cls.__new__(cls)
+        prefix._horizon = horizon
+        prefix._values = prefix._pairs = prefix._grid = None
+        prefix._deferred = values, grid
         return prefix
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """a(1), ..., a(H) as reduced ``Fraction``s."""
         if self._values is None:
-            self._values = tuple(Fraction(p, q) for p, q in self._pairs)
+            if self._pairs is not None:
+                self._values = tuple(Fraction(p, q) for p, q in self._pairs)
+            else:
+                self._values = self._deferred[0]()
         return self._values
 
     @property
@@ -157,7 +178,11 @@ class SequencePrefix:
         """``(D, A)``: a common denominator D > 0 of the values and the
         integers A = (0, A[1], ..., A[H]) with a(n) = A[n] / D exactly."""
         if self._grid is None:
-            self._grid = _integer_grid([(v.numerator, v.denominator) for v in self._values])
+            if self._deferred is not None:
+                self._grid = self._deferred[1]()
+            else:
+                pairs = [(v.numerator, v.denominator) for v in self._values]
+                self._grid = _integer_grid(pairs)
         return self._grid
 
     def value(self, n: int) -> Fraction:
@@ -165,9 +190,11 @@ class SequencePrefix:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
             raise IndexError(f"index {n} outside 1..{self._horizon}")
-        if self._values is None:
+        if self._values is None and self._pairs is not None:
             return Fraction(*self._pairs[n - 1])
-        return self._values[n - 1]
+        # a deferred prefix builds all its values: over the common
+        # denominator of its grid each value would cost a big gcd
+        return self.values[n - 1]
 
     def slope(self, n: int) -> Fraction:
         """The ratio a(n)/n."""
@@ -186,6 +213,10 @@ class SequencePrefix:
 
     def __repr__(self):
         return f"{type(self).__name__}(values={self.values!r})"
+
+    def __reduce__(self):
+        # a deferred prefix holds closures, which do not pickle
+        return type(self), (self.values,)
 
 
 def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -259,17 +290,24 @@ class ErrorTerm(SequencePrefix):
         k = 1..H+1, so Wt[k] sits at the index of a(k).  Built on first
         use and kept.
 
-        With f(x) = p_x/q_x, D_W is the lcm of the q_x * x^2: a common
-        denominator of every W(j), not always the least one.  Wt is the
-        integer prefix sum of p_x * (D_W // (q_x * x^2)), each division a
-        long number over a short one; no ``Fraction`` is built.
+        With f(x) = p_x/q_x, D_W is the lcm of the q_x * x^2 over the x
+        with f(x) != 0 (1 when f is zero throughout): a common denominator
+        of every W(j), not always the least one.  A zero term adds nothing
+        to W, so leaving it out of the lcm keeps D_W at 1 for the zero
+        term and keeps leading zeros from widening it.  Wt is the integer
+        prefix sum of p_x * (D_W // (q_x * x^2)), each division a long
+        number over a short one; no ``Fraction`` is built.
         """
-        denoms = [v.denominator * x * x for x, v in enumerate(self.values, start=1)]
-        denom = math.lcm(*denoms)
-        total = -self.values[0].numerator * (denom // denoms[0])
+        terms = [
+            (v.numerator, v.denominator * x * x)
+            for x, v in enumerate(self.values, start=1)
+        ]
+        denom = math.lcm(*(d for p, d in terms if p))
+        total = -terms[0][0] * (denom // terms[0][1])
         table = [0, total]
-        for v, d in zip(self.values, denoms):
-            total += v.numerator * (denom // d)
+        for p, d in terms:
+            if p:
+                total += p * (denom // d)
             table.append(total)
         return denom, tuple(table)
 

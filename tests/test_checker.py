@@ -223,28 +223,44 @@ def _scaled_tables_reference(a, f):
     return denom, table_a, table_f
 
 
+def _same_rationals(denom, table, ref_denom, ref_table):
+    return [Fraction(x, denom) for x in table] == [Fraction(x, ref_denom) for x in ref_table]
+
+
 def test_scaled_tables_match_reference():
     f = builtin_error_term("floor_sqrt", 300)
     a = convex_from_error(f, 300)
+    built = SequencePrefix(a.values)  # the same rationals, built from values
     longer = ErrorTerm([Fraction(n, 7) for n in range(1, 401)])
+    # a prefix built from values sits on the least common denominator
     cases = [
-        (a, f),
-        (a, None),
-        (a, longer),
+        (built, f),
+        (built, None),
+        (built, longer),
         (tabulate(lambda n: Fraction(n * n + 1, n % 13 + 1), 120), longer),
         (SequencePrefix([Fraction(1, 6), Fraction(-5, 4)]), None),
     ]
     for seq, err in cases:
         assert _scaled_tables(seq, err) == _scaled_tables_reference(seq, err)
+    # a convex prefix sits on the denominator of f.weight_grid, widened
+    # only by the error term's own grid; its tables hold the same rationals
+    w_denom = f.weight_grid[0]
+    for err in (f, None, longer):
+        denom, table_a, table_f = _scaled_tables(a, err)
+        ref_denom, ref_a, ref_f = _scaled_tables_reference(a, err)
+        assert denom == (w_denom if err is None else math.lcm(w_denom, err.grid[0]))
+        assert _same_rationals(denom, table_a, ref_denom, ref_a)
+        assert _same_rationals(denom, table_f, ref_denom, ref_f)
     # f's grid covers all of f, so a denominator met only past the prefix's
     # horizon widens D; the tables still hold the same rationals
     tail = ErrorTerm([Fraction(n, 7) for n in range(1, 301)] + [Fraction(13158, 307)])
-    denom, table_a, table_f = _scaled_tables(a, tail)
-    ref_denom, ref_a, ref_f = _scaled_tables_reference(a, tail)
-    assert denom == 307 * ref_denom
-    assert [Fraction(x, denom) for x in table_a] == [Fraction(x, ref_denom) for x in ref_a]
-    assert [Fraction(x, denom) for x in table_f] == [Fraction(x, ref_denom) for x in ref_f]
-    assert scan_violations(a, tail) == scan_violations(a, ErrorTerm(tail.values[:300]))
+    for seq in (built, a):
+        denom, table_a, table_f = _scaled_tables(seq, tail)
+        ref_denom, ref_a, ref_f = _scaled_tables_reference(seq, tail)
+        assert denom == 307 * (ref_denom if seq is built else w_denom)
+        assert _same_rationals(denom, table_a, ref_denom, ref_a)
+        assert _same_rationals(denom, table_f, ref_denom, ref_f)
+        assert scan_violations(seq, tail) == scan_violations(seq, ErrorTerm(tail.values[:300]))
 
 
 def test_scans_read_the_cached_grids(monkeypatch):

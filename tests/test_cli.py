@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from fekete import sequence_to_json, SequencePrefix
-from fekete import cli
-from fekete.cli import MAX_CHAIN_PARTS, MAX_INT_DIGITS, main
+from fekete import cli, model
+from fekete.cli import MAX_CHAIN_PARTS, MAX_HORIZON, MAX_INT_DIGITS, main
 
 from conftest import tabulate
 
@@ -281,6 +281,45 @@ def test_decompose_bound_admits_exactly_max_parts(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["chain"][0] == [3] * 9 + [5]
     assert main(["decompose", "--n", "33", "--k", "3"]) == 2  # 11 parts
     assert capsys.readouterr().out == ""
+
+
+def _construct_argv(what: str, horizon: int) -> list[str]:
+    h = str(horizon)
+    return {
+        "convex": ["convex", "--f", "family:floor_sqrt", "--H", h],
+        "rational-slopes": ["rational-slopes", "--f", "family:linear,1", "--K", "3", "--Hmax", h],
+        "linear-error": ["linear-error", "--f", "family:linear,1", "--L", "1", "--H", h],
+        "threshold-gap": ["threshold-gap", "--N", "3", "--anchors", f"5,{horizon + 1}", "--H", h],
+        "threshold-gap-anchors": ["threshold-gap", "--N", "3", "--anchors", f"5,{horizon + 1}"],
+    }[what]
+
+
+_CONSTRUCTIONS = ("convex", "rational-slopes", "linear-error", "threshold-gap",
+                  "threshold-gap-anchors")
+
+
+@pytest.mark.parametrize("what", _CONSTRUCTIONS)
+def test_construct_rejects_horizons_past_the_bound(tmp_path, monkeypatch, capsys, what):
+    def tabulated(*args, **kwargs):
+        raise AssertionError("an error term was tabulated")
+
+    monkeypatch.setattr(model, "builtin_error_term", tabulated)
+    out = tmp_path / "out.json"
+    argv = ["construct", *_construct_argv(what, MAX_HORIZON + 1), "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(MAX_HORIZON) in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", _CONSTRUCTIONS)
+def test_construct_bound_admits_exactly_max_horizon(tmp_path, monkeypatch, what):
+    monkeypatch.setattr(cli, "MAX_HORIZON", 20)
+    out = str(tmp_path / "out.json")
+    assert main(["construct", *_construct_argv(what, 20), "-o", out]) == 0
+    assert main(["construct", *_construct_argv(what, 21), "-o", out + "2"]) == 2
+    assert not (tmp_path / "out.json2").exists()
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -28,6 +28,8 @@ from fekete import (
     zero_error_term,
 )
 
+from fekete.constructions import _simplest_in
+
 from conftest import reference_rational_slope_sequence, tabulate
 
 
@@ -175,6 +177,37 @@ def test_simplest_matches_oracle(x, y):
     got = simplest_rational_in(lo, hi)
     assert lo < got < hi
     assert got == _simplest_oracle(lo, hi)
+
+
+def _stern_brocot_simplest(lo, hi):
+    """The first Stern-Brocot node in (lo, hi), after shifting both ends
+    by the integer floor(lo): from the mediant of 0/1 and 1/0, one mediant
+    per step towards the interval."""
+    shift = lo.numerator // lo.denominator
+    lo, hi = lo - shift, hi - shift
+    left, right = (0, 1), (1, 0)
+    while True:
+        node = Fraction(left[0] + right[0], left[1] + right[1])
+        if node <= lo:
+            left = node.numerator, node.denominator
+        elif node >= hi:
+            right = node.numerator, node.denominator
+        else:
+            return node + shift
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@given(small_rationals, small_rationals, st.integers(1, 400))
+@settings(max_examples=400, deadline=None)
+@example(Fraction(-5), Fraction(3), 1)
+@example(Fraction(-2, 3), Fraction(-1, 3), 300)
+def test_integer_continued_fraction_matches_stern_brocot(x, y, k):
+    narrow = x, x + Fraction(1, k)
+    for lo, hi in ((min(x, y), max(x, y)), narrow):
+        if lo < hi:
+            assert _simplest_in(lo, hi) == _stern_brocot_simplest(lo, hi)
 
 
 @given(bounded_rationals, bounded_rationals, st.sets(bounded_rationals, max_size=6))

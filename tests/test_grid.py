@@ -1,14 +1,19 @@
 """Prefixes read by ``parse_sequence`` onto the integer grid, against the
 same prefixes built from ``Fraction``s: values, scan reports, brackets,
 deficits, convexity defects and JSON text must all be equal, and equal
-to Fraction references."""
+to Fraction references.  Convex prefixes, whose grid comes from
+``ErrorTerm.weight_grid``, are held to the same prefixes built from their
+values, and each of their two representations is built only when used."""
 
 from __future__ import annotations
 
 import json
+import pickle
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fekete import (
@@ -21,13 +26,17 @@ from fekete import (
     ThresholdDomain,
     builtin_error_term,
     check_convexity,
+    check_q_monotone,
+    convex_from_error,
     fekete_bracket,
     format_rational,
     g_deficit,
     parse_sequence,
+    q_sequence,
     scan_violations,
     sequence_to_json,
 )
+from fekete import model
 
 from conftest import brute_force_scan
 
@@ -146,3 +155,89 @@ def test_parsed_convexity_and_json_match_fraction_forms(written):
             assert check_convexity(parsed) == want_defects
             assert parsed._values is None  # decided on the grid, nothing reduced
         assert sequence_to_json(parsed) == want_json
+
+
+@st.composite
+def error_terms(draw):
+    """(f, H): an error term of horizon H or a little more, with leading
+    zeros or with f(1) > 0, and non-integer rational steps."""
+    horizon = draw(st.integers(1, 24))
+    leading = draw(st.integers(0, horizon))
+    values = [Fraction(0)] * leading
+    total = Fraction(0)
+    for _ in range(horizon + draw(st.integers(0, 4)) - leading):
+        low = 0 if values and values[-1] else 1  # the first non-zero step
+        total += Fraction(draw(st.integers(low, 5)), draw(st.integers(1, 9)))
+        values.append(total)
+    return ErrorTerm(values), horizon
+
+
+@given(error_terms(), st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example((ErrorTerm([Fraction(1, 7), Fraction(1), Fraction(1)]), 3), [1])  # 7 only in f(1)
+@example((ErrorTerm([0, 0, 0, Fraction(2, 3), Fraction(5, 6), 1, 1]), 7), [0, 2])
+@example((ErrorTerm([0] * 9), 9), [1])
+@settings(max_examples=150, deadline=None)
+def test_convex_grid_matches_prefix_of_its_values(drawn, increments):
+    f, horizon = drawn
+    a = convex_from_error(f, horizon)
+    built = SequencePrefix(convex_from_error(f, horizon).values)
+    for err in (None, f, *_error_terms(horizon, increments)[1:]):
+        for domain in _domains(horizon):
+            assert scan_violations(a, err, domain) == scan_violations(built, err, domain)
+    for N in range(1, horizon + 1):
+        assert fekete_bracket(a, N) == fekete_bracket(built, N)
+    for N in range(1, (horizon - 2) // 2 + 1):
+        assert check_q_monotone(a, N) == check_q_monotone(built, N)
+    if horizon >= 3:
+        assert check_convexity(a) == check_convexity(built)
+    for err in (None, f):
+        for n in range(1, horizon // 2 + 1):
+            for m in range(n, horizon - n + 1):
+                assert g_deficit(a, err, n, m) == g_deficit(built, err, n, m)
+    assert a._values is None  # every consumer above worked on the grid
+    assert a.grid[0] == ErrorTerm(f.values[:horizon]).weight_grid[0]
+    for n_lo in range(1, horizon // 2 + 1):  # reports values: reduces them
+        assert q_sequence(a, n_lo) == q_sequence(built, n_lo)
+    assert a == built and hash(a) == hash(built)
+
+
+def test_convex_grid_of_a_longer_error_term_stops_at_the_horizon():
+    f = builtin_error_term("floor_sqrt", 400)
+    short = builtin_error_term("floor_sqrt", 50)
+    assert convex_from_error(f, 50).grid == convex_from_error(short, 50).grid
+    assert convex_from_error(f, 50).grid[0] == short.weight_grid[0] < f.weight_grid[0]
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("built although unused")
+
+
+def test_writing_a_convex_prefix_builds_no_grid(monkeypatch):
+    f = builtin_error_term("floor_sqrt", 60)
+    want = sequence_to_json(SequencePrefix(convex_from_error(f, 60).values))
+    fresh = builtin_error_term("floor_sqrt", 60)
+    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model, "_integer_grid", _raise)
+    a = convex_from_error(fresh, 60)
+    assert sequence_to_json(a) == want
+    assert a._grid is None
+
+
+def test_scanning_a_convex_prefix_reduces_no_value(monkeypatch):
+    f = builtin_error_term("floor_sqrt", 60)
+    built = SequencePrefix(convex_from_error(f, 60).values)
+    want = [scan_violations(built, None, d) for d in _domains(60)]
+    monkeypatch.setattr(model.ErrorTerm, "weight_sums", _raise)
+    a = convex_from_error(f, 60)
+    assert [scan_violations(a, None, d) for d in _domains(60)] == want
+    assert scan_violations(a, f).ok
+    assert a._values is None
+    with pytest.raises(AssertionError, match="unused"):
+        a.values
+
+
+def test_convex_parsed_and_error_term_prefixes_pickle():
+    f = builtin_error_term("floor_sqrt", 30)
+    for prefix in (convex_from_error(f, 30), parse_sequence("1,1/2\n2,4/6\n"), f):
+        copy = pickle.loads(pickle.dumps(prefix))
+        assert type(copy) is type(prefix) and copy == prefix

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,25 @@ def test_weight_grid_matches_weights(f):
         assert Fraction(grid[k], denom) == weights[k - 1], k
     for x, v in enumerate(f.values, start=1):
         assert denom % (v.denominator * x * x) == 0
+
+
+@given(st.integers(0, 6), _rational_error_terms())
+@settings(max_examples=100, deadline=None)
+def test_weight_grid_leaves_zero_terms_out_of_the_lcm(zeros, tail):
+    f = ErrorTerm([0] * zeros + list(tail.values))
+    denom, grid = f.weight_grid
+    weights = tuple(f.weight_sums())
+    for k in range(1, f.horizon + 2):
+        assert Fraction(grid[k], denom) == weights[k - 1], k
+    assert denom == math.lcm(
+        *(v.denominator * x * x for x, v in enumerate(f.values, start=1) if v)
+    )
+
+
+def test_weight_grid_of_the_zero_term_is_on_one():
+    assert zero_error_term(50).weight_grid == (1, (0,) * 52)
+    # floor(n/4) is zero below 4
+    assert builtin_error_term("linear", 6, {"c": Fraction(1, 4)}).weight_grid[0] == 3600
 
 
 @given(data=st.data())
