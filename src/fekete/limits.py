@@ -1,11 +1,13 @@
 """Certified limit information from finite prefixes: slope brackets, the
-exact finite form of the error-smoothing transform, and doubling-chain
+error-smoothing transform as a prefix of its own, and doubling-chain
 certificates for band-restricted subadditivity.
 
-Brackets compare slopes, and the smoothing deficit is evaluated, in
-integers on the prefix's grid (``SequencePrefix.grid``) and, for the
-deficit, the error term's ``ErrorTerm.weight_grid``; a ``Fraction`` is
-built only for a reported value.
+Brackets compare slopes in integers on the prefix's grid
+(``SequencePrefix.grid``).  The smoothing transform has one code path:
+``smoothed(a, f)`` is the prefix g(k) = a(k) - 3k * W(k-1), whose grid
+joins ``a.grid`` with the error term's ``ErrorTerm.weight_grid``; its
+deficit on a pair is ``g_deficit``, and its band check is a plain scan of
+that prefix.  A ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
 minus infinity).  Every output is an exact, finitely-checkable witness:
@@ -30,6 +32,7 @@ __all__ = [
     "find_split",
     "g_deficit",
     "mu_chain_certificate",
+    "smoothed",
 ]
 
 
@@ -112,26 +115,73 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     return LimitBracket(N, Fraction(table[argmin], denom * argmin), argmin, tuple(samples))
 
 
+def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
+    """The smoothing transform of ``a`` by ``f``, up to its finite part:
+    the prefix g(1..H'), H' = min(a.horizon, f.horizon), with
+
+        g(k) = a(k) - 3k * W(k-1),  W(j) = sum(f(x)/x^2 for 1 < x <= j),
+
+    with W(0) = -f(1) as in ``ErrorTerm.weight_sums``.  The paper's G(k) =
+    a(k) + 3k * sum(f(x)/x^2 for x >= k) is g(k) + 3k * S, S = sum(f(x)/x^2
+    for x > 1), so G and g have the same deficit G(n+m) - G(n) - G(m) on
+    every pair, and ``scan_violations(smoothed(a, f), None, domain)``
+    checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
+    ``a``.
+
+    The grid is built on first use from ``a.grid = (D, A)`` and
+    ``f.weight_grid = (D_W, Wt)``, on L = lcm(D, D_W), as A[k] * (L/D) -
+    3k * Wt[k] * (L/D_W); the values are built only if asked for.  ``f``
+    keeps the last prefix it smoothed, found again by the identity of
+    ``a`` (never by comparing values), so repeated calls with the same
+    (a, f) share one grid.
+    """
+    if not isinstance(a, SequencePrefix):
+        raise TypeError(f"a must be a SequencePrefix, got {type(a).__name__}")
+    if f is None:
+        return a
+    if not isinstance(f, ErrorTerm):
+        raise TypeError(f"f must be an ErrorTerm or None, got {type(f).__name__}")
+    cached = f.__dict__.get("_smoothed")
+    if cached is not None and cached[0] is a:
+        return cached[1]
+    horizon = min(a.horizon, f.horizon)
+
+    def grid():
+        denom, table = a.grid
+        w_denom, w = f.weight_grid
+        wide = math.lcm(denom, w_denom)
+        scale, w_scale = wide // denom, 3 * (wide // w_denom)
+        return wide, (0, *(
+            table[k] * scale - k * w[k] * w_scale for k in range(1, horizon + 1)
+        ))
+
+    def values():
+        denom, table = g.grid
+        return tuple(Fraction(x, denom) for x in table[1:])
+
+    g = SequencePrefix._deferred_prefix(horizon, values, grid)
+    f._smoothed = a, g
+    return g
+
+
 def g_deficit(
     a: SequencePrefix, f: ErrorTerm | None, n: int, m: int
 ) -> Fraction:
-    """Deficit of the smoothing transform G(n) = a(n) + 3n * T(n), where
-    T(n) is the infinite tail sum of f(x)/x^2 from x = n on.
+    """Deficit G(n+m) - G(n) - G(m) of the smoothing transform G(n) = a(n)
+    + 3n * T(n), where T(n) is the infinite tail sum of f(x)/x^2 from x =
+    n on.
 
-    G(n+m) - G(n) - G(m) is returned in the finite form where the tails
-    cancel algebraically:
+    The tails cancel algebraically, leaving the finite form
 
         [a(n+m) - a(n) - a(m)]
             - 3n * sum(f(x)/x^2 for n <= x < n+m)
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
-    so the value is exactly computable even though G itself is not.  With
-    W(j) = sum(f(x)/x^2 for 1 < x <= j) and s = n + m, that form is
-    g(s) - g(n) - g(m) for g(k) = a(k) - 3k * W(k-1).  It is evaluated in
-    integers on the prefix's grid ``a.grid`` and the error term's
-    ``f.weight_grid``, brought to the lcm of their denominators, and
-    reduced to a ``Fraction`` once.
+    which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
+    three lookups on its integer grid, reduced to a ``Fraction`` once.
+    ``f=None`` gives the plain deficit of ``a``.
     """
+    g = smoothed(a, f)
     _require_int(n, "n")
     _require_int(m, "m")
     if not 1 <= n <= m:
@@ -139,16 +189,10 @@ def g_deficit(
     s = n + m
     if s > a.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds sequence horizon {a.horizon}")
-    denom, table = a.grid
-    plain = table[s] - table[n] - table[m]
-    if f is None:
-        return Fraction(plain, denom)
-    if s > f.horizon:
+    if f is not None and s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
-    w_denom, w = f.weight_grid
-    wide = math.lcm(denom, w_denom)
-    tails = s * w[s] - n * w[n] - m * w[m]
-    return Fraction(plain * (wide // denom) - 3 * tails * (wide // w_denom), wide)
+    denom, table = g.grid
+    return Fraction(table[s] - table[n] - table[m], denom)
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,9 @@ class ErrorTerm(SequencePrefix):
     ``value`` (with ``f.value(0) == 0``), equality and hashing are those of
     the prefix.  The partial sums W of sum f(x)/x^2 come as the stream
     ``weight_sums()`` and as the cached integers of ``weight_grid``.
+    Next to that cache, ``limits.smoothed`` keeps the last prefix it
+    smoothed by this term; neither takes part in pickling, equality or
+    hashing.
     """
 
     def __init__(self, values: Iterable) -> None:

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fekete import (
     ErrorTerm,
+    ExplicitDomain,
+    FullDomain,
+    MuBandDomain,
+    OnePlusDomain,
     SequencePrefix,
+    ThresholdDomain,
+    Violation,
+    ViolationReport,
     builtin_error_term,
     chain_coverage_failures,
     convex_from_error,
@@ -25,12 +34,13 @@ from fekete import (
     parse_sequence,
     rational_slope_sequence,
     scan_violations,
+    smoothed,
     threshold_gap_example,
     two_good_chain,
     zero_error_term,
 )
 
-from conftest import ceil_sqrt, monotone_rationals, tabulate
+from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate
 
 
 # --- brackets -------------------------------------------------------------------
@@ -99,6 +109,8 @@ def test_g_deficit_zero_error_term_is_plain_deficit():
             plain = a.value(n + m) - a.value(n) - a.value(m)
             assert g_deficit(a, None, n, m) == plain
             assert g_deficit(a, zero, n, m) == plain
+    assert smoothed(a, None) is a
+    assert smoothed(a, zero).values == a.values
 
 
 def test_g_deficit_frozen_example():
@@ -244,6 +256,165 @@ def test_g_deficit_validation():
         g_deficit(a, None, 5, 6)
     with pytest.raises(ValueError):
         g_deficit(a, ErrorTerm([0] * 4), 2, 3)
+    assert smoothed(a, ErrorTerm([0] * 4)).horizon == 4
+    # a table that is not an ErrorTerm is rejected, not read as one
+    for bad_f in (SequencePrefix([0] * 10), [0] * 10, Fraction(0), 0):
+        with pytest.raises(TypeError, match="f must be an ErrorTerm or None"):
+            smoothed(a, bad_f)
+        with pytest.raises(TypeError, match="f must be an ErrorTerm or None"):
+            g_deficit(a, bad_f, 2, 3)
+    for bad_a in ([1] * 10, tuple(a.values), None, "1,2,3"):
+        for f in (None, ErrorTerm([0] * 10)):
+            with pytest.raises(TypeError, match="a must be a SequencePrefix"):
+                smoothed(bad_a, f)
+            with pytest.raises(TypeError, match="a must be a SequencePrefix"):
+                g_deficit(bad_a, f, 2, 3)
+
+
+def _finite_form(a, f, n, m):
+    """G(n+m) - G(n) - G(m) with the tails cancelled, summed term by term."""
+    s = n + m
+
+    def series(lo):  # sum(f(x)/x^2 for lo <= x < s)
+        return sum((f.value(x) / (x * x) for x in range(lo, s)), Fraction(0))
+
+    plain = a.value(s) - a.value(n) - a.value(m)
+    return plain - 3 * n * series(n) - 3 * m * series(m)
+
+
+def _smoothing_domains(horizon: int):
+    pairs = [(n, m) for n in range(1, horizon) for m in range(n, horizon - n + 1) if (n + m) % 3]
+    return (FullDomain(), ThresholdDomain(2), MuBandDomain(2, 1), OnePlusDomain(2),
+            ExplicitDomain(pairs))
+
+
+@st.composite
+def _smoothing_inputs(draw):
+    """(f, H, a-values or None for the convex prefix of f): f of horizon H
+    or a little more, with leading zeros or none, and non-integer steps."""
+    horizon = draw(st.integers(1, 16))
+    leading = draw(st.integers(0, horizon))
+    values = [Fraction(0)] * leading
+    total = Fraction(0)
+    for _ in range(horizon + draw(st.integers(0, 3)) - leading):
+        total += Fraction(draw(st.integers(0, 5)), draw(st.sampled_from((1, 2, 7, 127))))
+        values.append(total)
+    if draw(st.booleans()):
+        return ErrorTerm(values), horizon, None
+    a_values = draw(st.lists(
+        st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 3, 137))),
+        min_size=horizon, max_size=horizon,
+    ))
+    return ErrorTerm(values), horizon, a_values
+
+
+@given(_smoothing_inputs(), st.integers(2, 4))
+@example((ErrorTerm([0, 0, 0, Fraction(1, 7), 1, 1, 2]), 7, None), 2)
+@example((ErrorTerm([0, 0, 1, 1, 1, 2, 2, 3, 3]), 7, None), 3)
+@example((ErrorTerm([0] * 8), 8, [Fraction(k % 5, 3) for k in range(8)]), 2)
+@settings(max_examples=120, deadline=None)
+def test_band_check_is_one_scan_of_the_smoothed_prefix(drawn, scale):
+    f, horizon, a_values = drawn
+    built = convex_from_error(f, horizon) if a_values is None else SequencePrefix(a_values)
+    # the same values written unreduced: the parsed grid's D is not the least one
+    written = [f"{v.numerator * scale}/{v.denominator * scale}" for v in built.values]
+    parsed = parse_sequence(json.dumps({"values": written}))
+    pairs = [(n, m) for n in range(1, horizon // 2 + 1) for m in range(n, horizon - n + 1)]
+    want = {pair: _finite_form(built, f, *pair) for pair in pairs}
+
+    def tail(lo):  # sum(f(x)/x^2 for lo <= x <= H)
+        return sum((f.value(x) / (x * x) for x in range(lo, horizon + 1)), Fraction(0))
+
+    # g is G with both the tails and S cut at H: g(k) = a(k) + 3k (T_H(k) - T_H(2))
+    want_g = tuple(built.value(k) + 3 * k * (tail(k) - tail(2)) for k in range(1, horizon + 1))
+    for a in (built, parsed):
+        g = smoothed(a, f)
+        assert g.horizon == horizon
+        for pair in pairs:
+            assert g_deficit(a, f, *pair) == want[pair], pair
+        for domain in _smoothing_domains(horizon):
+            admitted = [pair for pair in pairs if reference_admits(domain, *pair)]
+            bad = tuple(Violation(n, m, want[n, m]) for n, m in admitted if want[n, m] > 0)
+            expected = ViolationReport(domain, len(admitted), tuple(
+                sorted(bad, key=lambda v: (v.n + v.m, v.n))
+            ))
+            assert scan_violations(g, None, domain) == expected, domain
+        assert g.values == want_g
+
+
+def test_one_error_term_smooths_equal_and_different_prefixes_in_any_order():
+    horizon = 24
+    pairs = [(n, m) for n in range(1, horizon // 2 + 1) for m in range(n, horizon - n + 1, 3)]
+    reference_f = builtin_error_term("floor_sqrt", horizon)
+    convex = convex_from_error(reference_f, horizon)
+    unreduced = [f"{3 * v.numerator}/{3 * v.denominator}" for v in convex.values]
+    prefixes = {
+        "convex": lambda f: convex_from_error(f, horizon),
+        "equal": lambda f: SequencePrefix(convex.values),
+        "parsed": lambda f: parse_sequence(json.dumps({"values": unreduced})),
+        "other": lambda f: tabulate(lambda n: Fraction(n * n % 7, 5), horizon),
+    }
+    want = {
+        name: [_finite_form(make(reference_f), reference_f, n, m) for n, m in pairs]
+        for name, make in prefixes.items()
+    }
+    for order in itertools.permutations(prefixes):
+        f = builtin_error_term("floor_sqrt", horizon)
+        made = {name: prefixes[name](f) for name in order}
+        for name in order + order[::-1]:
+            got = [g_deficit(made[name], f, n, m) for n, m in pairs]
+            assert got == want[name], (order, name)
+
+
+def _never(*args):
+    raise AssertionError("values compared or hashed")
+
+
+def test_repeated_calls_share_one_smoothed_grid(monkeypatch):
+    builds = []
+    deferred = SequencePrefix._deferred_prefix.__func__
+
+    def counting(cls, horizon, values, grid):
+        def counted():
+            builds.append(horizon)
+            return grid()
+        return deferred(cls, horizon, values, counted)
+
+    monkeypatch.setattr(SequencePrefix, "_deferred_prefix", classmethod(counting))
+    f = builtin_error_term("floor_sqrt", 40)
+    a = tabulate(lambda n: Fraction(n * n % 11, 3), 40)
+    twin = tabulate(lambda n: Fraction(n * n % 11, 3), 40)
+    pairs = [(n, m) for n in range(1, 21) for m in range(n, 41 - n)]
+
+    def sweep(prefix):
+        return [g_deficit(prefix, f, n, m) for n, m in pairs]
+
+    # the cache keys on identity alone: no value is ever compared or hashed
+    monkeypatch.setattr(SequencePrefix, "__eq__", _never)
+    monkeypatch.setattr(SequencePrefix, "__hash__", _never)
+    first = sweep(a)
+    assert sweep(a) == first and smoothed(a, f) is smoothed(a, f)
+    assert len(builds) == 1
+    assert sweep(twin) == first  # an equal but distinct prefix replaces the entry
+    assert len(builds) == 2
+    assert sweep(a) == first  # one entry: going back builds again
+    assert len(builds) == 3
+    assert g_deficit(a, None, 3, 4) == a.value(7) - a.value(3) - a.value(4)
+    assert len(builds) == 3
+
+
+def test_an_error_term_holding_a_smoothed_prefix_pickles_compares_and_hashes():
+    f = builtin_error_term("floor_sqrt", 30)
+    fresh = builtin_error_term("floor_sqrt", 30)
+    a = convex_from_error(f, 30)
+    before = g_deficit(a, f, 5, 9)
+    assert smoothed(a, f) is smoothed(a, f)
+    copy = pickle.loads(pickle.dumps(f))
+    assert type(copy) is ErrorTerm and copy == f == fresh
+    assert hash(copy) == hash(f) == hash(fresh)
+    assert f != SequencePrefix(f.values) and f.values == SequencePrefix(f.values).values
+    assert g_deficit(a, copy, 5, 9) == before
+    assert smoothed(a, copy) is not smoothed(a, f)
 
 
 # --- chain certificates ---------------------------------------------------------
