@@ -2,7 +2,12 @@
 scans with an optional error term, windowed slope maxima, and convexity.
 
 Scans decide every admitted pair (n <= m, n + m <= H), either one at a
-time or a whole sum at once through the lower convex minorant.  Exactness
+time or a whole sum at once through the lower convex minorant.  The
+minorant's certificate for a sum does not depend on the domain, so the
+first interval-domain scan of a prefix against an error term decides it
+for every sum, once, and keeps on the prefix the sums it could not clear;
+every later interval-domain scan of the same (prefix, error term)
+enumerates only those sums, whatever its N, mu or slack.  Exactness
 comes from the integer grid that lives on the prefix
 (``SequencePrefix.grid``: one common denominator and integer numerators,
 built once per prefix), joined with the error term's own grid at one
@@ -27,6 +32,7 @@ from .model import (
     SequencePrefix,
     _json_text_with_array,
     _require_int,
+    _require_prefix_and_term,
     format_rational,
 )
 
@@ -144,53 +150,89 @@ def _lower_minorant(table_a, top):
     return num, width
 
 
-# A sum whose admitted interval holds at most this many pairs is enumerated
-# directly: each pair costs one big-integer comparison, and the certificate
-# costs about two.
+# A domain in which no sum admits more than this many pairs (OnePlus) is
+# enumerated directly, unless the prefix already holds its certificates
+# for the error term: each pair costs one big-integer comparison, a
+# certificate about two, and the minorant must be built first.
 _DIRECT_PAIRS = 2
 
 
-def _scan_sums(domain, horizon, table_a, table_f):
+def _certificate_failures(horizon, table_a, table_f):
+    """The sums s in 2..H that the minorant certificate does not clear.
+
+    With Ǎ the lower convex minorant of A on 1..H-1 and hi = s // 2, every
+    pair (n, s - n) with 1 <= n <= hi has A[n] + A[s-n] >= Ǎ(n) + Ǎ(s-n)
+    >= Ǎ(hi) + Ǎ(s-hi), the last by convexity and symmetry about s/2.  A
+    sum with A[s] - F[s] <= Ǎ(hi) + Ǎ(s-hi) therefore has no violation in
+    any domain, whatever the lower end of its interval.
+    """
+    num, width = _lower_minorant(table_a, horizon - 1)
+    failed = []
+    for s in range(2, horizon + 1):
+        hi = s // 2
+        wp, wq = width[hi], width[s - hi]
+        if (table_a[s] - table_f[s]) * wp * wq > num[hi] * wq + num[s - hi] * wp:
+            failed.append(s)
+    return tuple(failed)
+
+
+def _scan_sums(a, f, domain):
     """Certified scan of an ``IntervalDomain``, one sum s at a time.
 
-    With Ǎ the lower convex minorant of A on 1..H-1, every admitted pair
-    has A[n] + A[s-n] >= Ǎ(n) + Ǎ(s-n) >= Ǎ(hi) + Ǎ(s-hi), the last by
-    convexity and symmetry about s/2.  A sum passing that one comparison
-    has no violation; only the others are enumerated, in order of n.
+    The certificates of all sums are decided once per (a, f) and kept on
+    ``a`` (one entry, keyed by the identity of f, None included); only
+    the sums they do not clear are enumerated, in order of n.
     """
+    horizon = a.horizon
     checked = 0
-    bad = []
-    minorant = None
+    narrow = []  # every (s, lo, hi); None once a sum has more than _DIRECT_PAIRS pairs
     for s in range(2, horizon + 1):
         lo, hi = domain.sum_interval(s)
         if lo > hi:
             continue
         checked += hi - lo + 1
+        if narrow is not None and hi - lo < _DIRECT_PAIRS:
+            narrow.append((s, lo, hi))
+        else:
+            narrow = None
+    tables = None
+    cached = a._certified
+    if cached is not None and cached[0] is f:
+        failed = cached[1]
+    elif narrow is None:
+        tables = _scaled_tables(a, f)
+        failed = _certificate_failures(horizon, tables[1], tables[2])
+        a._certified = f, failed
+    else:
+        failed = None
+    spans = narrow if failed is None else ((s, *domain.sum_interval(s)) for s in failed)
+    bad = []
+    for s, lo, hi in spans:
+        if lo > hi:
+            continue
+        if tables is None:
+            tables = _scaled_tables(a, f)
+        _, table_a, table_f = tables
         target = table_a[s] - table_f[s]
-        if hi - lo >= _DIRECT_PAIRS:
-            if minorant is None:
-                minorant = _lower_minorant(table_a, horizon - 1)
-            num, width = minorant
-            wp, wq = width[hi], width[s - hi]
-            if target * wp * wq <= num[hi] * wq + num[s - hi] * wp:
-                continue
         for n in range(lo, hi + 1):
             diff = target - table_a[n] - table_a[s - n]
             if diff > 0:
                 bad.append((n, s - n, diff))
-    return checked, bad
+    return checked, bad, tables
 
 
-def _scan_pairs(domain, horizon, table_a, table_f):
+def _scan_pairs(a, f, domain):
+    tables = _scaled_tables(a, f)
+    _, table_a, table_f = tables
     checked = 0
     bad = []
-    for n, m in domain.pairs_upto(horizon):
+    for n, m in domain.pairs_upto(a.horizon):
         checked += 1
         s = n + m
         diff = table_a[s] - table_a[n] - table_a[m] - table_f[s]
         if diff > 0:
             bad.append((n, m, diff))
-    return checked, bad
+    return checked, bad, tables
 
 
 def scan_violations(
@@ -202,9 +244,10 @@ def scan_violations(
 
     ``f=None`` means the zero error term.  Interval domains are scanned
     one sum at a time through the lower convex minorant, which
-    certifies a clean convex prefix in O(H) comparisons; other domains
-    enumerate their pairs.
+    certifies a clean convex prefix in O(H) comparisons, once per (a, f)
+    for all interval domains; other domains enumerate their pairs.
     """
+    _require_prefix_and_term(a, f)
     if domain is None:
         domain = FullDomain()
     horizon = a.horizon
@@ -212,13 +255,10 @@ def scan_violations(
         raise ValueError(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
-    denom, table_a, table_f = _scaled_tables(a, f)
-    if isinstance(domain, IntervalDomain):
-        checked, raw = _scan_sums(domain, horizon, table_a, table_f)
-    else:
-        checked, raw = _scan_pairs(domain, horizon, table_a, table_f)
+    scan = _scan_sums if isinstance(domain, IntervalDomain) else _scan_pairs
+    checked, raw, tables = scan(a, f, domain)
 
-    violations = [Violation(n, m, Fraction(d, denom)) for n, m, d in raw]
+    violations = [Violation(n, m, Fraction(d, tables[0])) for n, m, d in raw]
     violations.sort(key=lambda v: (v.n + v.m, v.n))
     return ViolationReport(domain=domain, pairs_checked=checked, violations=tuple(violations))
 

@@ -21,7 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, format_rational
+from .model import (
+    ErrorTerm,
+    SequencePrefix,
+    _coerce,
+    _require_int,
+    _require_prefix_and_term,
+    format_rational,
+)
 
 __all__ = [
     "Eq8Sample",
@@ -135,12 +142,9 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     ``a`` (never by comparing values), so repeated calls with the same
     (a, f) share one grid.
     """
-    if not isinstance(a, SequencePrefix):
-        raise TypeError(f"a must be a SequencePrefix, got {type(a).__name__}")
+    _require_prefix_and_term(a, f)
     if f is None:
         return a
-    if not isinstance(f, ErrorTerm):
-        raise TypeError(f"f must be an ErrorTerm or None, got {type(f).__name__}")
     cached = f.__dict__.get("_smoothed")
     if cached is not None and cached[0] is a:
         return cached[1]

@@ -118,10 +118,16 @@ class SequencePrefix:
     prefix built from ``Fraction``s builds its grid on first use.  A
     prefix made by ``_deferred_prefix`` (a convex prefix, for one) builds
     each of the two only when it is first used, each from its own source.
-    Equality and hashing are those of ``values``.
+    An integer error term (``ErrorTerm._from_ints``) is held only as its
+    grid, over D = 1.  Equality and hashing are those of ``values``.
+
+    ``checker.scan_violations`` keeps on the prefix the sums its minorant
+    certificate could not clear, for the last error term it scanned the
+    prefix against; that entry takes no part in pickling, equality or
+    hashing.
     """
 
-    __slots__ = ("_horizon", "_values", "_pairs", "_grid", "_deferred")
+    __slots__ = ("_horizon", "_values", "_pairs", "_grid", "_deferred", "_certified")
 
     def __init__(self, values: Iterable) -> None:
         vals = tuple(_coerce(v) for v in values)
@@ -129,7 +135,7 @@ class SequencePrefix:
             raise ValueError("empty sequence")
         self._horizon = len(vals)
         self._values = vals
-        self._pairs = self._grid = self._deferred = None
+        self._pairs = self._grid = self._deferred = self._certified = None
 
     @classmethod
     def _from_pairs(cls, pairs: list[tuple[int, int]]) -> SequencePrefix:
@@ -139,7 +145,7 @@ class SequencePrefix:
         prefix = cls.__new__(cls)
         prefix._horizon = len(pairs)
         prefix._pairs = pairs
-        prefix._values = prefix._deferred = None
+        prefix._values = prefix._deferred = prefix._certified = None
         prefix._grid = _integer_grid(pairs)
         return prefix
 
@@ -155,7 +161,7 @@ class SequencePrefix:
         first used; they must describe the same rationals."""
         prefix = cls.__new__(cls)
         prefix._horizon = horizon
-        prefix._values = prefix._pairs = prefix._grid = None
+        prefix._values = prefix._pairs = prefix._grid = prefix._certified = None
         prefix._deferred = values, grid
         return prefix
 
@@ -165,8 +171,10 @@ class SequencePrefix:
         if self._values is None:
             if self._pairs is not None:
                 self._values = tuple(Fraction(p, q) for p, q in self._pairs)
-            else:
+            elif self._deferred is not None:
                 self._values = self._deferred[0]()
+            else:  # an integer table, over D = 1
+                self._values = tuple(map(Fraction, self._grid[1][1:]))
         return self._values
 
     @property
@@ -190,8 +198,11 @@ class SequencePrefix:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
             raise IndexError(f"index {n} outside 1..{self._horizon}")
-        if self._values is None and self._pairs is not None:
-            return Fraction(*self._pairs[n - 1])
+        if self._values is None:
+            if self._pairs is not None:
+                return Fraction(*self._pairs[n - 1])
+            if self._deferred is None:  # an integer table, over D = 1
+                return Fraction(self._grid[1][n])
         # a deferred prefix builds all its values: over the common
         # denominator of its grid each value would cost a big gcd
         return self.values[n - 1]
@@ -257,7 +268,10 @@ class ErrorTerm(SequencePrefix):
     so holding an ErrorTerm is itself a certificate that the table
     qualifies as an error term.  ``values``, the cached ``grid``,
     ``value`` (with ``f.value(0) == 0``), equality and hashing are those of
-    the prefix.  The partial sums W of sum f(x)/x^2 come as the stream
+    the prefix.  An integer table (``_from_ints``, which the builtin
+    families and integer files use) keeps only its grid ``(1, (0, f(1),
+    ..., f(H)))`` and builds ``values`` when they are first asked for.
+    The partial sums W of sum f(x)/x^2 come as the stream
     ``weight_sums()`` and as the cached integers of ``weight_grid``.
     Next to that cache, ``limits.smoothed`` keeps the last prefix it
     smoothed by this term; neither takes part in pickling, equality or
@@ -266,7 +280,23 @@ class ErrorTerm(SequencePrefix):
 
     def __init__(self, values: Iterable) -> None:
         super().__init__(values)
-        vals = self._values
+        self._check_invariants(self._values)
+
+    @classmethod
+    def _from_ints(cls, ints: list[int]) -> ErrorTerm:
+        """The error term of the ints f(1), ..., f(H), held as its grid
+        alone, with no ``Fraction`` built."""
+        if not ints:
+            raise ValueError("empty sequence")
+        cls._check_invariants(ints)
+        term = cls.__new__(cls)
+        term._horizon = len(ints)
+        term._values = term._pairs = term._deferred = term._certified = None
+        term._grid = 1, (0, *ints)
+        return term
+
+    @staticmethod
+    def _check_invariants(vals) -> None:
         if vals[0] < 0:
             raise ValueError("error term must be non-negative")
         for i in range(1, len(vals)):
@@ -299,12 +329,17 @@ class ErrorTerm(SequencePrefix):
         to W, so leaving it out of the lcm keeps D_W at 1 for the zero
         term and keeps leading zeros from widening it.  Wt is the integer
         prefix sum of p_x * (D_W // (q_x * x^2)), each division a long
-        number over a short one; no ``Fraction`` is built.
+        number over a short one; no ``Fraction`` is built.  An integer
+        table (grid denominator 1) is read from its grid, with q_x = 1.
         """
-        terms = [
-            (v.numerator, v.denominator * x * x)
-            for x, v in enumerate(self.values, start=1)
-        ]
+        if self._grid is not None and self._grid[0] == 1:
+            table = self._grid[1]
+            terms = [(table[x], x * x) for x in range(1, self._horizon + 1)]
+        else:
+            terms = [
+                (v.numerator, v.denominator * x * x)
+                for x, v in enumerate(self.values, start=1)
+            ]
         denom = math.lcm(*(d for p, d in terms if p))
         total = -terms[0][0] * (denom // terms[0][1])
         table = [0, total]
@@ -313,6 +348,15 @@ class ErrorTerm(SequencePrefix):
                 total += p * (denom // d)
             table.append(total)
         return denom, tuple(table)
+
+
+def _require_prefix_and_term(a, f) -> None:
+    """Reject, with a TypeError, an ``a`` that is not a SequencePrefix or
+    an ``f`` that is neither an ErrorTerm nor None."""
+    if not isinstance(a, SequencePrefix):
+        raise TypeError(f"a must be a SequencePrefix, got {type(a).__name__}")
+    if f is not None and not isinstance(f, ErrorTerm):
+        raise TypeError(f"f must be an ErrorTerm or None, got {type(f).__name__}")
 
 
 # --- builtin error-term families -------------------------------------------
@@ -384,7 +428,7 @@ def zero_error_term(horizon: int) -> ErrorTerm:
     _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    return ErrorTerm((Fraction(0),) * horizon)
+    return ErrorTerm._from_ints([0] * horizon)
 
 
 def builtin_error_term(
@@ -401,8 +445,9 @@ def builtin_error_term(
     - ``linear_over_log``: f(n) = floor(n / log2(n + 1))
     - ``linear``: f(n) = floor(c * n), c >= 0
 
-    Every value is an exact integer (floors applied throughout), so
-    monotonicity and non-negativity are decided exactly.
+    Every value is a Python int (floors applied throughout), so
+    monotonicity and non-negativity are decided exactly, and the term is
+    an integer table: no ``Fraction`` is built unless ``values`` is used.
     """
     _require_int(horizon, "horizon")
     if horizon < 1:
@@ -446,7 +491,7 @@ def builtin_error_term(
     else:  # pragma: no cover - family_parameters already rejected it
         raise ValueError(f"unknown error-term family: {family!r}")
 
-    return ErrorTerm(values)
+    return ErrorTerm._from_ints(values)
 
 
 # --- pair domains -----------------------------------------------------------
@@ -706,7 +751,9 @@ def parse_sequence(text: str) -> SequencePrefix:
 def parse_error_term(text: str) -> ErrorTerm:
     """Parse an error term: a family descriptor JSON
     ``{"family": name, "params": {...}, "H": n}``, a plain values JSON,
-    or an ``index,value`` CSV table."""
+    or an ``index,value`` CSV table.  A table whose entries are all
+    written as integers (``p`` or ``p/1``) becomes an integer table, as a
+    builtin family does."""
     if text.lstrip().startswith("{"):
         payload = _json_object(text)
         if "family" in payload:
@@ -725,4 +772,6 @@ def parse_error_term(text: str) -> ErrorTerm:
         pairs = _table_from_json(payload, "expected 'family' or 'values'")
     else:
         pairs = _table_from_csv(text)
+    if all(q == 1 for _, q in pairs):
+        return ErrorTerm._from_ints([p for p, _ in pairs])
     return ErrorTerm(Fraction(p, q) for p, q in pairs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,19 @@ def test_scan_requires_long_enough_error_term():
     a = tabulate(lambda n: n, 10)
     with pytest.raises(ValueError, match="horizon"):
         scan_violations(a, ErrorTerm([0] * 5))
+
+
+def test_scan_rejects_tables_of_the_wrong_type():
+    a = SequencePrefix([1, 2, 3])
+    # a SequencePrefix that breaks both error-term invariants is not read as one
+    for bad_f in (SequencePrefix([-5, -9, 0]), [0, 0, 0], Fraction(0), 0):
+        for domain in (FullDomain(), ExplicitDomain([(1, 2)])):
+            with pytest.raises(TypeError, match="^f must be an ErrorTerm or None, got "):
+                scan_violations(a, bad_f, domain)
+    for bad_a in ([1, 2, 3], tuple(a.values), None, "1,2,3"):
+        for f in (None, ErrorTerm([0] * 3)):
+            with pytest.raises(TypeError, match="^a must be a SequencePrefix, got "):
+                scan_violations(bad_a, f)
 
 
 def test_scan_report_sorted_and_exact():
@@ -203,6 +217,88 @@ def test_certified_scan_matches_brute_force(data):
 def test_certified_scan_edge_cases(a, domain):
     for f in (None, ErrorTerm([Fraction(n // 4, 2) for n in range(1, a.horizon + 1)])):
         assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+
+
+@st.composite
+def integer_error_terms(draw, horizon):
+    """An integer error term, held as its grid alone, as the builtin
+    families are."""
+    steps = draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))
+    total, values = 0, []
+    for step in steps:
+        total += step
+        values.append(total)
+    return ErrorTerm._from_ints(values)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_repeated_scans_match_brute_force(data):
+    # each scan after the first may read the certificates the first kept
+    # on a, or must rebuild them for a different error term
+    a = data.draw(prefixes())
+    kind = data.draw(st.sampled_from(("none", "fraction", "integer")))
+    if kind == "none":
+        f = twin = None
+    else:
+        make = error_terms if kind == "fraction" else integer_error_terms
+        f = None
+        while f is None:
+            f = data.draw(make(a.horizon))
+        twin = ErrorTerm(f.values)  # equal, but a distinct object
+    scans = data.draw(st.lists(
+        st.tuples(domains, st.sampled_from(("f", "twin", "none"))), min_size=2, max_size=4
+    ))
+    for domain, which in scans:
+        err = {"f": f, "twin": twin, "none": None}[which]
+        assert scan_violations(a, err, domain) == brute_force_scan(a, err, domain)
+
+
+def test_minorant_built_once_per_prefix_and_error_term(monkeypatch):
+    built, scaled = [], []
+    real_minorant, real_scaled = checker._lower_minorant, checker._scaled_tables
+
+    def minorant(table_a, top):
+        built.append(top)
+        return real_minorant(table_a, top)
+
+    def scaled_tables(a, f):
+        scaled.append(a)
+        return real_scaled(a, f)
+
+    monkeypatch.setattr(checker, "_lower_minorant", minorant)
+    monkeypatch.setattr(checker, "_scaled_tables", scaled_tables)
+    f = builtin_error_term("floor_sqrt", 60)
+    a = convex_from_error(f, 60)
+    for domain in (FullDomain(), MuBandDomain(Fraction(3, 2), 1), ThresholdDomain(4),
+                   OnePlusDomain(1)):
+        assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+    # one minorant for all four; a clean prefix is never scaled again
+    assert len(built) == 1 and len(scaled) == 1
+    twin = ErrorTerm(f.values)
+    for err, domain, count in (
+        (None, FullDomain(), 2),  # another error term
+        (f, MuBandDomain(2, 3), 3),  # one entry: going back builds it again
+        (twin, FullDomain(), 4),  # keyed by identity, not by value
+    ):
+        assert scan_violations(a, err, domain) == brute_force_scan(a, err, domain)
+        assert len(built) == count
+    # the kept certificates do not travel with the prefix
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and copy._certified is None and hash(copy) == hash(a)
+
+    # OnePlus-only scans enumerate and never build the minorant
+    b = convex_from_error(f, 60)
+    for N in (1, 5, 30):
+        assert scan_violations(b, f, OnePlusDomain(N)) == brute_force_scan(b, f, OnePlusDomain(N))
+    assert len(built) == 4 and b._certified is None
+
+    # a dirty prefix: only the sum its certificate fails is enumerated again
+    dirty = tabulate(lambda n: n + Fraction(n == 39, 7), 40)
+    for domain in (FullDomain(), MuBandDomain(Fraction(6, 5), 2), OnePlusDomain(19),
+                   ThresholdDomain(20)):
+        assert scan_violations(dirty, None, domain) == brute_force_scan(dirty, None, domain)
+    assert len(built) == 5 and dirty._certified == (None, (39,))
 
 
 def _scaled_tables_reference(a, f):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -88,12 +89,26 @@ def test_sequence_prefix_basics():
 
 def test_error_term_invariants():
     ErrorTerm([0, 0, 1, 1, 5])
-    with pytest.raises(ValueError, match="^error term must be non-negative$"):
-        ErrorTerm([-1, 0, 1])
-    with pytest.raises(ValueError, match="^error term must be non-decreasing, drops at index 3$"):
-        ErrorTerm([0, 2, 1])
+    for make in (ErrorTerm, ErrorTerm._from_ints):  # the integer tables check the same
+        with pytest.raises(ValueError, match="^error term must be non-negative$"):
+            make([-1, 0, 1])
+        with pytest.raises(ValueError, match="^error term must be non-decreasing, drops at index 3$"):
+            make([0, 2, 1])
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            make([])
     with pytest.raises(ValueError, match="drops at index 2"):
         parse_error_term('{"values": ["1/2", "1/3"]}')
+    for text in ('{"values": ["-1", "0"]}', "1,-1\n2,0\n"):
+        with pytest.raises(ValueError, match="^error term must be non-negative$"):
+            parse_error_term(text)
+    for text in ('{"values": ["0", "2", "1/1"]}', "1,0\n3,1\n2,2\n"):
+        with pytest.raises(ValueError, match="^error term must be non-decreasing, drops at index 3$"):
+            parse_error_term(text)
+    with pytest.raises(TypeError):
+        ErrorTerm([True, 2])
+    mixed = ErrorTerm([0, Fraction(1, 2), 1, "3/2"])
+    assert mixed.grid == (2, (0, 0, 1, 2, 3))
+    assert mixed.values == (0, Fraction(1, 2), 1, Fraction(3, 2))
 
 
 def test_error_term_is_a_validated_prefix():
@@ -130,6 +145,47 @@ def test_error_term_equality_is_table_equality():
     assert hash(two) == hash(builtin_error_term("constant", 3, {"c": "9/4"}))
     assert zero_error_term(4) == builtin_error_term("zero", 4) == ErrorTerm([0] * 4)
     assert ErrorTerm([0, 1]) != ErrorTerm([0, 2])
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("zero", None),
+        ("constant", {"c": "9/4"}),
+        ("floor_sqrt", None),
+        ("floor_power", {"c": "3/2", "delta": "1/3"}),
+        ("linear_over_log", None),
+        ("linear", {"c": "17/16"}),
+    ],
+)
+def test_integer_error_term_equals_fraction_built(family, params):
+    f = builtin_error_term(family, 300, params)
+    denom, table = f.grid
+    assert denom == 1 and all(type(v) is int for v in table)
+    ref = ErrorTerm([Fraction(v) for v in table[1:]])
+    # the integer table is all the term holds until its values are asked for
+    assert f.weight_grid == ref.weight_grid and f.grid == ref.grid
+    assert [f.value(n) for n in range(301)] == [ref.value(n) for n in range(301)]
+    assert f._values is None
+    assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref)
+    assert f.values == ref.values and all(type(v) is Fraction for v in f.values)
+    for g in (builtin_error_term(family, 300, params), f):  # before and after values
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is ErrorTerm and back == ref and hash(back) == hash(ref)
+        assert back.grid == ref.grid and back.weight_grid == ref.weight_grid
+
+
+def test_parse_error_term_integer_tables():
+    # entries all written as integers (q == 1) give an integer table
+    for text in ('{"values": ["0", "1", "1/1", 4]}', "1,0\n2,1\n3,1/1\n4,04\n"):
+        f = parse_error_term(text)
+        assert f.grid == (1, (0, 0, 1, 1, 4)) and f._values is None
+        assert f == ErrorTerm([0, 1, 1, 4]) and f.weight_grid == ErrorTerm([0, 1, 1, 4]).weight_grid
+    # a rational table keeps its reduced values, and so its weight grid
+    text = '{"values": ["0", "2/4", "2/2", "9/2"]}'
+    f = parse_error_term(text)
+    ref = ErrorTerm([0, Fraction(1, 2), 1, Fraction(9, 2)])
+    assert f.values == ref.values and f.weight_grid == ref.weight_grid
 
 
 # --- builtin families ---------------------------------------------------------
