@@ -7,14 +7,19 @@ minorant's certificate for a sum does not depend on the domain, so the
 first interval-domain scan of a prefix against an error term decides it
 for every sum, once, and keeps on the prefix the sums it could not clear;
 every later interval-domain scan of the same (prefix, error term)
-enumerates only those sums, whatever its N, mu or slack.  Exactness
-comes from the integer grid that lives on the prefix
-(``SequencePrefix.grid``: one common denominator and integer numerators,
-built once per prefix), joined with the error term's own grid at one
-common denominator, so the hot loops are pure integer arithmetic and
-reported deficits are exact rationals.  Window maxima of the slopes come
-from one sliding-window pass (a monotone deque) over the same grid, O(H)
-integer cross products for the whole table.
+enumerates only those sums, whatever its N, mu or slack.
+
+The certificate runs in two stages.  The first runs on the prefix's
+fixed-point image (``SequencePrefix._fixed_point``: integer bounds on
+a(n) * 2**64, built without the grid) and clears, on clean prefixes,
+every sum.  Only the sums it leaves go through the second, exact stage on
+the integer grid (``SequencePrefix.grid``: one common denominator and
+integer numerators, built once per prefix, on first use), joined with the
+error term's own grid at one common denominator, and only the sums that
+stage leaves are enumerated.  Either way every decision is integer
+arithmetic and reported deficits are exact rationals.  Window maxima of
+the slopes come from one sliding-window pass (a monotone deque) over the
+grid, O(H) integer cross products for the whole table.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    _IMAGE_BITS,
     ErrorTerm,
     FullDomain,
     IntervalDomain,
@@ -150,28 +156,44 @@ def _lower_minorant(table_a, top):
     return num, width
 
 
+def _floor_scaled(f: ErrorTerm | None, horizon: int) -> list[int]:
+    """Flo[s] = floor(f(s) * 2**K) for s = 0..horizon, K = ``_IMAGE_BITS``,
+    from f's grid; exact for an integer f."""
+    if f is None:
+        return [0] * (horizon + 1)
+    denom, grid = f.grid
+    head = grid[: horizon + 1]
+    if denom == 1:
+        return [x << _IMAGE_BITS for x in head]
+    return [(x << _IMAGE_BITS) // denom for x in head]
+
+
 # A domain in which no sum admits more than this many pairs (OnePlus) is
-# enumerated directly, unless the prefix already holds its certificates
-# for the error term: each pair costs one big-integer comparison, a
-# certificate about two, and the minorant must be built first.
+# enumerated directly on the grid, unless the prefix already holds its
+# certificates for the error term: each pair costs one big-integer
+# comparison, while the certificates need the image, its minorant, and
+# the grid for any sum the image does not clear.
 _DIRECT_PAIRS = 2
 
 
-def _certificate_failures(horizon, table_a, table_f):
-    """The sums s in 2..H that the minorant certificate does not clear.
+def _certificate_failures(table_lo, table_hi, table_f, sums):
+    """The sums s of ``sums`` that the minorant certificate does not clear.
 
-    With Ǎ the lower convex minorant of A on 1..H-1 and hi = s // 2, every
-    pair (n, s - n) with 1 <= n <= hi has A[n] + A[s-n] >= Ǎ(n) + Ǎ(s-n)
-    >= Ǎ(hi) + Ǎ(s-hi), the last by convexity and symmetry about s/2.  A
-    sum with A[s] - F[s] <= Ǎ(hi) + Ǎ(s-hi) therefore has no violation in
-    any domain, whatever the lower end of its interval.
+    The tables bound the prefix and f at one scale S > 0: lo[n] <= a(n)*S
+    <= hi[n] and F[s] <= f(s)*S (on the grid, all three are exact, S = D
+    and lo = hi).  With ľ the lower convex minorant of lo on 1..H-1 and
+    h = s // 2, every pair (n, s - n) with 1 <= n <= h has (a(n) +
+    a(s-n))*S >= lo[n] + lo[s-n] >= ľ(n) + ľ(s-n) >= ľ(h) + ľ(s-h), the
+    last by convexity and symmetry about s/2; and (a(s) - f(s))*S <= hi[s]
+    - F[s].  A sum with hi[s] - F[s] <= ľ(h) + ľ(s-h) therefore has no
+    violation in any domain, whatever the lower end of its interval.
     """
-    num, width = _lower_minorant(table_a, horizon - 1)
+    num, width = _lower_minorant(table_lo, len(table_lo) - 2)
     failed = []
-    for s in range(2, horizon + 1):
-        hi = s // 2
-        wp, wq = width[hi], width[s - hi]
-        if (table_a[s] - table_f[s]) * wp * wq > num[hi] * wq + num[s - hi] * wp:
+    for s in sums:
+        h = s // 2
+        wp, wq = width[h], width[s - h]
+        if (table_hi[s] - table_f[s]) * wp * wq > num[h] * wq + num[s - h] * wp:
             failed.append(s)
     return tuple(failed)
 
@@ -179,15 +201,18 @@ def _certificate_failures(horizon, table_a, table_f):
 def _scan_sums(a, f, domain):
     """Certified scan of an ``IntervalDomain``, one sum s at a time.
 
-    The certificates of all sums are decided once per (a, f) and kept on
-    ``a`` (one entry, keyed by the identity of f, None included); only
-    the sums they do not clear are enumerated, in order of n.
+    The certificates of all sums are decided once per (a, f), first on the
+    image of ``a`` and then, for the sums it leaves, on the grid, and kept
+    on ``a`` (one entry, keyed by the identity of f, None included): the
+    sums the grid stage does not clear.  Only those are enumerated, in
+    order of n.
     """
     horizon = a.horizon
+    lower = domain._lower_ends(horizon)
     checked = 0
     narrow = []  # every (s, lo, hi); None once a sum has more than _DIRECT_PAIRS pairs
     for s in range(2, horizon + 1):
-        lo, hi = domain.sum_interval(s)
+        lo, hi = lower[s], s // 2
         if lo > hi:
             continue
         checked += hi - lo + 1
@@ -200,12 +225,17 @@ def _scan_sums(a, f, domain):
     if cached is not None and cached[0] is f:
         failed = cached[1]
     elif narrow is None:
-        tables = _scaled_tables(a, f)
-        failed = _certificate_failures(horizon, tables[1], tables[2])
+        failed = range(2, horizon + 1)
+        image = a._fixed_point()
+        if image is not None:
+            failed = _certificate_failures(*image, _floor_scaled(f, horizon), failed)
+        if failed:
+            tables = _scaled_tables(a, f)
+            failed = _certificate_failures(tables[1], tables[1], tables[2], failed)
         a._certified = f, failed
     else:
         failed = None
-    spans = narrow if failed is None else ((s, *domain.sum_interval(s)) for s in failed)
+    spans = narrow if failed is None else ((s, lower[s], s // 2) for s in failed)
     bad = []
     for s, lo, hi in spans:
         if lo > hi:
@@ -243,9 +273,10 @@ def scan_violations(
     """Check a(n+m) <= a(n) + a(m) + f(n+m) on every admitted pair.
 
     ``f=None`` means the zero error term.  Interval domains are scanned
-    one sum at a time through the lower convex minorant, which
-    certifies a clean convex prefix in O(H) comparisons, once per (a, f)
-    for all interval domains; other domains enumerate their pairs.
+    one sum at a time through the lower convex minorant, which certifies
+    a clean convex prefix in O(H) comparisons on its fixed-point image,
+    once per (a, f) for all interval domains, without building its grid;
+    other domains enumerate their pairs on the grid.
     """
     _require_prefix_and_term(a, f)
     if domain is None:

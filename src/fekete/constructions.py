@@ -40,13 +40,15 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
     is n * W(n), so a(1) = 0.
 
-    The prefix builds each of its two representations only when it is
-    first used, both from f's own partial sums: ``values`` as the reduced
-    n * W(n) of the stream ``f.weight_sums()``, and ``grid`` as
-    ``(D_W, (0, 1*Wt[2], ..., H*Wt[H+1]))`` from the ``weight_grid`` of f
-    (of f cut to ``horizon`` when f is longer), O(H) multiplications with
-    no gcd.  So a scan reduces no value, and writing the values builds no
-    grid.
+    The prefix builds each of its three representations only when it is
+    first used, all from f's own partial sums: ``values`` as the reduced
+    n * W(n) of the stream ``f.weight_sums()``; ``grid`` as ``(D_W, (0,
+    1*Wt[2], ..., H*Wt[H+1]))`` from the ``weight_grid`` of f (of f cut to
+    ``horizon`` when f is longer), O(H) multiplications with no gcd; and
+    the fixed-point image as lo[n] = n * Wlo[n+1] and hi[n] = lo[n] + n *
+    E[n+1] from ``f.weight_bounds``, with no lcm.  So a scan that the
+    image certifies builds no grid and reduces no value, and writing the
+    values builds no grid.
 
     For any non-negative non-decreasing f the output is non-negative,
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
@@ -71,7 +73,12 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
         denom, wt = head.weight_grid
         return denom, (0, *(x * wt[x + 1] for x in range(1, horizon + 1)))
 
-    return SequencePrefix._deferred_prefix(horizon, values, grid)
+    def image() -> tuple[list[int], list[int]]:
+        lows, misses = f.weight_bounds
+        lo = [x * lows[x + 1] for x in range(horizon + 1)]
+        return lo, [y + x * misses[x + 1] for x, y in enumerate(lo)]
+
+    return SequencePrefix._deferred_prefix(horizon, values, grid, image)
 
 
 def _calkin_wilf(j: int) -> Fraction:

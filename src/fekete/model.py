@@ -111,23 +111,29 @@ class SequencePrefix:
     """Finite exact table ``a(1..H)`` of a sequence.
 
     ``value(0)`` is defined as 0 so that decomposition identities hold
-    without special cases.  Besides ``values``, a prefix holds its integer
-    ``grid``.  A prefix read by ``parse_sequence`` gets its grid from the
-    integer pairs (p, q) of its text, keeps those pairs, and builds the
-    ``Fraction``s of ``values`` only when they are first asked for; a
-    prefix built from ``Fraction``s builds its grid on first use.  A
-    prefix made by ``_deferred_prefix`` (a convex prefix, for one) builds
-    each of the two only when it is first used, each from its own source.
-    An integer error term (``ErrorTerm._from_ints``) is held only as its
-    grid, over D = 1.  Equality and hashing are those of ``values``.
+    without special cases.  Besides ``values``, a prefix has its integer
+    ``grid``, built on first use.  A prefix read by ``parse_sequence``
+    keeps the integer pairs (p, q) of its text and builds both from them:
+    the grid with no gcd per value, the ``Fraction``s of ``values`` only
+    when they are first asked for.  A prefix built from ``Fraction``s
+    builds its grid from them.  A prefix made by ``_deferred_prefix`` (a
+    convex prefix, for one) builds each of its representations only when
+    it is first used, each from its own source.  An integer error term
+    (``ErrorTerm._from_ints``) is held only as its grid, over D = 1.
+    Equality and hashing are those of ``values``.
 
-    ``checker.scan_violations`` keeps on the prefix the sums its minorant
-    certificate could not clear, for the last error term it scanned the
-    prefix against; that entry takes no part in pickling, equality or
-    hashing.
+    ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
+    K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
+    built once from whichever source the prefix already holds, never from
+    its grid.  ``checker.scan_violations`` certifies sums on it before it
+    needs the grid, and keeps on the prefix the sums it could not clear,
+    for the last error term it scanned the prefix against.  Neither the
+    image nor that entry takes part in pickling, equality or hashing.
     """
 
-    __slots__ = ("_horizon", "_values", "_pairs", "_grid", "_deferred", "_certified")
+    __slots__ = (
+        "_horizon", "_values", "_pairs", "_grid", "_deferred", "_image", "_certified",
+    )
 
     def __init__(self, values: Iterable) -> None:
         vals = tuple(_coerce(v) for v in values)
@@ -135,7 +141,7 @@ class SequencePrefix:
             raise ValueError("empty sequence")
         self._horizon = len(vals)
         self._values = vals
-        self._pairs = self._grid = self._deferred = self._certified = None
+        self._pairs = self._grid = self._deferred = self._image = self._certified = None
 
     @classmethod
     def _from_pairs(cls, pairs: list[tuple[int, int]]) -> SequencePrefix:
@@ -145,8 +151,8 @@ class SequencePrefix:
         prefix = cls.__new__(cls)
         prefix._horizon = len(pairs)
         prefix._pairs = pairs
-        prefix._values = prefix._deferred = prefix._certified = None
-        prefix._grid = _integer_grid(pairs)
+        prefix._values = prefix._grid = prefix._deferred = None
+        prefix._image = prefix._certified = None
         return prefix
 
     @classmethod
@@ -155,14 +161,17 @@ class SequencePrefix:
         horizon: int,
         values: Callable[[], tuple[Fraction, ...]],
         grid: Callable[[], tuple[int, tuple[int, ...]]],
+        image: Callable[[], tuple[list[int], list[int]]] | None = None,
     ) -> SequencePrefix:
-        """The prefix of ``horizon`` values whose ``values`` and ``grid``
-        are built, each at most once, by the zero-argument callables when
-        first used; they must describe the same rationals."""
+        """The prefix of ``horizon`` values whose ``values``, ``grid`` and
+        fixed-point image are built, each at most once, by the zero-argument
+        callables when first used; they must describe the same rationals.
+        Without ``image``, the image is built as for any other prefix."""
         prefix = cls.__new__(cls)
         prefix._horizon = horizon
-        prefix._values = prefix._pairs = prefix._grid = prefix._certified = None
-        prefix._deferred = values, grid
+        prefix._values = prefix._pairs = prefix._grid = None
+        prefix._image = prefix._certified = None
+        prefix._deferred = values, grid, image
         return prefix
 
     @property
@@ -188,10 +197,34 @@ class SequencePrefix:
         if self._grid is None:
             if self._deferred is not None:
                 self._grid = self._deferred[1]()
+            elif self._pairs is not None:
+                self._grid = _integer_grid(self._pairs)
             else:
                 pairs = [(v.numerator, v.denominator) for v in self._values]
                 self._grid = _integer_grid(pairs)
         return self._grid
+
+    def _fixed_point(self) -> tuple[list[int], list[int]] | None:
+        """``(lo, hi)``: integers with lo[0] = hi[0] = 0 and lo[n] <= a(n) *
+        2**K <= hi[n] for n = 1..H, K = ``_IMAGE_BITS``; or None when the
+        prefix holds its grid, or nothing else to build the image from (an
+        integer table, a smoothed prefix), and the grid is the image.
+
+        Built on first use and kept, from the image builder of a deferred
+        prefix, else from the pairs (p, q) of a parsed prefix or from the
+        ``Fraction``s of ``values``, as lo = floor(p * 2**K / q) and hi
+        its ceiling: one short quotient per value.
+        """
+        if self._image is None and self._grid is None:
+            if self._deferred is not None and self._deferred[2] is not None:
+                self._image = self._deferred[2]()
+            elif self._pairs is not None:
+                self._image = _fixed_point_of(self._pairs)
+            elif self._values is not None:
+                self._image = _fixed_point_of(
+                    (v.numerator, v.denominator) for v in self._values
+                )
+        return self._image
 
     def value(self, n: int) -> Fraction:
         if n == 0:
@@ -228,6 +261,23 @@ class SequencePrefix:
     def __reduce__(self):
         # a deferred prefix holds closures, which do not pickle
         return type(self), (self.values,)
+
+
+# The scale 2**_IMAGE_BITS of a prefix's fixed-point image.  The margins
+# of a clean convex prefix are about f(s)/s, far above the error of an
+# image at this scale; the sums it cannot clear go to the grid.
+_IMAGE_BITS = 64
+
+
+def _fixed_point_of(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The image ``(lo, hi)`` of the rationals p/q, q >= 1: lo[n] the
+    floor of p_n * 2**K / q_n and hi[n] its ceiling, lo[0] = hi[0] = 0."""
+    lo, hi = [0], [0]
+    for p, q in pairs:
+        low, rem = divmod(p << _IMAGE_BITS, q)
+        lo.append(low)
+        hi.append(low + 1 if rem else low)
+    return lo, hi
 
 
 def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -272,10 +322,10 @@ class ErrorTerm(SequencePrefix):
     families and integer files use) keeps only its grid ``(1, (0, f(1),
     ..., f(H)))`` and builds ``values`` when they are first asked for.
     The partial sums W of sum f(x)/x^2 come as the stream
-    ``weight_sums()`` and as the cached integers of ``weight_grid``.
-    Next to that cache, ``limits.smoothed`` keeps the last prefix it
-    smoothed by this term; neither takes part in pickling, equality or
-    hashing.
+    ``weight_sums()``, as the cached integers of ``weight_grid`` and as
+    the cached fixed-point bounds of ``weight_bounds``.  Next to those
+    caches, ``limits.smoothed`` keeps the last prefix it smoothed by this
+    term; none takes part in pickling, equality or hashing.
     """
 
     def __init__(self, values: Iterable) -> None:
@@ -291,7 +341,8 @@ class ErrorTerm(SequencePrefix):
         cls._check_invariants(ints)
         term = cls.__new__(cls)
         term._horizon = len(ints)
-        term._values = term._pairs = term._deferred = term._certified = None
+        term._values = term._pairs = term._deferred = None
+        term._image = term._certified = None
         term._grid = 1, (0, *ints)
         return term
 
@@ -348,6 +399,40 @@ class ErrorTerm(SequencePrefix):
                 total += p * (denom // d)
             table.append(total)
         return denom, tuple(table)
+
+    @cached_property
+    def weight_bounds(self) -> tuple[list[int], list[int]]:
+        """``(Wlo, E)``: the W(j) at scale 2**K, K = ``_IMAGE_BITS``,
+        indexed like ``weight_grid``: Wlo[0] = E[0] = 0 and Wlo[k] <= 2**K
+        * W(k-1) <= Wlo[k] + E[k] for k = 1..H+1.  Built on first use and
+        kept.
+
+        Wlo[k] for k >= 2 is the sum of the floors of 2**K * f(x) / x^2
+        over 1 < x < k, and E[k] counts the floors among them that are not
+        exact, each short by less than 1; Wlo[1] is the floor of -2**K *
+        f(1).  Where every floor is exact, as for the zero term, the bounds
+        are equal.  The f(x) are read from the grid when the term holds
+        it, else from ``values``; there is no lcm and no ``Fraction``.
+        """
+        if self._grid is not None:
+            denom, table = self._grid
+            terms = [(table[x], denom * x * x) for x in range(1, self._horizon + 1)]
+        else:
+            terms = [
+                (v.numerator, v.denominator * x * x)
+                for x, v in enumerate(self.values, start=1)
+            ]
+        first, rem = divmod(-terms[0][0] << _IMAGE_BITS, terms[0][1])
+        lows, misses = [0, first, 0], [0, 1 if rem else 0, 0]
+        total = count = 0
+        for p, d in terms[1:]:
+            low, rem = divmod(p << _IMAGE_BITS, d)
+            total += low
+            if rem:
+                count += 1
+            lows.append(total)
+            misses.append(count)
+        return lows, misses
 
 
 def _require_prefix_and_term(a, f) -> None:
@@ -554,15 +639,29 @@ class IntervalDomain(PairDomain):
             raise ValueError(
                 f"variant {self.variant!r} does not fit N={self.N}, mu={self.mu}, slack={self.slack}"
             )
+        # the ints of the lower ends, read once: s - n <= mu*n + slack is
+        # n >= (s - slack) * den / (num + den), with mu = num / den
+        mu = self.mu
+        den, wide = (None, None) if mu is None else (mu.denominator, mu.numerator + mu.denominator)
+        object.__setattr__(self, "_lower", (self.N, den, wide, self.slack))
 
     def sum_interval(self, s: int) -> tuple[int, int]:
         """The admitted smaller members n of the pairs (n, s - n), as the
         closed interval ``(lo, s // 2)``, empty when lo > s // 2."""
-        if self.mu is None:
-            return self.N, s // 2
-        # s - n <= mu*n + slack is n >= (s - slack) / (1 + mu)
-        num, den = self.mu.numerator, self.mu.denominator
-        return max(self.N, -(-(s - self.slack) * den // (num + den))), s // 2
+        N, den, wide, slack = self._lower
+        if wide is None:
+            return N, s // 2
+        lo = -((slack - s) * den // wide)
+        return (lo if lo > N else N), s // 2
+
+    def _lower_ends(self, horizon: int) -> list[int]:
+        """The lower end of ``sum_interval(s)`` for s = 0..horizon, in one
+        pass on ints."""
+        N, den, wide, slack = self._lower
+        if wide is None:
+            return [N] * (horizon + 1)
+        ends = [-((slack - s) * den // wide) for s in range(horizon + 1)]
+        return [lo if lo > N else N for lo in ends]
 
     def admits(self, n: int, m: int) -> bool:
         lo, hi = (n, m) if n <= m else (m, n)
@@ -734,9 +833,9 @@ def parse_sequence(text: str) -> SequencePrefix:
     JSON objects carry ``{"values": [...], "offset": 1}``; construction
     outputs (objects with a ``b`` field) are unwrapped to their sequence.
     CSV rows are ``index,value`` with contiguous indices 1..H.  Values are
-    read as the integers p, q of ``p/q``, unreduced, straight onto the
-    prefix's grid, with no gcd per value; the prefix builds its
-    ``Fraction``s only when they are used.
+    read as the integers p, q of ``p/q``, unreduced, with no gcd per value,
+    and kept on the prefix, which builds from them its fixed-point image,
+    its grid and its ``Fraction``s, each only when it is first used.
     """
     if text.lstrip().startswith("{"):
         payload = _json_object(text)

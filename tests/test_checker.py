@@ -254,17 +254,88 @@ def test_repeated_scans_match_brute_force(data):
         assert scan_violations(a, err, domain) == brute_force_scan(a, err, domain)
 
 
+# Far below the image's resolution of 2**-64: a sum whose margin is this
+# small is left to the grid stage.
+_TINY = Fraction(1, 2**70)
+
+
+@st.composite
+def image_cases(draw):
+    """(a, error terms) for the image stage: clean prefixes with exactly
+    zero deficits, dirty ones, changes below 2**-64 in a or in f, and
+    convex prefixes; held as values, parsed from unreduced text, or
+    deferred (convex)."""
+    horizon = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(("linear", "tiny", "dirty", "convex")))
+    terms = [None, ErrorTerm([_TINY * (n > 1) for n in range(1, horizon + 1)])]
+    if kind == "convex":
+        steps = draw(st.lists(st.sampled_from((0, 0, 1, Fraction(1, 3), Fraction(5, 2))),
+                              min_size=horizon, max_size=horizon + 4))
+        values = [sum(steps[: i + 1]) for i in range(len(steps))]
+        if all(v.denominator == 1 for v in map(Fraction, values)):
+            f = ErrorTerm._from_ints([int(v) for v in values])
+        else:
+            f = ErrorTerm(values)
+        return convex_from_error(f, horizon), terms + [f]
+    if kind == "dirty":
+        values = draw(st.lists(_small_rationals, min_size=horizon, max_size=horizon))
+    else:  # c*n, all zeros included: every deficit on f = None is exactly 0
+        c = draw(_small_rationals)
+        values = [c * n for n in range(1, horizon + 1)]
+        if kind == "tiny":
+            for _ in range(draw(st.integers(1, 3))):
+                i = draw(st.integers(0, horizon - 1))
+                values[i] += draw(st.sampled_from((-1, 1))) * _TINY * draw(st.integers(1, 3))
+    terms.append(draw(integer_error_terms(horizon)))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))  # unreduced p/q, as parse_sequence keeps them
+        text = json.dumps({"values": [f"{v.numerator * k}/{v.denominator * k}" for v in values]})
+        return parse_sequence(text), terms
+    return SequencePrefix(values), terms
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_image_stage_scans_match_brute_force(data):
+    a, terms = data.draw(image_cases())
+    scans = data.draw(st.lists(st.tuples(domains, st.sampled_from(terms)),
+                               min_size=1, max_size=3))
+    for domain, f in scans:
+        assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+
+
+@pytest.mark.parametrize("bump, tiny, left", [
+    (0, False, ()),  # exactly zero deficits, exact on the image: cleared there
+    (1, False, (17,)),  # breaks by 2**-70 at the sum 17 = n + m
+    (1, True, ()),  # f(17) takes that back: the grid stage clears the sum
+    (2, True, (17,)),  # breaks by 2**-70 after f
+    (-1, True, None),  # no violation, but the minorant dips: many sums left
+])
+def test_grid_stage_decides_margins_below_the_image(bump, tiny, left):
+    f = ErrorTerm([_TINY * (n > 1) for n in range(1, 31)]) if tiny else None
+    values = [Fraction(7, 4) * n + bump * _TINY * (n == 17) for n in range(1, 31)]
+    parsed = parse_sequence("".join(f"{n},{2 * v.numerator}/{2 * v.denominator}\n"
+                                    for n, v in enumerate(values, start=1)))
+    for a in (SequencePrefix(values), parsed):
+        for domain in (FullDomain(), ThresholdDomain(3), MuBandDomain(Fraction(3, 2), 2)):
+            assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
+        assert (a._grid is None) == (bump == 0)  # the image decides alone
+        if left is not None:
+            assert a._certified == (f, left)
+
+
 def test_minorant_built_once_per_prefix_and_error_term(monkeypatch):
     built, scaled = [], []
     real_minorant, real_scaled = checker._lower_minorant, checker._scaled_tables
 
     def minorant(table_a, top):
-        built.append(top)
+        # the grid stage builds its minorant on the table _scaled_tables made
+        built.append("grid" if scaled and table_a is scaled[-1][1] else "image")
         return real_minorant(table_a, top)
 
     def scaled_tables(a, f):
-        scaled.append(a)
-        return real_scaled(a, f)
+        scaled.append(real_scaled(a, f))
+        return scaled[-1]
 
     monkeypatch.setattr(checker, "_lower_minorant", minorant)
     monkeypatch.setattr(checker, "_scaled_tables", scaled_tables)
@@ -273,32 +344,41 @@ def test_minorant_built_once_per_prefix_and_error_term(monkeypatch):
     for domain in (FullDomain(), MuBandDomain(Fraction(3, 2), 1), ThresholdDomain(4),
                    OnePlusDomain(1)):
         assert scan_violations(a, f, domain) == brute_force_scan(a, f, domain)
-    # one minorant for all four; a clean prefix is never scaled again
-    assert len(built) == 1 and len(scaled) == 1
+    # one image minorant for all four; a clean prefix is never scaled
+    assert built == ["image"] and not scaled and a._grid is None
     twin = ErrorTerm(f.values)
     for err, domain, count in (
-        (None, FullDomain(), 2),  # another error term
-        (f, MuBandDomain(2, 3), 3),  # one entry: going back builds it again
-        (twin, FullDomain(), 4),  # keyed by identity, not by value
+        (None, FullDomain(), 3),  # another error term: every sum breaks, so the grid too
+        (f, MuBandDomain(2, 3), 4),  # one entry: going back builds it again
+        (twin, FullDomain(), 5),  # keyed by identity, not by value
     ):
         assert scan_violations(a, err, domain) == brute_force_scan(a, err, domain)
         assert len(built) == count
-    # the kept certificates do not travel with the prefix
+    assert built.count("grid") == 1 and len(scaled) == 1
+    # neither the kept certificates nor the image travel with the prefix
     copy = pickle.loads(pickle.dumps(a))
-    assert copy == a and copy._certified is None and hash(copy) == hash(a)
+    assert copy == a and hash(copy) == hash(a)
+    assert copy._certified is None and copy._image is None
 
     # OnePlus-only scans enumerate and never build the minorant
     b = convex_from_error(f, 60)
     for N in (1, 5, 30):
         assert scan_violations(b, f, OnePlusDomain(N)) == brute_force_scan(b, f, OnePlusDomain(N))
-    assert len(built) == 4 and b._certified is None
+    assert len(built) == 5 and b._certified is None
 
-    # a dirty prefix: only the sum its certificate fails is enumerated again
+    # a dirty prefix: the image stage leaves its failing sum to the grid
+    # stage, and only that sum is enumerated again
     dirty = tabulate(lambda n: n + Fraction(n == 39, 7), 40)
     for domain in (FullDomain(), MuBandDomain(Fraction(6, 5), 2), OnePlusDomain(19),
                    ThresholdDomain(20)):
         assert scan_violations(dirty, None, domain) == brute_force_scan(dirty, None, domain)
-    assert len(built) == 5 and dirty._certified == (None, (39,))
+    assert built[5:] == ["image", "grid"] and dirty._certified == (None, (39,))
+
+    # a prefix that holds its grid is certified on the grid alone
+    held = tabulate(lambda n: Fraction(n * n, 3), 40)
+    held.grid
+    assert scan_violations(held, f, FullDomain()) == brute_force_scan(held, f, FullDomain())
+    assert built[7:] == ["grid"] and held._image is None
 
 
 def _scaled_tables_reference(a, f):

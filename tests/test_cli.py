@@ -202,6 +202,25 @@ def test_construct_convex_pipeline(tmp_path):
                  "--domain", "full"]) == 0
 
 
+def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
+    conv = str(tmp_path / "convex.json")
+    assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "300", "-o", conv]) == 0
+    built = []
+    real = model._integer_grid
+
+    def counting(pairs):
+        built.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(model, "_integer_grid", counting)
+    report = tmp_path / "muband.json"
+    argv = ["check", "--seq", conv, "--f", "family:floor_sqrt", "--domain", "muband:3/2,1"]
+    assert main([*argv, "-o", str(report)]) == 0
+    assert json.loads(report.read_text())["violations"] == [] and built == []
+    assert main(["limit", "--seq", conv, "--N", "5", "-o", str(tmp_path / "limit.json")]) == 0
+    assert built == [300]
+
+
 def test_construct_rational_slopes_pipeline(tmp_path):
     out = str(tmp_path / "slopes.json")
     assert main(["construct", "rational-slopes", "--f", "family:linear,1",

@@ -1,9 +1,11 @@
-"""Prefixes read by ``parse_sequence`` onto the integer grid, against the
+"""Prefixes read by ``parse_sequence``, on their integer grid, against the
 same prefixes built from ``Fraction``s: values, scan reports, brackets,
 deficits, convexity defects and JSON text must all be equal, and equal
 to Fraction references.  Convex prefixes, whose grid comes from
 ``ErrorTerm.weight_grid``, are held to the same prefixes built from their
-values, and each of their two representations is built only when used."""
+values, and each of their representations is built only when used.  The
+fixed-point image of a prefix bounds its exact values, and a clean convex
+prefix is certified on it without its grid."""
 
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from fekete import (
     scan_violations,
     sequence_to_json,
 )
-from fekete import model
+from fekete import checker, model
 
 from conftest import brute_force_scan
 
@@ -241,3 +243,109 @@ def test_convex_parsed_and_error_term_prefixes_pickle():
     for prefix in (convex_from_error(f, 30), parse_sequence("1,1/2\n2,4/6\n"), f):
         copy = pickle.loads(pickle.dumps(prefix))
         assert type(copy) is type(prefix) and copy == prefix
+
+
+_SCALE = 1 << model._IMAGE_BITS
+
+
+@st.composite
+def imaged_prefixes(draw):
+    """(a, f): a prefix of each source its image is built from, with f the
+    error term of a convex prefix and None otherwise: ``Fraction`` values,
+    unreduced parsed pairs (negative values and integers among them), and
+    convex prefixes of integer and rational error terms, with leading
+    zeros and longer than the horizon."""
+    kind = draw(st.sampled_from(("values", "parsed", "convex", "convex-int")))
+    if kind.startswith("convex"):
+        f, horizon = draw(error_terms())
+        if kind == "convex-int":
+            f = ErrorTerm._from_ints([v.numerator // v.denominator for v in f.values])
+        return convex_from_error(f, horizon), f
+    values = draw(st.lists(
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+        min_size=1, max_size=24,
+    ))
+    if kind == "values":
+        return SequencePrefix(values), None
+    k = draw(st.integers(1, 7))
+    tokens = [f"{v.numerator * k}/{v.denominator * k}" for v in values]
+    return parse_sequence(json.dumps({"values": tokens})), None
+
+
+@given(imaged_prefixes())
+@example((convex_from_error(model.zero_error_term(9), 9), model.zero_error_term(9)))
+@example((parse_sequence("1,-3/2\n2,4/2\n3,-7\n"), None))
+@settings(max_examples=200, deadline=None)
+def test_image_bounds_the_prefix(drawn):
+    a, f = drawn
+    lo, hi = a._fixed_point()
+    assert a._grid is None and len(lo) == len(hi) == a.horizon + 1 and lo[0] == hi[0] == 0
+    exact = [a.value(n) * _SCALE for n in range(1, a.horizon + 1)]
+    assert all(lo[n] <= x <= hi[n] for n, x in enumerate(exact, start=1))
+    if f is None:  # one quotient per value: its floor and ceiling
+        tight = [x.denominator == 1 for x in exact]
+    else:  # equal bounds up to the first inexact floor of 2**K f(x) / x^2, 1 < x
+        floors = [(v * _SCALE / (x * x)).denominator == 1
+                  for x, v in enumerate(f.values[: a.horizon], start=1)]
+        tight = [all(floors[1:n]) for n in range(1, a.horizon + 1)]
+    assert [lo[n] == hi[n] for n in range(1, a.horizon + 1)] == tight
+    assert a._fixed_point() is a._image  # built once and kept
+
+
+@given(error_terms())
+@example((model.zero_error_term(12), 12))
+@settings(max_examples=150, deadline=None)
+def test_weight_bounds_bracket_the_weight_sums(drawn):
+    f, _ = drawn
+    for term in (f, ErrorTerm._from_ints([v.numerator // v.denominator for v in f.values])):
+        lows, misses = term.weight_bounds
+        sums = [w * _SCALE for w in term.weight_sums()]
+        assert len(lows) == len(misses) == term.horizon + 2 and lows[0] == misses[0] == 0
+        for k, w in enumerate(sums, start=1):  # W(k - 1) sits at index k
+            assert lows[k] <= w <= lows[k] + misses[k]
+        # E counts the inexact floors of 2**K f(x) / x^2 for 1 < x < k
+        inexact = [(v * _SCALE / (x * x)).denominator != 1
+                   for x, v in enumerate(term.values, start=1)]
+        assert misses[2:] == [sum(inexact[1:x]) for x in range(1, term.horizon + 1)]
+        if not any(term.values):
+            assert not any(misses) and not any(lows)
+
+
+_NONZERO_FAMILIES = [
+    ("constant", {"c": 3}),
+    ("floor_sqrt", {}),
+    ("floor_power", {"c": 2, "delta": Fraction(1, 2)}),
+    ("linear_over_log", {}),
+    ("linear", {"c": Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("family, params", _NONZERO_FAMILIES)
+def test_clean_convex_scans_build_no_grid(monkeypatch, family, params):
+    f = builtin_error_term(family, 300, params)
+    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model, "_integer_grid", _raise)
+    monkeypatch.setattr(checker, "_scaled_tables", _raise)
+    a = convex_from_error(f, 300)
+    full = scan_violations(a, f, FullDomain())
+    band = scan_violations(a, f, MuBandDomain(Fraction(3, 2), 1))
+    assert full.ok and full.pairs_checked == 150 * 150
+    assert band.ok and band.pairs_checked == sum(
+        s // 2 - -(-2 * s // 5) + 1 for s in range(2, 301) if -(-2 * s // 5) <= s // 2
+    )
+    assert a._grid is None and a._certified == (f, ())
+
+
+def test_parsed_prefix_builds_its_grid_on_first_use(monkeypatch):
+    built = []
+    real = model._integer_grid
+
+    def counting(pairs):
+        built.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(model, "_integer_grid", counting)
+    a = parse_sequence("1,1/2\n2,4/6\n3,3\n")
+    assert built == [] and a._grid is None
+    assert a.grid == (6, (0, 3, 4, 18)) and built == [3]
+    assert a.grid is a.grid and built == [3]
