@@ -12,14 +12,17 @@ enumerates only those sums, whatever its N, mu or slack.
 The certificate runs in two stages.  The first runs on the prefix's
 fixed-point image (``SequencePrefix._fixed_point``: integer bounds on
 a(n) * 2**64, built without the grid) and clears, on clean prefixes,
-every sum.  Only the sums it leaves go through the second, exact stage on
-the integer grid (``SequencePrefix.grid``: one common denominator and
-integer numerators, built once per prefix, on first use), joined with the
-error term's own grid at one common denominator, and only the sums that
-stage leaves are enumerated.  Either way every decision is integer
-arithmetic and reported deficits are exact rationals.  Window maxima of
-the slopes come from one sliding-window pass (a monotone deque) over the
-grid, O(H) integer cross products for the whole table.
+every sum.  Only the sums it leaves go through the second, exact stage
+on the integer grid (``SequencePrefix.grid``: one common denominator and
+integer numerators, built once per prefix, on first use), joined with
+the error term's own grid at one common denominator, and only the sums
+that stage leaves are enumerated.  Domains with at most two pairs per
+sum (OnePlus) and explicit domains are decided pair by pair in the same
+two stages: a parsed or convex prefix clears each pair on its image and
+builds its grid only for the pairs left.  Either way every decision is
+integer arithmetic and reported deficits are exact rationals.  Window
+maxima of the slopes come from one sliding-window pass (a monotone
+deque) over the grid, O(H) integer cross products for the whole table.
 """
 
 from __future__ import annotations
@@ -169,10 +172,10 @@ def _floor_scaled(f: ErrorTerm | None, horizon: int) -> list[int]:
 
 
 # A domain in which no sum admits more than this many pairs (OnePlus) is
-# enumerated directly on the grid, unless the prefix already holds its
-# certificates for the error term: each pair costs one big-integer
-# comparison, while the certificates need the image, its minorant, and
-# the grid for any sum the image does not clear.
+# decided pair by pair, as an explicit domain is, unless the prefix already
+# holds its certificates for the error term: each pair costs one
+# comparison, while the certificates need the image, its minorant, and the
+# grid for any sum the image does not clear.
 _DIRECT_PAIRS = 2
 
 
@@ -198,6 +201,36 @@ def _certificate_failures(table_lo, table_hi, table_f, sums):
     return tuple(failed)
 
 
+def _violations(tables, pairs):
+    """The pairs (n, m) of ``pairs`` with a positive deficit, as (n, m,
+    deficit * D), decided on the common-denominator ``tables``."""
+    _, table_a, table_f = tables
+    return [
+        (n, m, diff) for n, m in pairs
+        if (diff := table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]) > 0
+    ]
+
+
+def _decide_pairs(a, f, pairs):
+    """``(bad, tables)`` for the listed pairs, decided one at a time.
+
+    A parsed or convex prefix clears (n, m), s = n + m, on its image when
+    hi[s] - Flo[s] <= lo[n] + lo[m], as then (a(s) - f(s) - a(n) - a(m))
+    * 2**K <= 0, and builds its grid only for the pairs left; a prefix
+    built from ``Fraction``s decides all on its grid.  ``tables`` is None
+    when no pair is left.
+    """
+    image = a._fixed_point(from_values=False)
+    if image is not None:
+        lo, hi = image
+        flo = _floor_scaled(f, a.horizon)
+        pairs = [(n, m) for n, m in pairs if hi[n + m] - flo[n + m] > lo[n] + lo[m]]
+    if not pairs:
+        return [], None
+    tables = _scaled_tables(a, f)
+    return _violations(tables, pairs), tables
+
+
 def _scan_sums(a, f, domain):
     """Certified scan of an ``IntervalDomain``, one sum s at a time.
 
@@ -205,26 +238,26 @@ def _scan_sums(a, f, domain):
     image of ``a`` and then, for the sums it leaves, on the grid, and kept
     on ``a`` (one entry, keyed by the identity of f, None included): the
     sums the grid stage does not clear.  Only those are enumerated, in
-    order of n.
+    order of n.  A narrow domain without kept certificates goes to
+    ``_decide_pairs``.
     """
     horizon = a.horizon
     lower = domain._lower_ends(horizon)
     checked = 0
-    narrow = []  # every (s, lo, hi); None once a sum has more than _DIRECT_PAIRS pairs
+    narrow = True
     for s in range(2, horizon + 1):
         lo, hi = lower[s], s // 2
-        if lo > hi:
-            continue
-        checked += hi - lo + 1
-        if narrow is not None and hi - lo < _DIRECT_PAIRS:
-            narrow.append((s, lo, hi))
-        else:
-            narrow = None
+        if lo <= hi:
+            checked += hi - lo + 1
+            narrow = narrow and hi - lo < _DIRECT_PAIRS
     tables = None
     cached = a._certified
     if cached is not None and cached[0] is f:
         failed = cached[1]
-    elif narrow is None:
+    elif narrow:
+        pairs = [(n, s - n) for s in range(2, horizon + 1) for n in range(lower[s], s // 2 + 1)]
+        return checked, *_decide_pairs(a, f, pairs)
+    else:
         failed = range(2, horizon + 1)
         image = a._fixed_point()
         if image is not None:
@@ -233,36 +266,13 @@ def _scan_sums(a, f, domain):
             tables = _scaled_tables(a, f)
             failed = _certificate_failures(tables[1], tables[1], tables[2], failed)
         a._certified = f, failed
-    else:
-        failed = None
-    spans = narrow if failed is None else ((s, lower[s], s // 2) for s in failed)
-    bad = []
-    for s, lo, hi in spans:
-        if lo > hi:
-            continue
-        if tables is None:
-            tables = _scaled_tables(a, f)
-        _, table_a, table_f = tables
-        target = table_a[s] - table_f[s]
-        for n in range(lo, hi + 1):
-            diff = target - table_a[n] - table_a[s - n]
-            if diff > 0:
-                bad.append((n, s - n, diff))
-    return checked, bad, tables
-
-
-def _scan_pairs(a, f, domain):
-    tables = _scaled_tables(a, f)
-    _, table_a, table_f = tables
-    checked = 0
-    bad = []
-    for n, m in domain.pairs_upto(a.horizon):
-        checked += 1
-        s = n + m
-        diff = table_a[s] - table_a[n] - table_a[m] - table_f[s]
-        if diff > 0:
-            bad.append((n, m, diff))
-    return checked, bad, tables
+    failed = [s for s in failed if lower[s] <= s // 2]
+    if not failed:
+        return checked, [], tables
+    if tables is None:
+        tables = _scaled_tables(a, f)
+    pairs = ((n, s - n) for s in failed for n in range(lower[s], s // 2 + 1))
+    return checked, _violations(tables, pairs), tables
 
 
 def scan_violations(
@@ -275,8 +285,9 @@ def scan_violations(
     ``f=None`` means the zero error term.  Interval domains are scanned
     one sum at a time through the lower convex minorant, which certifies
     a clean convex prefix in O(H) comparisons on its fixed-point image,
-    once per (a, f) for all interval domains, without building its grid;
-    other domains enumerate their pairs on the grid.
+    once per (a, f) for all interval domains, without building its grid.
+    OnePlus and explicit domains are decided pair by pair, on the image
+    of a parsed or convex prefix first.
     """
     _require_prefix_and_term(a, f)
     if domain is None:
@@ -286,8 +297,12 @@ def scan_violations(
         raise ValueError(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
-    scan = _scan_sums if isinstance(domain, IntervalDomain) else _scan_pairs
-    checked, raw, tables = scan(a, f, domain)
+    if isinstance(domain, IntervalDomain):
+        checked, raw, tables = _scan_sums(a, f, domain)
+    else:
+        pairs = list(domain.pairs_upto(horizon))
+        checked = len(pairs)
+        raw, tables = _decide_pairs(a, f, pairs)
 
     violations = [Violation(n, m, Fraction(d, tables[0])) for n, m, d in raw]
     violations.sort(key=lambda v: (v.n + v.m, v.n))

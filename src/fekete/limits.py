@@ -2,12 +2,14 @@
 error-smoothing transform as a prefix of its own, and doubling-chain
 certificates for band-restricted subadditivity.
 
-Brackets compare slopes in integers on the prefix's grid
-(``SequencePrefix.grid``).  The smoothing transform has one code path:
-``smoothed(a, f)`` is the prefix g(k) = a(k) - 3k * W(k-1), whose grid
-joins ``a.grid`` with the error term's ``ErrorTerm.weight_grid``; its
-deficit on a pair is ``g_deficit``, and its band check is a plain scan of
-that prefix.  A ``Fraction`` is built only for a reported value.
+Brackets compare slopes in integers: on the fixed-point image of a
+parsed or convex prefix first, with exact values only where the image
+cannot decide, and on the grid (``SequencePrefix.grid``) for any other
+prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
+is the prefix g(k) = a(k) - 3k * W(k-1), whose grid joins ``a.grid``
+with the error term's ``ErrorTerm.weight_grid``; its deficit on a pair
+is ``g_deficit``, and its band check is a plain scan of that prefix.  A
+``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
 minus infinity).  Every output is an exact, finitely-checkable witness:
@@ -17,6 +19,7 @@ chain whose inequalities were verified as stated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,12 +87,53 @@ class LimitBracket:
         }
 
 
-def _least_slope(table, lo: int, hi: int) -> int:
-    """The first k in [lo, hi] minimising table[k] / k."""
-    best = lo
-    for k in range(lo + 1, hi + 1):
-        if table[k] * best < table[best] * k:
+def _least_slope(lo, hi, first: int, last: int, exact) -> int:
+    """The first k in [first, last] minimising a(k)/k.
+
+    lo[k] <= a(k) * S <= hi[k] at one scale S > 0, and ``exact(k)`` is
+    a(k) as an integer pair (p, q), q >= 1.  With b the first k minimising
+    hi[k]/k, only the k with lo[k]/k <= hi[b]/b can attain the least
+    slope, and their exact slopes decide in order of k.  On the grid (lo
+    is hi) b is the answer.
+    """
+    best = first
+    for k in range(first + 1, last + 1):
+        if hi[k] * best < hi[best] * k:
             best = k
+    if lo is hi:
+        return best
+    top, bound = hi[best], best
+    candidates = [k for k in range(first, last + 1) if lo[k] * bound <= top * k]
+    best = candidates[0]
+    low_num, low_den = exact(best)
+    for k in candidates[1:]:
+        num, den = exact(k)
+        if den == low_den:  # one denominator: no big product
+            below = num * best < low_num * k
+        else:
+            below = num * low_den * best < low_num * den * k
+        if below:
+            best, low_num, low_den = k, num, den
+    return best
+
+
+def _largest_abs(lo, hi, first: int, last: int, exact) -> tuple[int, int]:
+    """max(|a(j)| for first <= j <= last) as a pair (p, q), (0, 1) if the
+    range is empty; arguments as for ``_least_slope``.  As max(lo[j],
+    -hi[j]) <= |a(j)| * S <= max(hi[j], -lo[j]), only the j whose upper
+    end reaches the largest lower end can attain it; exact values decide.
+    """
+    if first > last:
+        return 0, 1
+    if lo is hi:  # the grid: a(j) = lo[j] / D
+        return max(map(abs, lo[first:last + 1])), exact(first)[1]
+    floor = max(max(lo[j], -hi[j]) for j in range(first, last + 1))
+    best = 0, 1
+    for j in range(first, last + 1):
+        if max(hi[j], -lo[j]) >= floor:
+            num, den = exact(j)
+            if abs(num) * best[1] > best[0] * den:
+                best = abs(num), den
     return best
 
 
@@ -100,26 +144,44 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     sequence extending the prefix that is subadditive for pairs above the
     threshold.  Samples are emitted for k in {N, argmin} restricted to
     k <= H//2, where the window [k+1, 2k-1] lies inside the horizon and
-    n = H satisfies n >= 2k; an empty window contributes 0.  Slopes are
-    compared on the prefix's integer grid by cross products.
+    n = H satisfies n >= 2k; an empty window contributes 0.
+
+    A parsed or convex prefix without its grid narrows each argmin and
+    window maximum on its fixed-point image and decides among the few
+    indices left by exact values (``SequencePrefix._exact``: one literal
+    of a parsed prefix, so it builds no grid).  Any other prefix compares
+    slopes on its grid, its own image, by cross products.
     """
     _require_int(N, "threshold")
     horizon = a.horizon
     if not 1 <= N <= horizon:
         raise ValueError(f"threshold {N} outside 1..{horizon}")
-    denom, table = a.grid
-    argmin = _least_slope(table, N, horizon)
+    image = a._fixed_point(from_values=False)
+    if image is None:
+        denom, table = a.grid
+        lo = hi = table
+
+        def exact(k):
+            return table[k], denom
+    else:
+        lo, hi = image
+        exact = functools.cache(a._exact)  # the ranges below share candidates
+    argmin = _least_slope(lo, hi, N, horizon, exact)
     half = horizon // 2
     candidates = {N, argmin}
     if half >= N:
-        candidates.add(_least_slope(table, N, half))
+        candidates.add(_least_slope(lo, hi, N, half, exact))
     samples = []
     for k in sorted(c for c in candidates if c <= half):
-        window = max((abs(table[j]) for j in range(k + 1, 2 * k)), default=0)
-        # a(k)/k + max|a(j)|/H, with window = D * max|a(j)|
-        bound = Fraction(table[k] * horizon + window * k, denom * k * horizon)
+        num, den = exact(k)
+        top, top_den = _largest_abs(lo, hi, k + 1, 2 * k - 1, exact)
+        if top_den != den:
+            num, top, den = num * top_den, top * den, den * top_den
+        # a(k)/k + max|a(j)|/H
+        bound = Fraction(num * horizon + top * k, den * k * horizon)
         samples.append(Eq8Sample(n=horizon, k=k, bound=bound))
-    return LimitBracket(N, Fraction(table[argmin], denom * argmin), argmin, tuple(samples))
+    num, den = exact(argmin)
+    return LimitBracket(N, Fraction(num, den * argmin), argmin, tuple(samples))
 
 
 def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,19 +47,34 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _ASCII_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
-def _rational_pair(text: str | int) -> tuple[int, int]:
-    """The integers (p, q), q >= 1, of an integer literal or a ``p/q``
-    string, as written: not reduced."""
+def _literal(text: str | int) -> str | int:
+    """An integer literal or ``p/q`` string, validated and stripped (the
+    string itself when there is nothing to strip), or an int as given.
+    Malformed text raises ValueError, and so does a part longer than
+    ``int()`` converts, with ``int()``'s error."""
     if isinstance(text, bool):
         raise ValueError(f"malformed rational: {text!r}")
     if isinstance(text, int):
-        return text, 1
+        return text
     s = str(text).strip()
     match = _ASCII_RATIONAL_RE.match(s) or _RATIONAL_RE.match(s)
     if not match:
         raise ValueError(f"malformed rational: {text!r}")
-    num, den = match.groups()
-    return int(num), int(den) if den else 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and len(s) > limit:
+        for part in match.groups():
+            if part and len(part) > limit:
+                int(part)  # raises the error of an over-long literal
+    return s
+
+
+def _literal_pair(literal: str | int) -> tuple[int, int]:
+    """The integers (p, q), q >= 1, of a validated literal, as written:
+    not reduced."""
+    if isinstance(literal, int):
+        return literal, 1
+    num, slash, den = literal.partition("/")
+    return int(num), int(den) if slash else 1
 
 
 _DIGITS_RE = re.compile(r"[0-9]+")
@@ -75,7 +91,7 @@ def parse_ascii_int(text: str, what: str = "integer") -> int:
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse an exact rational from an integer literal or a ``p/q`` string."""
-    return Fraction(*_rational_pair(text))
+    return Fraction(*_literal_pair(_literal(text)))
 
 
 def format_rational(value: Fraction) -> str:
@@ -113,26 +129,30 @@ class SequencePrefix:
     ``value(0)`` is defined as 0 so that decomposition identities hold
     without special cases.  Besides ``values``, a prefix has its integer
     ``grid``, built on first use.  A prefix read by ``parse_sequence``
-    keeps the integer pairs (p, q) of its text and builds both from them:
-    the grid with no gcd per value, the ``Fraction``s of ``values`` only
-    when they are first asked for.  A prefix built from ``Fraction``s
-    builds its grid from them.  A prefix made by ``_deferred_prefix`` (a
-    convex prefix, for one) builds each of its representations only when
-    it is first used, each from its own source.  An integer error term
-    (``ErrorTerm._from_ints``) is held only as its grid, over D = 1.
-    Equality and hashing are those of ``values``.
+    keeps the text of each value (the string read, not a copy) and
+    converts it all to integer pairs (p, q) on its first exact use
+    (``grid``, ``values``, ``value``), dropping the text; the pairs give
+    the grid with no gcd per value and ``values`` when asked for.  A
+    prefix built from ``Fraction``s builds its grid from them.  A prefix
+    made by ``_deferred_prefix`` (a convex prefix, for one) builds each of
+    its representations only when it is first used, each from its own
+    source.  An integer error term (``ErrorTerm._from_ints``) is held only
+    as its grid, over D = 1.  Equality and hashing are those of ``values``.
 
     ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
     built once from whichever source the prefix already holds, never from
-    its grid.  ``checker.scan_violations`` certifies sums on it before it
-    needs the grid, and keeps on the prefix the sums it could not clear,
-    for the last error term it scanned the prefix against.  Neither the
-    image nor that entry takes part in pickling, equality or hashing.
+    its grid (from text, the leading digits of each value); ``_exact(n)``
+    is one value, from its own text while the prefix holds it.  Scans and
+    brackets decide on the image first; a scan keeps on the prefix the
+    sums it could not clear, for the last error term it scanned the prefix
+    against.  Neither the image nor that entry takes part in pickling,
+    equality or hashing.
     """
 
     __slots__ = (
-        "_horizon", "_values", "_pairs", "_grid", "_deferred", "_image", "_certified",
+        "_horizon", "_values", "_texts", "_pairs", "_grid", "_deferred", "_image",
+        "_certified",
     )
 
     def __init__(self, values: Iterable) -> None:
@@ -141,17 +161,18 @@ class SequencePrefix:
             raise ValueError("empty sequence")
         self._horizon = len(vals)
         self._values = vals
-        self._pairs = self._grid = self._deferred = self._image = self._certified = None
+        self._texts = self._pairs = self._grid = self._deferred = None
+        self._image = self._certified = None
 
     @classmethod
-    def _from_pairs(cls, pairs: list[tuple[int, int]]) -> SequencePrefix:
-        """The prefix of the rationals p/q, q >= 1, not necessarily reduced."""
-        if not pairs:
+    def _from_texts(cls, texts: list[str | int]) -> SequencePrefix:
+        """The prefix of the validated literals ``texts`` (``_literal``)."""
+        if not texts:
             raise ValueError("empty sequence")
         prefix = cls.__new__(cls)
-        prefix._horizon = len(pairs)
-        prefix._pairs = pairs
-        prefix._values = prefix._grid = prefix._deferred = None
+        prefix._horizon = len(texts)
+        prefix._texts = texts
+        prefix._values = prefix._pairs = prefix._grid = prefix._deferred = None
         prefix._image = prefix._certified = None
         return prefix
 
@@ -169,16 +190,24 @@ class SequencePrefix:
         Without ``image``, the image is built as for any other prefix."""
         prefix = cls.__new__(cls)
         prefix._horizon = horizon
-        prefix._values = prefix._pairs = prefix._grid = None
+        prefix._values = prefix._texts = prefix._pairs = prefix._grid = None
         prefix._image = prefix._certified = None
         prefix._deferred = values, grid, image
         return prefix
+
+    def _converted(self) -> list[tuple[int, int]] | None:
+        """The pairs (p, q) of a parsed prefix, converted from its text on
+        first use, which drops the text; None for any other prefix."""
+        if self._texts is not None:
+            self._pairs = [_literal_pair(t) for t in self._texts]
+            self._texts = None
+        return self._pairs
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """a(1), ..., a(H) as reduced ``Fraction``s."""
         if self._values is None:
-            if self._pairs is not None:
+            if self._converted() is not None:
                 self._values = tuple(Fraction(p, q) for p, q in self._pairs)
             elif self._deferred is not None:
                 self._values = self._deferred[0]()
@@ -197,27 +226,33 @@ class SequencePrefix:
         if self._grid is None:
             if self._deferred is not None:
                 self._grid = self._deferred[1]()
-            elif self._pairs is not None:
+            elif self._converted() is not None:
                 self._grid = _integer_grid(self._pairs)
             else:
                 pairs = [(v.numerator, v.denominator) for v in self._values]
                 self._grid = _integer_grid(pairs)
         return self._grid
 
-    def _fixed_point(self) -> tuple[list[int], list[int]] | None:
+    def _fixed_point(self, from_values: bool = True) -> tuple[list[int], list[int]] | None:
         """``(lo, hi)``: integers with lo[0] = hi[0] = 0 and lo[n] <= a(n) *
         2**K <= hi[n] for n = 1..H, K = ``_IMAGE_BITS``; or None when the
         prefix holds its grid, or nothing else to build the image from (an
         integer table, a smoothed prefix), and the grid is the image.
 
-        Built on first use and kept, from the image builder of a deferred
-        prefix, else from the pairs (p, q) of a parsed prefix or from the
-        ``Fraction``s of ``values``, as lo = floor(p * 2**K / q) and hi
-        its ceiling: one short quotient per value.
+        Built on first use and kept: from the image builder of a deferred
+        prefix, else from a parsed prefix's text (``_text_image``), else
+        from its pairs (p, q) or ``values``, as lo = floor(p * 2**K / q)
+        and hi its ceiling.  With ``from_values`` false those last two are
+        not used and give None: a pass that the grid decides in a few
+        comparisons per value gains nothing from them.
         """
         if self._image is None and self._grid is None:
             if self._deferred is not None and self._deferred[2] is not None:
                 self._image = self._deferred[2]()
+            elif self._texts is not None:
+                self._image = _text_image(self._texts)
+            elif not from_values:
+                return None
             elif self._pairs is not None:
                 self._image = _fixed_point_of(self._pairs)
             elif self._values is not None:
@@ -226,13 +261,23 @@ class SequencePrefix:
                 )
         return self._image
 
+    def _exact(self, n: int) -> tuple[int, int]:
+        """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from its own
+        text while the prefix holds it, else from the pairs or the grid."""
+        if self._texts is not None:
+            return _literal_pair(self._texts[n - 1])
+        if self._pairs is not None:
+            return self._pairs[n - 1]
+        denom, table = self.grid
+        return table[n], denom
+
     def value(self, n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
             raise IndexError(f"index {n} outside 1..{self._horizon}")
         if self._values is None:
-            if self._pairs is not None:
+            if self._converted() is not None:
                 return Fraction(*self._pairs[n - 1])
             if self._deferred is None:  # an integer table, over D = 1
                 return Fraction(self._grid[1][n])
@@ -277,6 +322,55 @@ def _fixed_point_of(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[i
         low, rem = divmod(p << _IMAGE_BITS, q)
         lo.append(low)
         hi.append(low + 1 if rem else low)
+    return lo, hi
+
+
+# The leading digits of a literal p/q that ``_text_image`` reads: this many
+# beyond the amount by which p is longer than q, enough for hi - lo <= 2.
+_IMAGE_DIGITS = 22
+
+# A literal's sign and the ASCII zeros that lead its numerator.
+_LEADING_RE = re.compile(r"[+-]?0*")
+
+
+def _text_image(texts: Iterable[str | int]) -> tuple[list[int], list[int]]:
+    """The image ``(lo, hi)`` of validated literals (``_literal``), with
+    lo[0] = hi[0] = 0 and lo[n] <= a(n) * 2**K <= hi[n] <= lo[n] + 2.
+
+    For ``p/q``, with Lp and Lq the digit counts of |p| and q (leading
+    zeros dropped), only the first t = max(0, Lp - Lq) + 22 digits of each
+    are read: with P and Q those digits and e_p, e_q the counts dropped,
+    P * 10**e_p <= |p| < (P + 1) * 10**e_p (no + 1 when none is dropped),
+    and likewise for q, so |p| * 2**K / q lies between the quotients of
+    those bounds, whose floor and ceiling are lo and hi.  A block of t
+    digits is off by at most 10**(1 - t) relatively, and |p| * 2**K / q <
+    10**(Lp - Lq + 1) * 2**K, so the two quotients differ by less than
+    0.21 and hi - lo <= 2.  Integers, zeros and literals in other Unicode
+    digits (whose leading zeros the ASCII count misses) are read in full.
+    """
+    lo, hi = [0], [0]
+    for text in texts:
+        slash = text.find("/") if isinstance(text, str) and text.isascii() else -1
+        start = _LEADING_RE.match(text).end() if slash > 0 else 0
+        if start >= slash:  # an int or integer literal, zero, other digits
+            p, q = _literal_pair(text)
+            low, rem = divmod(p << _IMAGE_BITS, q)
+            lo.append(low)
+            hi.append(low + 1 if rem else low)
+            continue
+        long_p, long_q = slash - start, len(text) - slash - 1
+        cut = max(0, long_p - long_q) + _IMAGE_DIGITS
+        drop_p, drop_q = max(0, long_p - cut), max(0, long_q - cut)
+        top_p = int(text[start:slash - drop_p])
+        top_q = int(text[slash + 1:len(text) - drop_q])
+        shift = drop_p - drop_q
+        num, den = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
+        low = (top_p << _IMAGE_BITS) * num // ((top_q + (drop_q > 0)) * den)
+        high = -(-((top_p + (drop_p > 0)) << _IMAGE_BITS) * num // (top_q * den))
+        if text[0] == "-":
+            low, high = -high, -low
+        lo.append(low)
+        hi.append(high)
     return lo, hi
 
 
@@ -341,7 +435,7 @@ class ErrorTerm(SequencePrefix):
         cls._check_invariants(ints)
         term = cls.__new__(cls)
         term._horizon = len(ints)
-        term._values = term._pairs = term._deferred = None
+        term._values = term._texts = term._pairs = term._deferred = None
         term._image = term._certified = None
         term._grid = 1, (0, *ints)
         return term
@@ -783,15 +877,15 @@ def _json_object(text: str) -> dict:
     return payload
 
 
-def _table_from_json(payload: dict, missing: str) -> list[tuple[int, int]]:
-    """The table of ``{"values": [...], "offset": 1}`` as integer pairs
-    (p, q); tables are 1-indexed, so the offset is absent or the int 1.
+def _table_from_json(payload: dict, missing: str) -> list[str | int]:
+    """The table of ``{"values": [...], "offset": 1}`` as validated
+    literals; tables are 1-indexed, so the offset is absent or the int 1.
     ``missing``: the error for an object with no 'values' list."""
     values = payload.get("values")
     if not isinstance(values, list):
         raise ValueError(missing)
     _check_offset(payload)
-    return [_rational_pair(v) for v in values]
+    return [_literal(v) for v in values]
 
 
 def _check_offset(payload: dict) -> None:
@@ -801,10 +895,10 @@ def _check_offset(payload: dict) -> None:
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
 
 
-def _table_from_csv(text: str) -> list[tuple[int, int]]:
-    """The table of ``index,value`` rows as integer pairs (p, q); indices
+def _table_from_csv(text: str) -> list[str]:
+    """The table of ``index,value`` rows as validated literals; indices
     are ASCII digits and run over 1..H, in any order."""
-    entries: dict[int, tuple[int, int]] = {}
+    entries: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -817,7 +911,7 @@ def _table_from_csv(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"line {lineno}: index must be positive, got {idx}")
         if idx in entries:
             raise ValueError(f"line {lineno}: duplicate index {idx}")
-        entries[idx] = _rational_pair(val_s)
+        entries[idx] = _literal(val_s)
     if not entries:
         raise ValueError("empty sequence")
     horizon = max(entries)
@@ -832,19 +926,20 @@ def parse_sequence(text: str) -> SequencePrefix:
 
     JSON objects carry ``{"values": [...], "offset": 1}``; construction
     outputs (objects with a ``b`` field) are unwrapped to their sequence.
-    CSV rows are ``index,value`` with contiguous indices 1..H.  Values are
-    read as the integers p, q of ``p/q``, unreduced, with no gcd per value,
-    and kept on the prefix, which builds from them its fixed-point image,
-    its grid and its ``Fraction``s, each only when it is first used.
+    CSV rows are ``index,value`` with contiguous indices 1..H.  Every value
+    is validated here (a malformed or over-long one raises ValueError) but
+    kept as text: the prefix's fixed-point image reads only leading
+    digits, and all values become integers (p, q), unreduced, on the
+    first exact use, from which the grid and ``Fraction``s are built.
     """
     if text.lstrip().startswith("{"):
         payload = _json_object(text)
         if "values" not in payload and isinstance(payload.get("b"), dict):
             payload = payload["b"]  # construction outputs wrap their sequence in "b"
-        pairs = _table_from_json(payload, "expected a 'values' list")
+        texts = _table_from_json(payload, "expected a 'values' list")
     else:
-        pairs = _table_from_csv(text)
-    return SequencePrefix._from_pairs(pairs)
+        texts = _table_from_csv(text)
+    return SequencePrefix._from_texts(texts)
 
 
 def parse_error_term(text: str) -> ErrorTerm:
@@ -868,9 +963,10 @@ def parse_error_term(text: str) -> ErrorTerm:
             _check_offset(payload)
             params = {k: parse_rational(v) for k, v in raw.items()}
             return builtin_error_term(family, horizon, params)
-        pairs = _table_from_json(payload, "expected 'family' or 'values'")
+        texts = _table_from_json(payload, "expected 'family' or 'values'")
     else:
-        pairs = _table_from_csv(text)
+        texts = _table_from_csv(text)
+    pairs = [_literal_pair(t) for t in texts]
     if all(q == 1 for _, q in pairs):
         return ErrorTerm._from_ints([p for p, _ in pairs])
     return ErrorTerm(Fraction(p, q) for p, q in pairs)

@@ -203,6 +203,8 @@ def test_construct_convex_pipeline(tmp_path):
 
 
 def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
+    # a clean file is decided on the image its text gives: the checks and
+    # the bracket build no grid; the smoothed prefix of gdeficit does
     conv = str(tmp_path / "convex.json")
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "300", "-o", conv]) == 0
     built = []
@@ -213,12 +215,41 @@ def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
         return real(pairs)
 
     monkeypatch.setattr(model, "_integer_grid", counting)
-    report = tmp_path / "muband.json"
-    argv = ["check", "--seq", conv, "--f", "family:floor_sqrt", "--domain", "muband:3/2,1"]
-    assert main([*argv, "-o", str(report)]) == 0
-    assert json.loads(report.read_text())["violations"] == [] and built == []
+    for domain in ("muband:3/2,1", "oneplus:1"):
+        report = tmp_path / "report.json"
+        argv = ["check", "--seq", conv, "--f", "family:floor_sqrt", "--domain", domain]
+        assert main([*argv, "-o", str(report)]) == 0
+        assert json.loads(report.read_text())["violations"] == [] and built == []
     assert main(["limit", "--seq", conv, "--N", "5", "-o", str(tmp_path / "limit.json")]) == 0
+    assert built == []
+    assert main(["gdeficit", "--seq", conv, "--f", "family:floor_sqrt",
+                 "--n", "40", "--m", "60"]) == 0
     assert built == [300]
+
+
+_CLEAN_FILE_COMMANDS = [
+    ["check", "--f", "family:floor_sqrt", "--domain", "muband:3/2,1"],
+    ["check", "--f", "family:floor_sqrt", "--domain", "oneplus:1"],
+    ["limit", "--N", "1"],
+]
+
+
+@pytest.mark.parametrize("last", ["9" * (MAX_INT_DIGITS + 1), "1/" + "7" * (MAX_INT_DIGITS + 1),
+                                  "1.5", "2/0", "0x11"])
+@pytest.mark.parametrize("command", _CLEAN_FILE_COMMANDS, ids=lambda c: c[0] + c[-1][:6])
+def test_bad_last_value_of_a_clean_file_exits_two(tmp_path, capsys, command, last):
+    # every value is validated while the file is read, although the image
+    # of the others would decide the command without the last one
+    conv = tmp_path / "convex.json"
+    assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "60",
+                 "-o", str(conv)]) == 0
+    payload = json.loads(conv.read_text())
+    payload["values"][-1] = last
+    conv.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command[0], "--seq", str(conv), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_construct_rational_slopes_pipeline(tmp_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -349,3 +350,135 @@ def test_parsed_prefix_builds_its_grid_on_first_use(monkeypatch):
     assert built == [] and a._grid is None
     assert a.grid == (6, (0, 3, 4, 18)) and built == [3]
     assert a.grid is a.grid and built == [3]
+
+
+# --- parsed text: the image from leading digits --------------------------------
+
+# zeros of other Unicode decimal scripts, which int() and the parser accept
+_OTHER_ZEROS = ("٠", "०", "０")
+
+
+@st.composite
+def literals(draw):
+    """(token, value, q): one value as ``parse_sequence`` reads it, with p and
+    q of 0 to 80 digits, so that each side of the image's cut, and a
+    numerator far longer or far shorter than the denominator, come up;
+    with signs, '+', leading zeros, bare integers, JSON ints and other
+    Unicode digits."""
+    p = draw(st.integers(0, 80).flatmap(lambda d: st.integers(0, 10**d)))
+    q = draw(st.integers(0, 80).flatmap(lambda d: st.integers(1, 10**d + 1)))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    value = Fraction(-p if sign == "-" else p, q)
+    if q == 1 and draw(st.booleans()):
+        return int(value), value, q
+    num = "0" * draw(st.integers(0, 3)) + str(p)
+    den = str(q)
+    zero = draw(st.sampled_from(("0", *_OTHER_ZEROS)))
+    if zero != "0":  # write the digits in another script
+        digits = {ord("0") + i: chr(ord(zero) + i) for i in range(10)}
+        num, den = num.translate(digits), den[0] + den[1:].translate(digits)
+    token = sign + num if q == 1 and draw(st.booleans()) else f"{sign}{num}/{den}"
+    return token, value, q
+
+
+@given(literals())
+@example(("-0/7", Fraction(0), 7))
+@example(("000/1", Fraction(0), 1))
+@example((f"{10**40}/{10**40}", Fraction(1), 10**40))
+@example((f"{10**60 + 1}/{10**59 + 3}", Fraction(10**60 + 1, 10**59 + 3), 10**59 + 3))
+@example((f"-{10**70 - 1}/{10**23 + 9}", -Fraction(10**70 - 1, 10**23 + 9), 10**23 + 9))
+@example((f"+7/{10**79 + 1}", Fraction(7, 10**79 + 1), 10**79 + 1))
+@example((f"{2**300}/{3**180}", Fraction(2**300, 3**180), 3**180))
+@example((f"{10**45}/1", Fraction(10**45), 1))
+@settings(max_examples=500, deadline=None)
+def test_text_image_bounds_each_literal(drawn):
+    token, value, q = drawn
+    literal = model._literal(token)
+    assert literal is token  # the text kept is the string read, not a copy
+    lo, hi = model._text_image([literal])
+    assert lo[0] == hi[0] == 0
+    assert lo[1] <= value * _SCALE <= hi[1] and hi[1] - lo[1] <= 2
+    # p and q as written, leading zeros dropped
+    long_p, long_q = len(str(abs(value * q)).lstrip("0")), len(str(q))
+    cut = max(0, long_p - long_q) + 22
+    if not long_p or q == 1 or max(long_p, long_q) <= cut or not str(token).isascii():
+        # read in full: one quotient, exact when it is an integer
+        assert (lo[1] == hi[1]) == ((value * _SCALE).denominator == 1)
+    else:
+        assert lo[1] < hi[1]
+
+
+@st.composite
+def text_prefixes(draw):
+    """(values, JSON text): prefixes whose literals run past the image's
+    cut, unreduced; with slopes that tie exactly (a(k) = c*k) and values
+    that agree with c*k far past the cut, so that only exact values tell
+    the candidates apart."""
+    horizon = draw(st.integers(1, 16))
+    c = Fraction(draw(st.integers(-(10**40), 10**40)), draw(st.integers(1, 10**40)))
+    tiny = Fraction(1, 10 ** draw(st.integers(25, 60)))
+    values = []
+    for k in range(1, horizon + 1):
+        kind = draw(st.sampled_from(("tie", "near", "free")))
+        if kind == "tie":
+            values.append(c * k)
+        elif kind == "near":
+            values.append(c * k + draw(st.integers(-2, 2)) * tiny)
+        else:
+            values.append(Fraction(draw(st.integers(-(10**30), 10**30)),
+                                   draw(st.integers(1, 10**30))))
+    scale = draw(st.integers(1, 10**5))
+    tokens = [int(v) if v.denominator == 1 and draw(st.booleans())
+              else f"{v.numerator * scale}/{v.denominator * scale}" for v in values]
+    return values, json.dumps({"values": tokens})
+
+
+@given(text_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example(([Fraction(10**30 + 7, 10**29 + 1) * k for k in range(1, 9)],
+          json.dumps({"values": [f"{(10**30 + 7) * k}/{10**29 + 1}" for k in range(1, 9)]})),
+         [1])
+@settings(max_examples=120, deadline=None)
+def test_text_prefix_decides_as_its_values(drawn, increments):
+    # every decision starts from freshly read text, as the CLI's does
+    values, text = drawn
+    reference = SequencePrefix(values)
+    horizon = reference.horizon
+    for f in _error_terms(horizon, increments):
+        for domain in _domains(horizon):
+            want = brute_force_scan(reference, f, domain)
+            assert scan_violations(parse_sequence(text), f, domain) == want
+    for N in range(1, horizon + 1):
+        parsed = parse_sequence(text)
+        bracket = fekete_bracket(parsed, N)
+        assert parsed._grid is None and parsed._pairs is None  # from the text alone
+        assert bracket == fekete_bracket(reference, N)
+        min_slope, argmin, samples = reference_bracket(reference, N)
+        assert (bracket.min_slope, bracket.argmin_k) == (min_slope, argmin)
+        assert [(s.k, s.bound) for s in bracket.eq8_samples] == samples
+
+
+def test_text_is_converted_once_on_first_exact_use():
+    a = parse_sequence('{"values": ["1/2", "4/6", 3]}')
+    assert a._exact(2) == (4, 6) and a._exact(3) == (3, 1) and a._pairs is None
+    assert a.value(2) == Fraction(2, 3)
+    assert a._texts is None and a._pairs == [(1, 2), (4, 6), (3, 1)]
+
+
+def test_clean_scan_of_a_large_file_holds_its_text_only():
+    # The H=4000 floor_sqrt convex file: 13.8 MB of JSON.  Read as ints it
+    # held 6.9 MB and peaked at 20.6 MB (the decoded strings and the ints
+    # at once).  Kept as text it holds the decoded strings, one str header
+    # per value and the image, a little over the file's size, and peaks
+    # there too.
+    f = builtin_error_term("floor_sqrt", 4000)
+    text = sequence_to_json(convex_from_error(f, 4000))
+    size = len(text)
+    tracemalloc.start()
+    try:
+        a = parse_sequence(text)
+        report = scan_violations(a, f, MuBandDomain(Fraction(3, 2), 1))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and a._grid is None and a._pairs is None, "the clean scan built the grid"
+    assert held <= 1.05 * size and peak <= 1.15 * size, (held, peak, size)
