@@ -6,9 +6,9 @@ Brackets compare slopes in integers: on the fixed-point image of a
 parsed or convex prefix first, with exact values only where the image
 cannot decide, and on the grid (``SequencePrefix.grid``) for any other
 prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
-is the prefix g(k) = a(k) - 3k * W(k-1), whose grid joins ``a.grid``
-with the error term's ``ErrorTerm.weight_grid``; its deficit on a pair
-is ``g_deficit``, and its band check is a plain scan of that prefix.  A
+is the prefix g(k) = a(k) - 3k * W(k-1), each value from a(k) and
+``ErrorTerm.weight_grid``; its deficit on a pair, ``g_deficit``, reads
+three values, and its band check is a plain scan of that prefix.  A
 ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
@@ -197,12 +197,13 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    The grid is built on first use from ``a.grid = (D, A)`` and
-    ``f.weight_grid = (D_W, Wt)``, on L = lcm(D, D_W), as A[k] * (L/D) -
-    3k * Wt[k] * (L/D_W); the values are built only if asked for.  ``f``
-    keeps the last prefix it smoothed, found again by the identity of
-    ``a`` (never by comparing values), so repeated calls with the same
-    (a, f) share one grid.
+    With ``f.weight_grid = (D_W, Wt)``, ``g._exact(k)`` is (p * D_W - 3k *
+    Wt[k] * q, q * D_W) from ``a._exact(k) = (p, q)`` while ``a`` holds
+    text or pairs and g no grid; else it reads g's grid, built on first
+    use from ``a.grid = (D, A)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W),
+    L = lcm(D, D_W).  ``f`` keeps the last prefix it smoothed, found by
+    the identity of ``a`` (never by comparing values), so repeated calls
+    with the same (a, f) share one grid.
     """
     _require_prefix_and_term(a, f)
     if f is None:
@@ -225,7 +226,13 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
         denom, table = g.grid
         return tuple(Fraction(x, denom) for x in table[1:])
 
-    g = SequencePrefix._deferred_prefix(horizon, values, grid)
+    def exact(k):
+        (p, q), (w_denom, w) = a._exact(k), f.weight_grid
+        return p * w_denom - 3 * k * w[k] * q, q * w_denom
+
+    if a._texts is None and a._pairs is None:  # a reads its grid anyway
+        exact = None
+    g = SequencePrefix._deferred_prefix(horizon, values, grid, exact=exact)
     f._smoothed = a, g
     return g
 
@@ -244,8 +251,8 @@ def g_deficit(
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
     which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
-    three lookups on its integer grid, reduced to a ``Fraction`` once.
-    ``f=None`` gives the plain deficit of ``a``.
+    three of its ``_exact`` values (one literal each for a parsed ``a``),
+    reduced to a ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
     """
     g = smoothed(a, f)
     _require_int(n, "n")
@@ -257,8 +264,10 @@ def g_deficit(
         raise ValueError(f"pair ({n}, {m}) exceeds sequence horizon {a.horizon}")
     if f is not None and s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
-    denom, table = g.grid
-    return Fraction(table[s] - table[n] - table[m], denom)
+    (x_s, d_s), (x_n, d_n), (x_m, d_m) = g._exact(s), g._exact(n), g._exact(m)
+    if d_s == d_n == d_m:  # one grid: no products
+        return Fraction(x_s - x_n - x_m, d_s)
+    return Fraction(x_s, d_s) - Fraction(x_n, d_n) - Fraction(x_m, d_m)
 
 
 @dataclass(frozen=True)

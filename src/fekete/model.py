@@ -143,7 +143,7 @@ class SequencePrefix:
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
     built once from whichever source the prefix already holds, never from
     its grid (from text, the leading digits of each value); ``_exact(n)``
-    is one value, from its own text while the prefix holds it.  Scans and
+    is one value, from its own text or a deferred builder.  Scans and
     brackets decide on the image first; a scan keeps on the prefix the
     sums it could not clear, for the last error term it scanned the prefix
     against.  Neither the image nor that entry takes part in pickling,
@@ -183,16 +183,17 @@ class SequencePrefix:
         values: Callable[[], tuple[Fraction, ...]],
         grid: Callable[[], tuple[int, tuple[int, ...]]],
         image: Callable[[], tuple[list[int], list[int]]] | None = None,
+        exact: Callable[[int], tuple[int, int]] | None = None,
     ) -> SequencePrefix:
         """The prefix of ``horizon`` values whose ``values``, ``grid`` and
-        fixed-point image are built, each at most once, by the zero-argument
-        callables when first used; they must describe the same rationals.
-        Without ``image``, the image is built as for any other prefix."""
+        image the zero-argument callables build once, on first use, and
+        whose ``_exact(n)`` is ``exact(n)`` until it has a grid; all must
+        give the same rationals.  Without ``image``, it is built as usual."""
         prefix = cls.__new__(cls)
         prefix._horizon = horizon
         prefix._values = prefix._texts = prefix._pairs = prefix._grid = None
         prefix._image = prefix._certified = None
-        prefix._deferred = values, grid, image
+        prefix._deferred = values, grid, image, exact
         return prefix
 
     def _converted(self) -> list[tuple[int, int]] | None:
@@ -263,12 +264,14 @@ class SequencePrefix:
 
     def _exact(self, n: int) -> tuple[int, int]:
         """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from its own
-        text while the prefix holds it, else from the pairs or the grid."""
+        text while the prefix holds it, else the pairs, ``exact`` or grid."""
         if self._texts is not None:
             return _literal_pair(self._texts[n - 1])
         if self._pairs is not None:
             return self._pairs[n - 1]
-        denom, table = self.grid
+        if self._grid is None and self._deferred and self._deferred[3]:
+            return self._deferred[3](n)
+        denom, table = self._grid or self.grid
         return table[n], denom
 
     def value(self, n: int) -> Fraction:

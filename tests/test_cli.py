@@ -204,7 +204,7 @@ def test_construct_convex_pipeline(tmp_path):
 
 def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
     # a clean file is decided on the image its text gives: the checks and
-    # the bracket build no grid; the smoothed prefix of gdeficit does
+    # the bracket build no grid; gdeficit reads its three literals alone
     conv = str(tmp_path / "convex.json")
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "300", "-o", conv]) == 0
     built = []
@@ -224,7 +224,7 @@ def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
     assert built == []
     assert main(["gdeficit", "--seq", conv, "--f", "family:floor_sqrt",
                  "--n", "40", "--m", "60"]) == 0
-    assert built == [300]
+    assert built == []
 
 
 _CLEAN_FILE_COMMANDS = [

@@ -34,10 +34,13 @@ from fekete import (
     fekete_bracket,
     format_rational,
     g_deficit,
+    parse_error_term,
     parse_sequence,
     q_sequence,
     scan_violations,
     sequence_to_json,
+    smoothed,
+    zero_error_term,
 )
 from fekete import checker, model
 
@@ -462,6 +465,51 @@ def test_text_is_converted_once_on_first_exact_use():
     assert a._exact(2) == (4, 6) and a._exact(3) == (3, 1) and a._pairs is None
     assert a.value(2) == Fraction(2, 3)
     assert a._texts is None and a._pairs == [(1, 2), (4, 6), (3, 1)]
+
+
+@given(written_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       st.sampled_from(("text", "pairs", "grid")))
+@example(([Fraction(-7, 2), Fraction(5), Fraction(1, 3)],
+          json.dumps({"values": ["-014/4", 5, "+2/6"]}), "1,-7/2\n2,05\n3,1/3\n"), [1], "text")
+@settings(max_examples=120, deadline=None)
+def test_g_deficit_of_a_parsed_prefix_in_each_state(written, increments, state):
+    # holding its text, its pairs or its grid, a parsed prefix gives the
+    # deficits of the prefix built from Fractions and of the finite form
+    # summed term by term; from text or pairs it builds no grid
+    values, json_text, csv_text = written
+    reference = SequencePrefix(values)
+    horizon = reference.horizon
+    none, family, rational = _error_terms(horizon, increments)
+    rational_file = "".join(  # unreduced, read back as a file is
+        f"{x},{3 * v.numerator}/{3 * v.denominator}\n" for x, v in enumerate(rational.values, 1)
+    )
+    error_terms = (none, zero_error_term(horizon), family, parse_error_term(rational_file))
+
+    def finite_form(f, n, m):
+        s = n + m
+        plain = reference.value(s) - reference.value(n) - reference.value(m)
+        if f is None:
+            return plain
+        tail_n = sum((f.value(x) / (x * x) for x in range(n, s)), Fraction(0))
+        tail_m = sum((f.value(x) / (x * x) for x in range(m, s)), Fraction(0))
+        return plain - 3 * n * tail_n - 3 * m * tail_m
+
+    pairs = [(n, m) for n in range(1, horizon // 2 + 1) for m in range(n, horizon - n + 1)]
+    for f in error_terms:
+        want = {(n, m): finite_form(f, n, m) for n, m in pairs}
+        assert {(n, m): g_deficit(reference, f, n, m) for n, m in pairs} == want
+        for text in (json_text, csv_text):
+            parsed = parse_sequence(text)
+            if state == "pairs":
+                parsed.value(1)
+            elif state == "grid":
+                parsed.grid
+            for _ in range(2):  # the second pass reuses the smoothed prefix
+                assert {(n, m): g_deficit(parsed, f, n, m) for n, m in pairs} == want
+            held = {"text": parsed._texts, "pairs": parsed._pairs, "grid": parsed._grid}
+            assert held[state] is not None
+            if state != "grid":
+                assert parsed._grid is None and smoothed(parsed, f)._grid is None
 
 
 def test_clean_scan_of_a_large_file_holds_its_text_only():

@@ -39,6 +39,7 @@ from fekete import (
     two_good_chain,
     zero_error_term,
 )
+from fekete import model
 
 from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate
 
@@ -248,14 +249,23 @@ def test_g_deficit_on_grids_against_term_by_term_form(data):
                 assert g_deficit(prefix, None, n, m) == plain, (n, m)
 
 
-def test_g_deficit_validation():
+def test_g_deficit_validation(monkeypatch):
     a = tabulate(lambda n: n, 10)
-    with pytest.raises(ValueError):
-        g_deficit(a, None, 3, 2)
-    with pytest.raises(ValueError):
-        g_deficit(a, None, 5, 6)
-    with pytest.raises(ValueError):
-        g_deficit(a, ErrorTerm([0] * 4), 2, 3)
+    # a parsed prefix is rejected before any of its literals is converted
+    parsed = parse_sequence(json.dumps({"values": [f"{n}/1" for n in range(1, 11)]}))
+
+    def converting(literal):
+        raise AssertionError(f"converted {literal!r}")
+
+    monkeypatch.setattr(model, "_literal_pair", converting)
+    for prefix in (a, parsed):
+        with pytest.raises(ValueError, match=r"need 1 <= n <= m, got \(3, 2\)"):
+            g_deficit(prefix, None, 3, 2)
+        with pytest.raises(ValueError, match=r"pair \(5, 6\) exceeds sequence horizon 10"):
+            g_deficit(prefix, None, 5, 6)
+        with pytest.raises(ValueError, match=r"pair \(2, 3\) exceeds error-term horizon 4"):
+            g_deficit(prefix, ErrorTerm([0] * 4), 2, 3)
+    assert parsed._texts is not None and parsed._pairs is None and parsed._grid is None
     assert smoothed(a, ErrorTerm([0] * 4)).horizon == 4
     # a table that is not an ErrorTerm is rejected, not read as one
     for bad_f in (SequencePrefix([0] * 10), [0] * 10, Fraction(0), 0):
@@ -374,11 +384,11 @@ def test_repeated_calls_share_one_smoothed_grid(monkeypatch):
     builds = []
     deferred = SequencePrefix._deferred_prefix.__func__
 
-    def counting(cls, horizon, values, grid):
+    def counting(cls, horizon, values, grid, *builders, **named):
         def counted():
             builds.append(horizon)
             return grid()
-        return deferred(cls, horizon, values, counted)
+        return deferred(cls, horizon, values, counted, *builders, **named)
 
     monkeypatch.setattr(SequencePrefix, "_deferred_prefix", classmethod(counting))
     f = builtin_error_term("floor_sqrt", 40)
