@@ -1,28 +1,28 @@
 """Exhaustive, exact verification over sequence prefixes: subadditivity
 scans with an optional error term, windowed slope maxima, and convexity.
 
-Scans decide every admitted pair (n <= m, n + m <= H), either one at a
-time or a whole sum at once through the lower convex minorant.  The
-minorant's certificate for a sum does not depend on the domain, so the
-first interval-domain scan of a prefix against an error term decides it
-for every sum, once, and keeps on the prefix the sums it could not clear;
-every later interval-domain scan of the same (prefix, error term)
-enumerates only those sums, whatever its N, mu or slack.
+Scans decide every admitted pair (n <= m, n + m <= H) in one loop,
+``_decide_pairs``: each pair on the prefix's fixed-point image first
+(``SequencePrefix._fixed_point``: integer bounds on a(n) * 2**64, built
+without the grid), and the pairs it leaves exactly, on the integer grid
+(``SequencePrefix.grid``: one common denominator, built on first use)
+joined with the error term's grid at one common denominator.
 
-The certificate runs in two stages.  The first runs on the prefix's
-fixed-point image (``SequencePrefix._fixed_point``: integer bounds on
-a(n) * 2**64, built without the grid) and clears, on clean prefixes,
-every sum.  Only the sums it leaves go through the second, exact stage
-on the integer grid (``SequencePrefix.grid``: one common denominator and
-integer numerators, built once per prefix, on first use), joined with
-the error term's own grid at one common denominator, and only the sums
-that stage leaves are enumerated.  Domains with at most two pairs per
-sum (OnePlus) and explicit domains are decided pair by pair in the same
-two stages: a parsed or convex prefix clears each pair on its image and
-builds its grid only for the pairs left.  Either way every decision is
-integer arithmetic and reported deficits are exact rationals.  Window
-maxima of the slopes come from one sliding-window pass (a monotone
-deque) over the grid, O(H) integer cross products for the whole table.
+An interval domain sends that loop only the pairs of the sums that a
+certificate for whole sums leaves.  The certificate does not depend on
+the domain, so the first interval-domain scan of a prefix against an
+error term decides it for every sum and keeps on the prefix the sums it
+could not clear, and later ones, whatever their N, mu or slack, send
+only those.  It runs in three steps: the lower convex minorant on the
+image, which clears every sum of a clean convex prefix; the pairs of
+each sum it leaves, tested on the image, which clear the sum if all of
+them clear (a clean non-convex prefix, such as a rational-slopes
+construction); and the minorant on the grid, for the sums still left.
+OnePlus domains (at most two pairs per sum) and explicit domains skip
+the certificate and send all their pairs.  Every decision is integer
+arithmetic and reported deficits are exact rationals.  Window maxima of
+the slopes come from one sliding-window pass (a monotone deque) over the
+grid, O(H) integer cross products for the whole table.
 """
 
 from __future__ import annotations
@@ -171,11 +171,11 @@ def _floor_scaled(f: ErrorTerm | None, horizon: int) -> list[int]:
     return [(x << _IMAGE_BITS) // denom for x in head]
 
 
-# A domain in which no sum admits more than this many pairs (OnePlus) is
-# decided pair by pair, as an explicit domain is, unless the prefix already
-# holds its certificates for the error term: each pair costs one
-# comparison, while the certificates need the image, its minorant, and the
-# grid for any sum the image does not clear.
+# A domain in which no sum admits more than this many pairs (OnePlus) skips
+# the certificate, unless the prefix already holds it for the error term,
+# and sends all its pairs to ``_decide_pairs``, as an explicit domain does:
+# each pair costs one comparison on the image, while the certificate needs
+# the image, its minorant, and the grid for any sum the image leaves.
 _DIRECT_PAIRS = 2
 
 
@@ -201,45 +201,45 @@ def _certificate_failures(table_lo, table_hi, table_f, sums):
     return tuple(failed)
 
 
-def _violations(tables, pairs):
-    """The pairs (n, m) of ``pairs`` with a positive deficit, as (n, m,
-    deficit * D), decided on the common-denominator ``tables``."""
-    _, table_a, table_f = tables
-    return [
-        (n, m, diff) for n, m in pairs
-        if (diff := table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]) > 0
-    ]
+def _decide_pairs(a, f, pairs, tables=None):
+    """The ``Violation``s among ``pairs``: the one loop that decides pairs.
 
-
-def _decide_pairs(a, f, pairs):
-    """``(bad, tables)`` for the listed pairs, decided one at a time.
-
-    A parsed or convex prefix clears (n, m), s = n + m, on its image when
-    hi[s] - Flo[s] <= lo[n] + lo[m], as then (a(s) - f(s) - a(n) - a(m))
-    * 2**K <= 0, and builds its grid only for the pairs left; a prefix
-    built from ``Fraction``s decides all on its grid.  ``tables`` is None
-    when no pair is left.
+    A prefix with an image (parsed, convex, or certified from its values)
+    clears (n, m), s = n + m, on it when hi[s] - Flo[s] <= lo[n] + lo[m],
+    as then (a(s) - f(s) - a(n) - a(m)) * 2**K <= 0.  The pairs left are
+    decided exactly on the common-denominator ``tables`` of
+    ``_scaled_tables``, built here unless the caller already holds them;
+    a prefix built from ``Fraction``s that has no image decides all of
+    its pairs there.
     """
+    if not pairs:
+        return []
     image = a._fixed_point(from_values=False)
     if image is not None:
         lo, hi = image
         flo = _floor_scaled(f, a.horizon)
         pairs = [(n, m) for n, m in pairs if hi[n + m] - flo[n + m] > lo[n] + lo[m]]
-    if not pairs:
-        return [], None
-    tables = _scaled_tables(a, f)
-    return _violations(tables, pairs), tables
+        if not pairs:
+            return []
+    denom, table_a, table_f = tables or _scaled_tables(a, f)
+    return [
+        Violation(n, m, Fraction(diff, denom)) for n, m in pairs
+        if (diff := table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]) > 0
+    ]
 
 
 def _scan_sums(a, f, domain):
-    """Certified scan of an ``IntervalDomain``, one sum s at a time.
+    """``(pairs_checked, violations)`` of an ``IntervalDomain``: chooses
+    the sums whose pairs in the domain go to ``_decide_pairs``.
 
-    The certificates of all sums are decided once per (a, f), first on the
-    image of ``a`` and then, for the sums it leaves, on the grid, and kept
-    on ``a`` (one entry, keyed by the identity of f, None included): the
-    sums the grid stage does not clear.  Only those are enumerated, in
-    order of n.  A narrow domain without kept certificates goes to
-    ``_decide_pairs``.
+    The sums are those of the certificate kept on ``a`` for f (one entry,
+    keyed by the identity of f, None included); or every sum, for a narrow
+    domain without that entry; or else those the certificate leaves,
+    which it then keeps on ``a``.  The certificate runs in three steps:
+    the minorant on the image of ``a``; for each sum that leaves, a test
+    of its pairs 1 <= n <= s//2 on the image, which clears the sum when
+    every pair clears; and the minorant on the grid, for the sums that
+    still have a pair left.  None of the steps reads the domain.
     """
     horizon = a.horizon
     lower = domain._lower_ends(horizon)
@@ -250,29 +250,25 @@ def _scan_sums(a, f, domain):
         if lo <= hi:
             checked += hi - lo + 1
             narrow = narrow and hi - lo < _DIRECT_PAIRS
-    tables = None
+    sums, tables = range(2, horizon + 1), None
     cached = a._certified
     if cached is not None and cached[0] is f:
-        failed = cached[1]
-    elif narrow:
-        pairs = [(n, s - n) for s in range(2, horizon + 1) for n in range(lower[s], s // 2 + 1)]
-        return checked, *_decide_pairs(a, f, pairs)
-    else:
-        failed = range(2, horizon + 1)
+        sums = cached[1]
+    elif not narrow:
         image = a._fixed_point()
         if image is not None:
-            failed = _certificate_failures(*image, _floor_scaled(f, horizon), failed)
-        if failed:
+            lo, hi = image
+            flo = _floor_scaled(f, horizon)
+            sums = [
+                s for s in _certificate_failures(lo, hi, flo, sums)
+                if any(hi[s] - flo[s] > lo[n] + lo[s - n] for n in range(1, s // 2 + 1))
+            ]
+        if sums:
             tables = _scaled_tables(a, f)
-            failed = _certificate_failures(tables[1], tables[1], tables[2], failed)
-        a._certified = f, failed
-    failed = [s for s in failed if lower[s] <= s // 2]
-    if not failed:
-        return checked, [], tables
-    if tables is None:
-        tables = _scaled_tables(a, f)
-    pairs = ((n, s - n) for s in failed for n in range(lower[s], s // 2 + 1))
-    return checked, _violations(tables, pairs), tables
+            sums = _certificate_failures(tables[1], tables[1], tables[2], sums)
+        a._certified = f, tuple(sums)
+    pairs = [(n, s - n) for s in sums for n in range(lower[s], s // 2 + 1)]
+    return checked, _decide_pairs(a, f, pairs, tables)
 
 
 def scan_violations(
@@ -286,8 +282,10 @@ def scan_violations(
     one sum at a time through the lower convex minorant, which certifies
     a clean convex prefix in O(H) comparisons on its fixed-point image,
     once per (a, f) for all interval domains, without building its grid.
-    OnePlus and explicit domains are decided pair by pair, on the image
-    of a parsed or convex prefix first.
+    The pairs of the sums it leaves, all pairs of a OnePlus domain, and
+    the pairs of an explicit domain go through one loop, which decides
+    each pair on the image first and on the grid only if the image
+    leaves it.
     """
     _require_prefix_and_term(a, f)
     if domain is None:
@@ -298,13 +296,11 @@ def scan_violations(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
     if isinstance(domain, IntervalDomain):
-        checked, raw, tables = _scan_sums(a, f, domain)
+        checked, violations = _scan_sums(a, f, domain)
     else:
         pairs = list(domain.pairs_upto(horizon))
         checked = len(pairs)
-        raw, tables = _decide_pairs(a, f, pairs)
-
-    violations = [Violation(n, m, Fraction(d, tables[0])) for n, m, d in raw]
+        violations = _decide_pairs(a, f, pairs)
     violations.sort(key=lambda v: (v.n + v.m, v.n))
     return ViolationReport(domain=domain, pairs_checked=checked, violations=tuple(violations))
 

@@ -259,14 +259,25 @@ def test_repeated_scans_match_brute_force(data):
 _TINY = Fraction(1, 2**70)
 
 
+_margins = st.sampled_from((Fraction(1, 7), 1, Fraction(5, 2)))
+
+
+def _concave(p, q, knee, margin, horizon):
+    """min(p*n, p*knee + q*(n - knee)) + margin for n = 1..horizon, p >= q:
+    a concave g with g(0) = 0 is subadditive, so every pair clears f >= 0
+    by at least the margin, yet for p > q the prefix is not convex, and
+    its minorant certificate can leave sums around the knee."""
+    return [min(p * n, p * knee + q * (n - knee)) + margin for n in range(1, horizon + 1)]
+
+
 @st.composite
 def image_cases(draw):
     """(a, error terms) for the image stage: clean prefixes with exactly
-    zero deficits, dirty ones, changes below 2**-64 in a or in f, and
-    convex prefixes; held as values, parsed from unreduced text, or
-    deferred (convex)."""
+    zero deficits, dirty ones, changes below 2**-64 in a or in f, clean
+    non-convex prefixes with wide margins, and convex prefixes; held as
+    values, parsed from unreduced text, or deferred (convex)."""
     horizon = draw(st.integers(1, 30))
-    kind = draw(st.sampled_from(("linear", "tiny", "dirty", "convex")))
+    kind = draw(st.sampled_from(("linear", "tiny", "dirty", "concave", "convex")))
     terms = [None, ErrorTerm([_TINY * (n > 1) for n in range(1, horizon + 1)])]
     if kind == "convex":
         steps = draw(st.lists(st.sampled_from((0, 0, 1, Fraction(1, 3), Fraction(5, 2))),
@@ -279,6 +290,9 @@ def image_cases(draw):
         return convex_from_error(f, horizon), terms + [f]
     if kind == "dirty":
         values = draw(st.lists(_small_rationals, min_size=horizon, max_size=horizon))
+    elif kind == "concave":
+        p, q = sorted(draw(st.tuples(_small_rationals, _small_rationals)), reverse=True)
+        values = _concave(p, q, draw(st.integers(1, horizon)), draw(_margins), horizon)
     else:  # c*n, all zeros included: every deficit on f = None is exactly 0
         c = draw(_small_rationals)
         values = [c * n for n in range(1, horizon + 1)]
@@ -322,6 +336,34 @@ def test_grid_stage_decides_margins_below_the_image(bump, tiny, left):
         assert (a._grid is None) == (bump == 0)  # the image decides alone
         if left is not None:
             assert a._certified == (f, left)
+
+
+def test_pairs_clear_on_the_image_where_the_minorant_fails():
+    # a clean, non-convex prefix with margins far above 2**-64, as a
+    # rational-slopes construction has: the image minorant leaves sums,
+    # each of their pairs clears on the image, and no grid is built
+    values = _concave(Fraction(5, 2), Fraction(3, 4), 25, Fraction(1, 7), 60)
+    parsed = parse_sequence(json.dumps({"values": [f"{3 * v.numerator}/{3 * v.denominator}"
+                                                   for v in values]}))
+    f = builtin_error_term("floor_sqrt", 60)
+    for a in (SequencePrefix(values), parsed):
+        for err in (None, f):
+            lo, hi = a._fixed_point()
+            assert checker._certificate_failures(lo, hi, checker._floor_scaled(err, 60),
+                                                 range(2, 61))
+            for domain in (FullDomain(), MuBandDomain(Fraction(3, 2), 2), ThresholdDomain(4)):
+                assert scan_violations(a, err, domain) == brute_force_scan(a, err, domain)
+                assert a._certified == (err, ()) and a._grid is None
+
+
+def test_tight_prefix_certified_on_the_grid():
+    # n/3: every deficit is exactly 0 and the image is inexact, so the
+    # image leaves sums that only the grid minorant clears; it clears all
+    # of them, and no pair reaches the exact stage
+    a = parse_sequence(json.dumps({"values": [f"{n}/3" for n in range(1, 2001)]}))
+    report = scan_violations(a, None, FullDomain())
+    assert report.ok and report.pairs_checked == 1_000_000
+    assert a._certified == (None, ()) and a._grid is not None
 
 
 def test_minorant_built_once_per_prefix_and_error_term(monkeypatch):

@@ -204,9 +204,14 @@ def test_construct_convex_pipeline(tmp_path):
 
 def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
     # a clean file is decided on the image its text gives: the checks and
-    # the bracket build no grid; gdeficit reads its three literals alone
+    # the bracket build no grid; gdeficit reads its three literals alone.
+    # A rational-slopes file is not convex, so its minorant leaves sums,
+    # but each of their pairs clears on the image
     conv = str(tmp_path / "convex.json")
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "300", "-o", conv]) == 0
+    slopes = str(tmp_path / "slopes.json")
+    assert main(["construct", "rational-slopes", "--f", "family:linear,17/16", "--K", "7",
+                 "--Hmax", "500", "-o", slopes]) == 0
     built = []
     real = model._integer_grid
 
@@ -215,11 +220,15 @@ def test_muband_check_of_a_clean_file_builds_no_grid(tmp_path, monkeypatch):
         return real(pairs)
 
     monkeypatch.setattr(model, "_integer_grid", counting)
-    for domain in ("muband:3/2,1", "oneplus:1"):
-        report = tmp_path / "report.json"
-        argv = ["check", "--seq", conv, "--f", "family:floor_sqrt", "--domain", domain]
-        assert main([*argv, "-o", str(report)]) == 0
-        assert json.loads(report.read_text())["violations"] == [] and built == []
+    for seq, f, domains in (
+        (conv, "family:floor_sqrt", ("muband:3/2,1", "oneplus:1")),
+        (slopes, "family:linear,17/16", ("full", "muband:2,1", "threshold:4")),
+    ):
+        for domain in domains:
+            report = tmp_path / "report.json"
+            argv = ["check", "--seq", seq, "--f", f, "--domain", domain]
+            assert main([*argv, "-o", str(report)]) == 0
+            assert json.loads(report.read_text())["violations"] == [] and built == []
     assert main(["limit", "--seq", conv, "--N", "5", "-o", str(tmp_path / "limit.json")]) == 0
     assert built == []
     assert main(["gdeficit", "--seq", conv, "--f", "family:floor_sqrt",
