@@ -31,6 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .model import (
     _IMAGE_BITS,
@@ -39,7 +40,8 @@ from .model import (
     IntervalDomain,
     PairDomain,
     SequencePrefix,
-    _json_text_with_array,
+    _check_printable,
+    _json_with_array,
     _require_int,
     _require_prefix_and_term,
     format_rational,
@@ -95,8 +97,14 @@ class ViolationReport:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) +
-        "\\n"``, written in one pass: one f-string per violation, whose
-        deficit is ASCII digits, "-" and "/" and needs no escaping."""
+        "\\n"``, joined from ``_json_pieces``."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self) -> Iterator[str]:
+        """The pieces of ``to_json_text``, checked printable: one f-string
+        per violation, whose deficit is ASCII digits, "-" and "/" and
+        needs no escaping."""
+        _check_printable(v.deficit for v in self.violations)
         items = (
             f'{{\n      "deficit": "{format_rational(v.deficit)}",\n'
             f'      "m": {v.m},\n      "n": {v.n}\n    }}'
@@ -106,7 +114,7 @@ class ViolationReport:
             "domain": self.domain.to_json_dict(),
             "pairs_checked": self.pairs_checked,
         }
-        return _json_text_with_array(head, "violations", items)
+        return _json_with_array(head, "violations", items)
 
 
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
@@ -285,7 +293,8 @@ def scan_violations(
     The pairs of the sums it leaves, all pairs of a OnePlus domain, and
     the pairs of an explicit domain go through one loop, which decides
     each pair on the image first and on the grid only if the image
-    leaves it.
+    leaves it.  Pairs go to that loop in (n + m, n) order, the order of
+    the report.
     """
     _require_prefix_and_term(a, f)
     if domain is None:
@@ -298,10 +307,9 @@ def scan_violations(
     if isinstance(domain, IntervalDomain):
         checked, violations = _scan_sums(a, f, domain)
     else:
-        pairs = list(domain.pairs_upto(horizon))
+        pairs = sorted(domain.pairs_upto(horizon), key=lambda p: (p[0] + p[1], p[0]))
         checked = len(pairs)
         violations = _decide_pairs(a, f, pairs)
-    violations.sort(key=lambda v: (v.n + v.m, v.n))
     return ViolationReport(domain=domain, pairs_checked=checked, violations=tuple(violations))
 
 

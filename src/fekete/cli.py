@@ -9,8 +9,10 @@ failure, 2 on usage or input-format errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterable
 
 from . import checker, constructions, limits, model
 
@@ -41,16 +43,25 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(pieces: Iterable[str], path: str | None) -> None:
+    """Write the text ``pieces`` one at a time to the file ``path``, or to
+    stdout for None or "-".  The first piece is made before the
+    destination is opened, and a stream checks everything it will print
+    before its first piece, so a command that fails writes nothing."""
+    pieces = iter(pieces)
+    first = next(pieces, "")
     if path is None or path == "-":
-        sys.stdout.write(text)
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out = open(path, "w", encoding="utf-8")
+    with out as fh:
+        fh.write(first)
+        fh.writelines(pieces)
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _dump(payload: dict) -> list[str]:
+    """The indented JSON text of ``payload``, as one piece."""
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
 def _check_horizon(option: str, horizon: int) -> None:
@@ -115,7 +126,7 @@ def _cmd_check(args) -> int:
     f = _error_term_for(args.f, seq.horizon)
     domain = _domain_from(args.domain)
     report = checker.scan_violations(seq, f, domain)
-    _write(report.to_json_text(), args.output)
+    _write(report._json_pieces(), args.output)
     return 0 if report.ok else 1
 
 
@@ -147,15 +158,15 @@ def _cmd_gdeficit(args) -> int:
     seq = model.parse_sequence(_read(args.seq))
     f = _error_term_for(args.f, seq.horizon)
     value = limits.g_deficit(seq, f, args.n, args.m)
-    sys.stdout.write(model.format_rational(value) + "\n")
+    _write([model.format_rational(value) + "\n"], None)
     return 0
 
 
 def _emit_sequence(prefix: model.SequencePrefix, args) -> None:
     if args.format == "csv":
-        _write(model.sequence_to_csv(prefix), args.output)
+        _write(model._sequence_csv_pieces(prefix), args.output)
     else:
-        _write(model.sequence_to_json(prefix), args.output)
+        _write(model._sequence_json_pieces(prefix), args.output)
 
 
 def _cmd_construct_convex(args) -> int:
@@ -174,7 +185,7 @@ def _cmd_construct_rational_slopes(args) -> int:
         f = model.zero_error_term(args.Hmax)
     out = constructions.rational_slope_sequence(f, args.K, args.Hmax)
     if args.format == "csv":
-        _write(model.sequence_to_csv(out.b), args.output)
+        _write(model._sequence_csv_pieces(out.b), args.output)
     else:
         _write(_dump(out.to_json_dict()), args.output)
     return 0

@@ -251,8 +251,9 @@ def g_deficit(
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
     which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
-    three of its ``_exact`` values (one literal each for a parsed ``a``),
-    reduced to a ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
+    three entries of its grid when g holds one, else three of its
+    ``_exact`` values (one literal each for a parsed ``a``), reduced to a
+    ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
     """
     g = smoothed(a, f)
     _require_int(n, "n")
@@ -264,6 +265,9 @@ def g_deficit(
         raise ValueError(f"pair ({n}, {m}) exceeds sequence horizon {a.horizon}")
     if f is not None and s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
+    if g._grid is not None:  # one read of the grid held
+        denom, table = g._grid
+        return Fraction(table[s] - table[n] - table[m], denom)
     (x_s, d_s), (x_n, d_n), (x_m, d_m) = g._exact(s), g._exact(n), g._exact(m)
     if d_s == d_n == d_m:  # one grid: no products
         return Fraction(x_s - x_n - x_m, d_s)

@@ -47,6 +47,12 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _ASCII_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
+def _digit_limit() -> int:
+    """The most decimal digits ``int()`` and ``str()`` convert, 0 for no
+    limit (Python < 3.10.7 has none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _literal(text: str | int) -> str | int:
     """An integer literal or ``p/q`` string, validated and stripped (the
     string itself when there is nothing to strip), or an int as given.
@@ -60,7 +66,7 @@ def _literal(text: str | int) -> str | int:
     match = _ASCII_RATIONAL_RE.match(s) or _RATIONAL_RE.match(s)
     if not match:
         raise ValueError(f"malformed rational: {text!r}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _digit_limit()
     if limit and len(s) > limit:
         for part in match.groups():
             if part and len(part) > limit:
@@ -838,34 +844,67 @@ class ExplicitDomain(PairDomain):
 # --- serialization ----------------------------------------------------------
 
 
-def _json_text_with_array(head: dict, key: str, items: Iterable[str]) -> str:
-    """The text ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
-    of ``head`` with one more member: ``key``, a list whose elements
-    ``json.dumps`` writes as ``items`` (at depth 2, less the leading
-    indent).
+def _check_printable(values: Iterable[Fraction]) -> None:
+    """Raise now the ValueError that ``format_rational`` would raise on
+    one of ``values``: that of ``str()`` on an integer longer than
+    ``_digit_limit()`` digits.  Every stream of pieces runs this before it
+    makes its first, so a stream that would fail writes nothing.
+
+    An integer of b bits is below 2**b, which has at most ``limit``
+    digits while b <= limit * log2(10); only the integers within two bits
+    of that length are converted.
+    """
+    limit = _digit_limit()
+    if not limit:
+        return
+    bits = int(limit * math.log2(10)) - 2
+    for v in values:
+        if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+            format_rational(v)
+
+
+def _json_with_array(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True) +
+    "\\n"`` for ``head`` with one more member: ``key``, a list whose
+    elements ``json.dumps`` writes as ``items`` (at depth 2, less the
+    leading indent).  Each item is its own piece.
 
     Only ``head`` goes through ``json.dumps``, which never uses its C
-    encoder when ``indent`` is set.  The array is joined in one pass and
-    spliced in after the head, so ``key`` must sort after every key of
-    the non-empty ``head``.
+    encoder when ``indent`` is set.  The array follows the head, so
+    ``key`` must sort after every key of the non-empty ``head``.
     """
     text = json.dumps(head, indent=2, sort_keys=True)
-    body = ",\n    ".join(items)
-    array = f"[\n    {body}\n  ]" if body else "[]"
-    return f'{text[:-2]},\n  "{key}": {array}\n}}\n'
+    yield f'{text[:-2]},\n  "{key}": ['
+    empty = True
+    for item in items:
+        yield "\n    " if empty else ",\n    "
+        yield item
+        empty = False
+    yield "]\n}\n" if empty else "\n  ]\n}\n"
+
+
+def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
+    """The pieces of ``sequence_to_json(prefix)``, checked printable."""
+    values = prefix.values
+    _check_printable(values)
+    # a rendered rational is ASCII digits, "-" and "/": no escaping needed
+    items = (f'"{format_rational(v)}"' for v in values)
+    return _json_with_array({"offset": 1}, "values", items)
+
+
+def _sequence_csv_pieces(prefix: SequencePrefix) -> Iterator[str]:
+    """The lines of ``sequence_to_csv(prefix)``, checked printable."""
+    values = prefix.values
+    _check_printable(values)
+    return (f"{i},{format_rational(v)}\n" for i, v in enumerate(values, start=1))
 
 
 def sequence_to_json(prefix: SequencePrefix) -> str:
-    # a rendered rational is ASCII digits, "-" and "/": no escaping needed
-    values = (f'"{format_rational(v)}"' for v in prefix.values)
-    return _json_text_with_array({"offset": 1}, "values", values)
+    return "".join(_sequence_json_pieces(prefix))
 
 
 def sequence_to_csv(prefix: SequencePrefix) -> str:
-    lines = [
-        f"{i},{format_rational(v)}" for i, v in enumerate(prefix.values, start=1)
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(_sequence_csv_pieces(prefix))
 
 
 def _json_object(text: str) -> dict:

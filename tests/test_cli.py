@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -277,6 +278,7 @@ def test_construct_rational_slopes_exhaustion_exit_one(tmp_path, capsys):
                  "--K", "10", "--Hmax", "3000", "-o", out])
     assert code == 1
     assert "construction failed" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_construct_threshold_gap_and_linear_error(tmp_path):
@@ -409,3 +411,72 @@ def test_integer_literal_digit_bound(tmp_path, capsys, digits, code):
     captured = capsys.readouterr()
     if code:
         assert captured.out == "" and "limit" in captured.err
+
+
+def test_failed_check_writes_nothing(tmp_path, capsys):
+    # the (1, 1) deficit of this prefix has a denominator of about 12,000
+    # digits, past MAX_INT_DIGITS: the report cannot be printed, and the
+    # command fails before it opens its output
+    seq = tmp_path / "long.json"
+    seq.write_text(json.dumps({"values": [
+        "1/3" + "0" * 5998 + "1",  # 1/(3*10**5999 + 1)
+        "1/1" + "0" * 5998 + "7",  # 1/(10**5999 + 7)
+    ]}))
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    for target in ([], ["-o", "-"], ["-o", str(out)]):
+        assert main(["check", "--seq", str(seq), *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit" in captured.err
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def _traced_peak(argv):
+    """The exit code of ``main(argv)`` and the peak of the memory it
+    allocated, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_check_writes_its_report_in_less_memory_than_the_report(tmp_path):
+    # 40,000 violations: the report is streamed, not held as one text
+    conv, out = tmp_path / "sqrt.json", tmp_path / "report.json"
+    assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "400",
+                 "-o", str(conv)]) == 0
+    code, peak = _traced_peak(["check", "--seq", str(conv), "--f", "zero",
+                               "--domain", "full", "-o", str(out)])
+    assert code == 1
+    assert peak < 1.5 * out.stat().st_size
+
+
+def test_construct_writes_its_file_in_less_memory_than_the_file(tmp_path):
+    out = tmp_path / "conv.json"
+    code, peak = _traced_peak(["construct", "convex", "--f", "family:floor_sqrt",
+                               "--H", "2000", "-o", str(out)])
+    assert code == 0
+    assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "convex", "--f", "family:floor_sqrt", "--H", "60"],
+    ["construct", "convex", "--f", "family:floor_sqrt", "--H", "60", "--format", "csv"],
+    ["construct", "rational-slopes", "--f", "family:linear,1", "--K", "5", "--Hmax", "200",
+     "--format", "csv"],
+    ["check", "--f", "zero", "--domain", "full"],
+], ids=["convex-json", "convex-csv", "slopes-csv", "dirty-check"])
+def test_stdout_output_matches_the_file(tmp_path, capsys, argv):
+    if argv[0] == "check":
+        seq = tmp_path / "sqrt.json"
+        assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "40",
+                     "-o", str(seq)]) == 0
+        argv = [*argv, "--seq", str(seq)]
+    out = tmp_path / "out"
+    code = main([*argv, "-o", str(out)])
+    capsys.readouterr()
+    assert main([*argv, "-o", "-"]) == code
+    assert capsys.readouterr().out.encode() == out.read_bytes()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from fekete import (
     zero_error_term,
 )
 
+from fekete import model
 from fekete.model import _integer_grid, parse_ascii_int
 
 from conftest import reference_admits
@@ -511,6 +513,29 @@ def test_round_trip_json_and_csv(values):
     a = SequencePrefix(values)
     assert parse_sequence(sequence_to_json(a)) == a
     assert parse_sequence(sequence_to_csv(a)) == a
+
+
+@pytest.mark.parametrize("value, fits", [
+    (Fraction(10**1000 - 1), True),  # 1000 digits, within two bits of 3322
+    (Fraction(-(10**1000 - 1), 7), True),  # the sign is not a digit
+    (Fraction(10**1000), False),
+    (Fraction(1, 10**1000 + 1), False),
+])
+def test_serialisers_check_the_digit_limit_before_their_first_piece(value, fits):
+    # a stream that would fail midway raises when it is made, so a writer
+    # that takes its first piece before opening its output writes nothing
+    a = SequencePrefix([1, value, 2])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        for pieces in (model._sequence_json_pieces, model._sequence_csv_pieces):
+            if fits:
+                assert "".join(pieces(a)) in (sequence_to_json(a), sequence_to_csv(a))
+            else:
+                with pytest.raises(ValueError, match="limit"):
+                    pieces(a)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("parse", [parse_sequence, parse_error_term])
