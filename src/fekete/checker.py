@@ -20,7 +20,10 @@ them clear (a clean non-convex prefix, such as a rational-slopes
 construction); and the minorant on the grid, for the sums still left.
 OnePlus domains (at most two pairs per sum) and explicit domains skip
 the certificate and send all their pairs.  Every decision is integer
-arithmetic and reported deficits are exact rationals.  Window maxima of
+arithmetic and reported deficits are exact rationals, each reduced to a
+``Fraction`` as it is reported: ``scan_violations`` holds them all as
+``Violation``s, and the CLI's ``check`` streams its report from the
+violating pairs alone (``_report_stream``).  Window maxima of
 the slopes come from one sliding-window pass (a monotone deque) over the
 grid, O(H) integer cross products for the whole table.
 """
@@ -97,24 +100,21 @@ class ViolationReport:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) +
-        "\\n"``, joined from ``_json_pieces``."""
-        return "".join(self._json_pieces())
+        "\\n"``, joined from the pieces ``check`` streams."""
+        return "".join(_report_pieces(self.domain, self.pairs_checked, self.violations))
 
-    def _json_pieces(self) -> Iterator[str]:
-        """The pieces of ``to_json_text``, checked printable: one f-string
-        per violation, whose deficit is ASCII digits, "-" and "/" and
-        needs no escaping."""
-        _check_printable(v.deficit for v in self.violations)
-        items = (
-            f'{{\n      "deficit": "{format_rational(v.deficit)}",\n'
-            f'      "m": {v.m},\n      "n": {v.n}\n    }}'
-            for v in self.violations
-        )
-        head = {
-            "domain": self.domain.to_json_dict(),
-            "pairs_checked": self.pairs_checked,
-        }
-        return _json_with_array(head, "violations", items)
+
+def _report_pieces(domain, pairs_checked, violations) -> Iterator[str]:
+    """The pieces of the ``to_json_text`` of a report: one f-string per
+    violation, whose deficit is ASCII digits, "-" and "/" and needs no
+    escaping, made as ``violations`` yields it."""
+    items = (
+        f'{{\n      "deficit": "{format_rational(v.deficit)}",\n'
+        f'      "m": {v.m},\n      "n": {v.n}\n    }}'
+        for v in violations
+    )
+    head = {"domain": domain.to_json_dict(), "pairs_checked": pairs_checked}
+    return _json_with_array(head, "violations", items)
 
 
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
@@ -210,7 +210,10 @@ def _certificate_failures(table_lo, table_hi, table_f, sums):
 
 
 def _decide_pairs(a, f, pairs, tables=None):
-    """The ``Violation``s among ``pairs``: the one loop that decides pairs.
+    """``(bad, tables)``: the pairs of ``pairs`` that break the
+    inequality, in their order, and the tables their deficits are read
+    from (``_deficits``; None when there is no such pair).  This is the
+    one loop that decides pairs.
 
     A prefix with an image (parsed, convex, or certified from its values)
     clears (n, m), s = n + m, on it when hi[s] - Flo[s] <= lo[n] + lo[m],
@@ -221,24 +224,43 @@ def _decide_pairs(a, f, pairs, tables=None):
     its pairs there.
     """
     if not pairs:
-        return []
+        return [], None
     image = a._fixed_point(from_values=False)
     if image is not None:
         lo, hi = image
         flo = _floor_scaled(f, a.horizon)
         pairs = [(n, m) for n, m in pairs if hi[n + m] - flo[n + m] > lo[n] + lo[m]]
         if not pairs:
-            return []
-    denom, table_a, table_f = tables or _scaled_tables(a, f)
-    return [
-        Violation(n, m, Fraction(diff, denom)) for n, m in pairs
-        if (diff := table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]) > 0
+            return [], None
+    tables = tables or _scaled_tables(a, f)
+    _, table_a, table_f = tables
+    bad = [
+        (n, m) for n, m in pairs
+        if table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m] > 0
     ]
+    return bad, tables
+
+
+def _deficits(bad, tables) -> Iterator[tuple[int, int, int]]:
+    """``(n, m, x)`` for each pair of ``bad`` from ``_decide_pairs``: its
+    deficit is x / D, unreduced, with D = ``tables[0]``."""
+    if bad:
+        _, table_a, table_f = tables
+        for n, m in bad:
+            yield n, m, table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]
+
+
+def _violations(bad, tables) -> Iterator[Violation]:
+    """The ``Violation`` of each pair of ``bad``, its deficit reduced to a
+    ``Fraction`` as it is yielded."""
+    for n, m, x in _deficits(bad, tables):
+        yield Violation(n, m, Fraction(x, tables[0]))
 
 
 def _scan_sums(a, f, domain):
-    """``(pairs_checked, violations)`` of an ``IntervalDomain``: chooses
-    the sums whose pairs in the domain go to ``_decide_pairs``.
+    """``(pairs_checked, bad, tables)`` of an ``IntervalDomain``, the last
+    two from ``_decide_pairs``: chooses the sums whose pairs in the domain
+    go to it.
 
     The sums are those of the certificate kept on ``a`` for f (one entry,
     keyed by the identity of f, None included); or every sum, for a narrow
@@ -276,7 +298,7 @@ def _scan_sums(a, f, domain):
             sums = _certificate_failures(tables[1], tables[1], tables[2], sums)
         a._certified = f, tuple(sums)
     pairs = [(n, s - n) for s in sums for n in range(lower[s], s // 2 + 1)]
-    return checked, _decide_pairs(a, f, pairs, tables)
+    return (checked, *_decide_pairs(a, f, pairs, tables))
 
 
 def scan_violations(
@@ -296,21 +318,36 @@ def scan_violations(
     leaves it.  Pairs go to that loop in (n + m, n) order, the order of
     the report.
     """
-    _require_prefix_and_term(a, f)
     if domain is None:
         domain = FullDomain()
+    checked, bad, tables = _scan(a, f, domain)
+    violations = tuple(_violations(bad, tables))
+    return ViolationReport(domain=domain, pairs_checked=checked, violations=violations)
+
+
+def _scan(a, f, domain):
+    """``(pairs_checked, bad, tables)`` of ``scan_violations(a, f,
+    domain)``: its violating pairs, not yet made into ``Violation``s."""
+    _require_prefix_and_term(a, f)
     horizon = a.horizon
     if f is not None and f.horizon < horizon:
         raise ValueError(
             f"error-term horizon {f.horizon} is shorter than the sequence horizon {horizon}"
         )
     if isinstance(domain, IntervalDomain):
-        checked, violations = _scan_sums(a, f, domain)
-    else:
-        pairs = sorted(domain.pairs_upto(horizon), key=lambda p: (p[0] + p[1], p[0]))
-        checked = len(pairs)
-        violations = _decide_pairs(a, f, pairs)
-    return ViolationReport(domain=domain, pairs_checked=checked, violations=tuple(violations))
+        return _scan_sums(a, f, domain)
+    pairs = sorted(domain.pairs_upto(horizon), key=lambda p: (p[0] + p[1], p[0]))
+    return (len(pairs), *_decide_pairs(a, f, pairs))
+
+
+def _report_stream(a, f, domain) -> tuple[bool, Iterator[str]]:
+    """Whether ``scan_violations(a, f, domain)`` is ok, and the pieces of
+    its ``to_json_text``, checked printable, with no ``Violation`` held:
+    the printable check reads the unreduced deficits, and each deficit is
+    reduced as its piece is made."""
+    checked, bad, tables = _scan(a, f, domain)
+    _check_printable((x, tables[0]) for _, _, x in _deficits(bad, tables))
+    return not bad, _report_pieces(domain, checked, _violations(bad, tables))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import checker, constructions, limits, model
 
@@ -38,9 +38,23 @@ MAX_CHAIN_PARTS = 2000
 MAX_HORIZON = 10_000
 
 
-def _read(path: str) -> str:
+# The characters read from an input file at a time: a command holds one
+# such window of the file besides what it has parsed from it.
+_READ_CHARS = 64 * 1024
+
+
+def _pieces(fh) -> Iterator[str]:
+    """The text of the open file ``fh``, ``_READ_CHARS`` characters at a
+    time."""
+    return iter(lambda: fh.read(_READ_CHARS), "")
+
+
+def _parse_file(path: str, parse):
+    """``parse`` of the pieces of the UTF-8 text file ``path``: the one
+    reader of every input file (sequences, error terms, explicit
+    domains)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return parse(_pieces(fh))
 
 
 def _write(pieces: Iterable[str], path: str | None) -> None:
@@ -83,7 +97,7 @@ def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
             )
         params = {key: model.parse_rational(val) for key, val in zip(names, raw)}
         return model.builtin_error_term(name, horizon, params)
-    return model.parse_error_term(_read(spec))
+    return _parse_file(spec, model.parse_error_term)
 
 
 def _int_option(text: str) -> int:
@@ -113,7 +127,7 @@ def _domain_from(spec: str) -> model.PairDomain:
         N = model.parse_ascii_int(n_s, "threshold")
         return model.MuBandDomain(model.parse_rational(mu_s), N)
     if kind == "explicit":
-        payload = json.loads(_read(rest))
+        payload = _parse_file(rest, lambda pieces: model._TextReader(pieces).json())
         pairs = payload.get("pairs") if isinstance(payload, dict) else None
         if not isinstance(pairs, list):
             raise ValueError("explicit domain file needs a 'pairs' list")
@@ -122,16 +136,16 @@ def _domain_from(spec: str) -> model.PairDomain:
 
 
 def _cmd_check(args) -> int:
-    seq = model.parse_sequence(_read(args.seq))
+    seq = _parse_file(args.seq, model._parse_sequence)
     f = _error_term_for(args.f, seq.horizon)
     domain = _domain_from(args.domain)
-    report = checker.scan_violations(seq, f, domain)
-    _write(report._json_pieces(), args.output)
-    return 0 if report.ok else 1
+    ok, pieces = checker._report_stream(seq, f, domain)
+    _write(pieces, args.output)
+    return 0 if ok else 1
 
 
 def _cmd_limit(args) -> int:
-    seq = model.parse_sequence(_read(args.seq))
+    seq = _parse_file(args.seq, model._parse_sequence)
     bracket = limits.fekete_bracket(seq, args.N)
     _write(_dump(bracket.to_json_dict()), args.output)
     return 0
@@ -155,7 +169,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_gdeficit(args) -> int:
-    seq = model.parse_sequence(_read(args.seq))
+    seq = _parse_file(args.seq, model._parse_sequence)
     f = _error_term_for(args.f, seq.horizon)
     value = limits.g_deficit(seq, f, args.n, args.m)
     _write([model.format_rational(value) + "\n"], None)

@@ -8,7 +8,8 @@ cannot decide, and on the grid (``SequencePrefix.grid``) for any other
 prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
 is the prefix g(k) = a(k) - 3k * W(k-1), each value from a(k) and
 ``ErrorTerm.weight_grid``; its deficit on a pair, ``g_deficit``, reads
-three values, and its band check is a plain scan of that prefix.  A
+three values (of a parsed ``a``, with three weight sums and no table),
+and its band check is a plain scan of that prefix.  A
 ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
@@ -197,10 +198,8 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    With ``f.weight_grid = (D_W, Wt)``, ``g._exact(k)`` is (p * D_W - 3k *
-    Wt[k] * q, q * D_W) from ``a._exact(k) = (p, q)`` while ``a`` holds
-    text or pairs and g no grid; else it reads g's grid, built on first
-    use from ``a.grid = (D, A)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W),
+    g's grid is built on first use from ``a.grid = (D, A)`` and
+    ``f.weight_grid = (D_W, Wt)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W),
     L = lcm(D, D_W).  ``f`` keeps the last prefix it smoothed, found by
     the identity of ``a`` (never by comparing values), so repeated calls
     with the same (a, f) share one grid.
@@ -226,13 +225,7 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
         denom, table = g.grid
         return tuple(Fraction(x, denom) for x in table[1:])
 
-    def exact(k):
-        (p, q), (w_denom, w) = a._exact(k), f.weight_grid
-        return p * w_denom - 3 * k * w[k] * q, q * w_denom
-
-    if a._texts is None and a._pairs is None:  # a reads its grid anyway
-        exact = None
-    g = SequencePrefix._deferred_prefix(horizon, values, grid, exact=exact)
+    g = SequencePrefix._deferred_prefix(horizon, values, grid)
     f._smoothed = a, g
     return g
 
@@ -251,8 +244,11 @@ def g_deficit(
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
     which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
-    three entries of its grid when g holds one, else three of its
-    ``_exact`` values (one literal each for a parsed ``a``), reduced to a
+    three entries of its grid when g holds one; for an ``a`` that holds
+    its text or pairs (a parsed file), three of its literals ``(p, q)``
+    and, from one pass of ``f._weights(n + m)`` that holds no table, the
+    three Wt[k], as g(k) = (p * D_W - 3k * Wt[k] * q) / (q * D_W); else
+    three ``_exact`` values of g.  The deficit is reduced to a
     ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
     """
     g = smoothed(a, f)
@@ -268,7 +264,16 @@ def g_deficit(
     if g._grid is not None:  # one read of the grid held
         denom, table = g._grid
         return Fraction(table[s] - table[n] - table[m], denom)
-    (x_s, d_s), (x_n, d_n), (x_m, d_m) = g._exact(s), g._exact(n), g._exact(m)
+    if g is not a and (a._texts is not None or a._pairs is not None):
+        w_denom, sums = f._weights(s)
+        w = {k: x for k, x in enumerate(sums, start=1) if k in (n, m, s)}
+
+        def exact(k):
+            p, q = a._exact(k)
+            return p * w_denom - 3 * k * w[k] * q, q * w_denom
+    else:
+        exact = g._exact
+    (x_s, d_s), (x_n, d_n), (x_m, d_m) = exact(s), exact(n), exact(m)
     if d_s == d_n == d_m:  # one grid: no products
         return Fraction(x_s - x_n - x_m, d_s)
     return Fraction(x_s, d_s) - Fraction(x_n, d_n) - Fraction(x_m, d_m)

@@ -149,7 +149,7 @@ class SequencePrefix:
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
     built once from whichever source the prefix already holds, never from
     its grid (from text, the leading digits of each value); ``_exact(n)``
-    is one value, from its own text or a deferred builder.  Scans and
+    is one value, from its own text or pairs, else the grid.  Scans and
     brackets decide on the image first; a scan keeps on the prefix the
     sums it could not clear, for the last error term it scanned the prefix
     against.  Neither the image nor that entry takes part in pickling,
@@ -189,17 +189,16 @@ class SequencePrefix:
         values: Callable[[], tuple[Fraction, ...]],
         grid: Callable[[], tuple[int, tuple[int, ...]]],
         image: Callable[[], tuple[list[int], list[int]]] | None = None,
-        exact: Callable[[int], tuple[int, int]] | None = None,
     ) -> SequencePrefix:
         """The prefix of ``horizon`` values whose ``values``, ``grid`` and
-        image the zero-argument callables build once, on first use, and
-        whose ``_exact(n)`` is ``exact(n)`` until it has a grid; all must
-        give the same rationals.  Without ``image``, it is built as usual."""
+        image the zero-argument callables build once, on first use; all
+        must give the same rationals.  Without ``image``, it is built as
+        usual."""
         prefix = cls.__new__(cls)
         prefix._horizon = horizon
         prefix._values = prefix._texts = prefix._pairs = prefix._grid = None
         prefix._image = prefix._certified = None
-        prefix._deferred = values, grid, image, exact
+        prefix._deferred = values, grid, image
         return prefix
 
     def _converted(self) -> list[tuple[int, int]] | None:
@@ -270,13 +269,11 @@ class SequencePrefix:
 
     def _exact(self, n: int) -> tuple[int, int]:
         """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from its own
-        text while the prefix holds it, else the pairs, ``exact`` or grid."""
+        text while the prefix holds it, else the pairs or the grid."""
         if self._texts is not None:
             return _literal_pair(self._texts[n - 1])
         if self._pairs is not None:
             return self._pairs[n - 1]
-        if self._grid is None and self._deferred and self._deferred[3]:
-            return self._deferred[3](n)
         denom, table = self._grid or self.grid
         return table[n], denom
 
@@ -425,8 +422,9 @@ class ErrorTerm(SequencePrefix):
     families and integer files use) keeps only its grid ``(1, (0, f(1),
     ..., f(H)))`` and builds ``values`` when they are first asked for.
     The partial sums W of sum f(x)/x^2 come as the stream
-    ``weight_sums()``, as the cached integers of ``weight_grid`` and as
-    the cached fixed-point bounds of ``weight_bounds``.  Next to those
+    ``weight_sums()``, as the cached integers of ``weight_grid`` (or the
+    head of them as one pass, ``_weights``) and as the cached fixed-point
+    bounds of ``weight_bounds``.  Next to those
     caches, ``limits.smoothed`` keeps the last prefix it smoothed by this
     term; none takes part in pickling, equality or hashing.
     """
@@ -485,23 +483,34 @@ class ErrorTerm(SequencePrefix):
         prefix sum of p_x * (D_W // (q_x * x^2)), each division a long
         number over a short one; no ``Fraction`` is built.  An integer
         table (grid denominator 1) is read from its grid, with q_x = 1.
+        The table is the stream of ``_weights(H + 1)``.
         """
+        denom, sums = self._weights(self._horizon + 1)
+        return denom, (0, *sums)
+
+    def _weights(self, top: int) -> tuple[int, Iterator[int]]:
+        """``(D_W, Wt)`` of ``weight_grid`` for the term cut to f(1..top-1),
+        2 <= top <= H + 1: D_W its lcm, and Wt the stream of Wt[1], ...,
+        Wt[top], one integer pass that holds no table."""
         if self._grid is not None and self._grid[0] == 1:
             table = self._grid[1]
-            terms = [(table[x], x * x) for x in range(1, self._horizon + 1)]
+            terms = [(table[x], x * x) for x in range(1, top)]
         else:
             terms = [
                 (v.numerator, v.denominator * x * x)
-                for x, v in enumerate(self.values, start=1)
+                for x, v in enumerate(self.values[: top - 1], start=1)
             ]
         denom = math.lcm(*(d for p, d in terms if p))
-        total = -terms[0][0] * (denom // terms[0][1])
-        table = [0, total]
-        for p, d in terms:
-            if p:
-                total += p * (denom // d)
-            table.append(total)
-        return denom, tuple(table)
+
+        def sums():
+            total = -terms[0][0] * (denom // terms[0][1])
+            yield total
+            for p, d in terms:
+                if p:
+                    total += p * (denom // d)
+                yield total
+
+        return denom, sums()
 
     @cached_property
     def weight_bounds(self) -> tuple[list[int], list[int]]:
@@ -844,23 +853,25 @@ class ExplicitDomain(PairDomain):
 # --- serialization ----------------------------------------------------------
 
 
-def _check_printable(values: Iterable[Fraction]) -> None:
+def _check_printable(pairs: Iterable[tuple[int, int]]) -> None:
     """Raise now the ValueError that ``format_rational`` would raise on
-    one of ``values``: that of ``str()`` on an integer longer than
-    ``_digit_limit()`` digits.  Every stream of pieces runs this before it
-    makes its first, so a stream that would fail writes nothing.
+    one of the rationals p/q, q >= 1, of ``pairs``: that of ``str()`` on
+    an integer longer than ``_digit_limit()`` digits.  Every stream of
+    pieces runs this before it makes its first, so a stream that would
+    fail writes nothing.
 
     An integer of b bits is below 2**b, which has at most ``limit``
-    digits while b <= limit * log2(10); only the integers within two bits
-    of that length are converted.
+    digits while b <= limit * log2(10), and reducing p/q shortens neither
+    part; only the rationals with a part within two bits of that length
+    are reduced and converted.
     """
     limit = _digit_limit()
     if not limit:
         return
     bits = int(limit * math.log2(10)) - 2
-    for v in values:
-        if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
-            format_rational(v)
+    for p, q in pairs:
+        if p.bit_length() > bits or q.bit_length() > bits:
+            format_rational(Fraction(p, q))
 
 
 def _json_with_array(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
@@ -886,7 +897,7 @@ def _json_with_array(head: dict, key: str, items: Iterable[str]) -> Iterator[str
 def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
     """The pieces of ``sequence_to_json(prefix)``, checked printable."""
     values = prefix.values
-    _check_printable(values)
+    _check_printable((v.numerator, v.denominator) for v in values)
     # a rendered rational is ASCII digits, "-" and "/": no escaping needed
     items = (f'"{format_rational(v)}"' for v in values)
     return _json_with_array({"offset": 1}, "values", items)
@@ -895,7 +906,7 @@ def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
 def _sequence_csv_pieces(prefix: SequencePrefix) -> Iterator[str]:
     """The lines of ``sequence_to_csv(prefix)``, checked printable."""
     values = prefix.values
-    _check_printable(values)
+    _check_printable((v.numerator, v.denominator) for v in values)
     return (f"{i},{format_rational(v)}\n" for i, v in enumerate(values, start=1))
 
 
@@ -907,13 +918,173 @@ def sequence_to_csv(prefix: SequencePrefix) -> str:
     return "".join(_sequence_csv_pieces(prefix))
 
 
-def _json_object(text: str) -> dict:
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_NON_SPACE = re.compile(r"\S")  # as str.isspace() and str.lstrip() read it
+
+
+class _TextReader:
+    """The text that ``source`` makes up, a str or an iterable of str
+    pieces (a str is one piece), read forward through a window.
+
+    ``text`` is the window: the part of the whole text from offset
+    ``start`` on, with the cursor ``pos`` in it.  ``_more`` drops what is
+    before the cursor and reads pieces until the window has at least
+    doubled, so an element that spans many pieces is read again only
+    O(log) times, in time linear in its length.  Besides what it returns,
+    the reader holds the window and no piece it has passed.
+    """
+
+    def __init__(self, source: str | Iterable[str]) -> None:
+        self._pieces = iter((source,) if isinstance(source, str) else source)
+        self.text, self.pos, self.start, self.ended = "", 0, 0, False
+        # the newlines dropped and the offset of the line after the last
+        self._lines = self._line_start = 0
+
+    def _more(self) -> bool:
+        """Drop the window before the cursor and read on; False, with
+        nothing read, at the end of the text."""
+        text, pos = self.text, self.pos
+        if pos:
+            self._lines += text.count("\n", 0, pos)
+            last = text.rfind("\n", 0, pos)
+            if last >= 0:
+                self._line_start = self.start + last + 1
+            self.start += pos
+        parts = [text[pos:]] if pos < len(text) else []  # a lone piece is not copied
+        kept = size = len(text) - pos
+        for piece in self._pieces:
+            parts.append(piece)
+            size += len(piece)
+            if size > 2 * kept:
+                break
+        else:
+            self.ended = True
+        self.text, self.pos = "".join(parts), 0
+        return size > kept
+
+    def first(self) -> str:
+        """The first character from the cursor on that is not whitespace
+        (``str.isspace``), "" if there is none; the cursor stays."""
+        seen = 0
+        while True:
+            match = _NON_SPACE.search(self.text, self.pos + seen)
+            if match:
+                return match.group()
+            seen = len(self.text) - self.pos
+            if not self._more():
+                return ""
+
+    def lines(self) -> Iterator[str]:
+        """The lines of the rest of the text, as ``str.splitlines`` splits
+        it."""
+        while self._more():
+            # the last line may go on in the next piece ("\r" then "\n")
+            self.pos = len(self.text) - len(self.text.splitlines(True)[-1])
+            yield from self.text[: self.pos].splitlines()
+        yield from self.text.splitlines()
+
+    def json(self):
+        """``json.loads`` of the rest of the text: the same value, or a
+        ValueError where it raises one, worded as its error ("invalid
+        JSON: " first) with the line, column and offset in the whole text.
+
+        Objects and arrays are walked here, and each scalar is decoded by
+        ``json.JSONDecoder.raw_decode``.  The one difference is depth:
+        this walk keeps its open containers in a list, not on the stack.
+        """
+        if self._skip() == "\ufeff" and self.start + self.pos == 0:
+            raise self._error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        stack = []  # the open containers: [list, None] or [dict, key of the next value]
+        while True:
+            char = self._skip()
+            if char == "{" or char == "[":
+                self.pos += 1
+                value = {} if char == "{" else []
+                if self._skip() != ("}" if char == "{" else "]"):
+                    stack.append([value, self._key() if char == "{" else None])
+                    continue
+                self.pos += 1
+            else:
+                value = self._scalar()
+            while stack:  # the value is done: file it, and close what it ends
+                container, key = top = stack[-1]
+                if key is None:
+                    container.append(value)
+                else:
+                    container[key] = value
+                char = self._skip()
+                if char == ("]" if key is None else "}"):
+                    self.pos += 1
+                    value = container
+                    stack.pop()
+                elif char == ",":
+                    self.pos += 1
+                    if key is not None:
+                        top[1] = self._key()
+                    break
+                else:
+                    raise self._error("Expecting ',' delimiter", self.pos)
+            else:
+                if self._skip():
+                    raise self._error("Extra data", self.pos)
+                return value
+
+    def _skip(self) -> str:
+        """Move the cursor past JSON whitespace; the character there, ""
+        at the end of the text."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self._more():
+                return ""
+
+    def _key(self) -> str:
+        """The key of an object member at the cursor, past its ':'."""
+        if self._skip() != '"':
+            raise self._error("Expecting property name enclosed in double quotes", self.pos)
+        key = self._scalar()
+        if self._skip() != ":":
+            raise self._error("Expecting ':' delimiter", self.pos)
+        self.pos += 1
+        return key
+
+    def _scalar(self):
+        """The scalar at the cursor, which moves past it.  A number may go
+        on in the next piece, and three more characters decide it, so a
+        scalar within three of the window's end is read again on a wider
+        window, as is one that fails before the end of the text."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except ValueError as exc:
+                if not self.ended:
+                    self._more()
+                    continue
+                if isinstance(exc, json.JSONDecodeError):
+                    raise self._error(exc.msg, exc.pos) from None
+                raise
+            if end + 3 > len(self.text) and not self.ended:
+                self._more()
+                continue
+            self.pos = end
+            return value
+
+    def _error(self, msg: str, pos: int) -> ValueError:
+        """The error ``msg`` at ``text[pos]``, placed in the whole text."""
+        lineno = self._lines + self.text.count("\n", 0, pos) + 1
+        last = self.text.rfind("\n", 0, pos)
+        column = pos - last if last >= 0 else self.start + pos - self._line_start + 1
+        return ValueError(
+            f"invalid JSON: {msg}: line {lineno} column {column} (char {self.start + pos})"
+        )
+
+
+def _json_object(reader: _TextReader) -> dict:
     """The object of a JSON text; malformed JSON or any other JSON value
     raises ValueError."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+    payload = reader.json()
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
     return payload
@@ -937,11 +1108,11 @@ def _check_offset(payload: dict) -> None:
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
 
 
-def _table_from_csv(text: str) -> list[str]:
-    """The table of ``index,value`` rows as validated literals; indices
-    are ASCII digits and run over 1..H, in any order."""
+def _table_from_csv(lines: Iterable[str]) -> list[str]:
+    """The table of the ``index,value`` rows ``lines`` as validated
+    literals; indices are ASCII digits and run over 1..H, in any order."""
     entries: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -963,35 +1134,51 @@ def _table_from_csv(text: str) -> list[str]:
     return [entries[i] for i in range(1, horizon + 1)]
 
 
-def parse_sequence(text: str) -> SequencePrefix:
-    """Parse a sequence prefix from its JSON or CSV serialisation.
+def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
+    """Parse a sequence prefix from its JSON or CSV serialisation: the str
+    ``text``, or the text its str pieces make up, read one window at a
+    time (``_TextReader``), so that besides the prefix only a window of
+    the text is held.  The text is JSON when its first character that is
+    not whitespace is "{".
 
-    JSON objects carry ``{"values": [...], "offset": 1}``; construction
-    outputs (objects with a ``b`` field) are unwrapped to their sequence.
-    CSV rows are ``index,value`` with contiguous indices 1..H.  Every value
-    is validated here (a malformed or over-long one raises ValueError) but
-    kept as text: the prefix's fixed-point image reads only leading
-    digits, and all values become integers (p, q), unreduced, on the
-    first exact use, from which the grid and ``Fraction``s are built.
+    JSON objects carry ``{"values": [...], "offset": 1}``, and read as
+    ``json.loads`` reads them; construction outputs (objects with a ``b``
+    field) are unwrapped to their sequence.  CSV rows are ``index,value``
+    with contiguous indices 1..H, one a line as ``str.splitlines`` splits
+    them.  Every value is validated here (a malformed or over-long one
+    raises ValueError) but kept as text: the prefix's fixed-point image
+    reads only leading digits, and all values become integers (p, q),
+    unreduced, on the first exact use, from which the grid and
+    ``Fraction``s are built.
     """
-    if text.lstrip().startswith("{"):
-        payload = _json_object(text)
+    return _parse_sequence(text)
+
+
+def _parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
+    """``parse_sequence(text)``.  The CLI calls this name, so that a
+    wrapper of ``parse_sequence`` that measures its argument as a str (as
+    the benchmark's tracer does) sees only strs."""
+    reader = _TextReader(text)
+    if reader.first() == "{":
+        payload = _json_object(reader)
         if "values" not in payload and isinstance(payload.get("b"), dict):
             payload = payload["b"]  # construction outputs wrap their sequence in "b"
         texts = _table_from_json(payload, "expected a 'values' list")
     else:
-        texts = _table_from_csv(text)
+        texts = _table_from_csv(reader.lines())
     return SequencePrefix._from_texts(texts)
 
 
-def parse_error_term(text: str) -> ErrorTerm:
+def parse_error_term(text: str | Iterable[str]) -> ErrorTerm:
     """Parse an error term: a family descriptor JSON
     ``{"family": name, "params": {...}, "H": n}``, a plain values JSON,
-    or an ``index,value`` CSV table.  A table whose entries are all
-    written as integers (``p`` or ``p/1``) becomes an integer table, as a
-    builtin family does."""
-    if text.lstrip().startswith("{"):
-        payload = _json_object(text)
+    or an ``index,value`` CSV table, from a str or its pieces, read as
+    ``parse_sequence`` reads them.  A table whose entries are all written
+    as integers (``p`` or ``p/1``) becomes an integer table, as a builtin
+    family does."""
+    reader = _TextReader(text)
+    if reader.first() == "{":
+        payload = _json_object(reader)
         if "family" in payload:
             family = payload["family"]
             if not isinstance(family, str):
@@ -1007,7 +1194,7 @@ def parse_error_term(text: str) -> ErrorTerm:
             return builtin_error_term(family, horizon, params)
         texts = _table_from_json(payload, "expected 'family' or 'values'")
     else:
-        texts = _table_from_csv(text)
+        texts = _table_from_csv(reader.lines())
     pairs = [_literal_pair(t) for t in texts]
     if all(q == 1 for _, q in pairs):
         return ErrorTerm._from_ints([p for p, _ in pairs])

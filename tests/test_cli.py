@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from fekete import sequence_to_json, SequencePrefix
+from fekete import format_rational, sequence_to_json, SequencePrefix
 from fekete import cli, model
 from fekete.cli import MAX_CHAIN_PARTS, MAX_HORIZON, MAX_INT_DIGITS, main
 
@@ -444,14 +446,63 @@ def _traced_peak(argv):
 
 
 def test_check_writes_its_report_in_less_memory_than_the_report(tmp_path):
-    # 40,000 violations: the report is streamed, not held as one text
+    # 40,000 violations: the report is streamed, not held as one text, and
+    # only the violating pairs are kept, each deficit reduced as it is
+    # written (held as Violations they took about 1.1 times the report)
     conv, out = tmp_path / "sqrt.json", tmp_path / "report.json"
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "400",
                  "-o", str(conv)]) == 0
     code, peak = _traced_peak(["check", "--seq", str(conv), "--f", "zero",
                                "--domain", "full", "-o", str(out)])
     assert code == 1
-    assert peak < 1.5 * out.stat().st_size
+    assert peak < 0.5 * out.stat().st_size
+
+
+def test_check_reads_its_file_in_less_memory_than_two_copies(tmp_path):
+    # the file is read a window at a time, so the strings parsed from it
+    # are its one copy held (read whole, its text was a second)
+    conv, out = tmp_path / "sqrt.json", tmp_path / "report.json"
+    assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "2000",
+                 "-o", str(conv)]) == 0
+    code, peak = _traced_peak(["check", "--seq", str(conv), "--f", "family:floor_sqrt",
+                               "--domain", "muband:21/20,1", "-o", str(out)])
+    assert code == 0
+    assert peak < 1.4 * conv.stat().st_size
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("built although unused")
+
+
+def test_gdeficit_of_a_parsed_file_builds_no_weight_table(tmp_path, capsys, monkeypatch):
+    # three literals and three weight sums from one pass up to n + m,
+    # against G(n+m) - G(n) - G(m) summed term by term
+    conv = tmp_path / "sqrt.json"
+    assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "120",
+                 "-o", str(conv)]) == 0
+    # the same values unreduced, and a rational error term
+    a = [Fraction(v) for v in json.loads(conv.read_text())["values"]]
+    seq = tmp_path / "unreduced.json"
+    seq.write_text(json.dumps({"values": [f"{3 * v.numerator}/{3 * v.denominator}" for v in a]}))
+    rational = [Fraction(math.isqrt(x), 1 + x % 3) for x in range(1, 121)]
+    rational = [max(rational[: x + 1]) for x in range(120)]  # non-decreasing
+    f_file = tmp_path / "f.json"
+    f_file.write_text(json.dumps({"values": [format_rational(v) for v in rational]}))
+    terms = {"family:floor_sqrt": [Fraction(math.isqrt(x)) for x in range(1, 121)],
+             str(f_file): rational}
+    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    for path in (conv, seq):
+        for spec, f in terms.items():
+            for n, m in ((1, 1), (2, 3), (17, 30), (40, 80)):
+                s = n + m
+
+                def tail(lo):  # sum(f(x)/x^2 for lo <= x < n + m)
+                    return sum((f[x - 1] / (x * x) for x in range(lo, s)), Fraction(0))
+
+                want = a[s - 1] - a[n - 1] - a[m - 1] - 3 * n * tail(n) - 3 * m * tail(m)
+                assert main(["gdeficit", "--seq", str(path), "--f", spec,
+                             "--n", str(n), "--m", str(m)]) == 0
+                assert Fraction(capsys.readouterr().out.strip()) == want, (path, spec, n, m)
 
 
 def test_construct_writes_its_file_in_less_memory_than_the_file(tmp_path):
