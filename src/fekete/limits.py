@@ -149,9 +149,10 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
 
     A parsed or convex prefix without its grid narrows each argmin and
     window maximum on its fixed-point image and decides among the few
-    indices left by exact values (``SequencePrefix._exact``: one literal
-    of a parsed prefix, so it builds no grid).  Any other prefix compares
-    slopes on its grid, its own image, by cross products.
+    indices left by exact values (``SequencePrefix._exact``: a parsed
+    prefix's exact builder reads one literal, so it builds no grid).  Any
+    other prefix compares slopes on its grid, its own image, by cross
+    products.
     """
     _require_int(N, "threshold")
     horizon = a.horizon
@@ -198,11 +199,13 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    g's grid is built on first use from ``a.grid = (D, A)`` and
-    ``f.weight_grid = (D_W, Wt)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W),
-    L = lcm(D, D_W).  ``f`` keeps the last prefix it smoothed, found by
-    the identity of ``a`` (never by comparing values), so repeated calls
-    with the same (a, f) share one grid.
+    g is given two builders (``SequencePrefix._deferred_prefix``): its
+    grid, built on first use from ``a.grid = (D, A)`` and ``f.weight_grid
+    = (D_W, Wt)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W), L = lcm(D,
+    D_W), and its values, from that grid.  With no image or exact builder,
+    g decides on its grid.  ``f`` keeps the last prefix it smoothed, found
+    by the identity of ``a`` (never by comparing values), so repeated
+    calls with the same (a, f) share one grid.
     """
     _require_prefix_and_term(a, f)
     if f is None:
@@ -244,12 +247,13 @@ def g_deficit(
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
     which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
-    three entries of its grid when g holds one; for an ``a`` that holds
-    its text or pairs (a parsed file), three of its literals ``(p, q)``
-    and, from one pass of ``f._weights(n + m)`` that holds no table, the
-    three Wt[k], as g(k) = (p * D_W - 3k * Wt[k] * q) / (q * D_W); else
-    three ``_exact`` values of g.  The deficit is reduced to a
-    ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
+    three entries of its grid when g holds one; for an ``a`` with an
+    exact builder and no grid (a parsed file: one literal each), three
+    of its values ``a._exact(k) = (p, q)`` and, from one pass of
+    ``f._weights(n + m)`` that holds no table, the three Wt[k], as g(k) =
+    (p * D_W - 3k * Wt[k] * q) / (q * D_W); else three ``_exact`` values
+    of g, from its grid, built once from that of ``a``.  The deficit is
+    reduced to a ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
     """
     g = smoothed(a, f)
     _require_int(n, "n")
@@ -264,7 +268,7 @@ def g_deficit(
     if g._grid is not None:  # one read of the grid held
         denom, table = g._grid
         return Fraction(table[s] - table[n] - table[m], denom)
-    if g is not a and (a._texts is not None or a._pairs is not None):
+    if g is not a and a._grid is None and a._builders[3] is not None:  # one value alone
         w_denom, sums = f._weights(s)
         w = {k: x for k, x in enumerate(sums, start=1) if k in (n, m, s)}
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "ErrorTerm",
@@ -83,6 +83,12 @@ def _literal_pair(literal: str | int) -> tuple[int, int]:
     return int(num), int(den) if slash else 1
 
 
+def _literal_pairs(texts: Iterable[str | int]) -> list[tuple[int, int]]:
+    """``_literal_pair`` of each validated literal of ``texts``: the one
+    conversion of a parsed table to integers."""
+    return [_literal_pair(t) for t in texts]
+
+
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
@@ -133,92 +139,84 @@ class SequencePrefix:
     """Finite exact table ``a(1..H)`` of a sequence.
 
     ``value(0)`` is defined as 0 so that decomposition identities hold
-    without special cases.  Besides ``values``, a prefix has its integer
-    ``grid``, built on first use.  A prefix read by ``parse_sequence``
-    keeps the text of each value (the string read, not a copy) and
-    converts it all to integer pairs (p, q) on its first exact use
-    (``grid``, ``values``, ``value``), dropping the text; the pairs give
-    the grid with no gcd per value and ``values`` when asked for.  A
-    prefix built from ``Fraction``s builds its grid from them.  A prefix
-    made by ``_deferred_prefix`` (a convex prefix, for one) builds each of
-    its representations only when it is first used, each from its own
-    source.  An integer error term (``ErrorTerm._from_ints``) is held only
-    as its grid, over D = 1.  Equality and hashing are those of ``values``.
+    without special cases.  A prefix is its horizon H and the builders it
+    was given (``_deferred_prefix``): of ``values``, of its integer
+    ``grid``, of its fixed-point image and of one exact value.  Each
+    representation is built on first use and kept; the constructors
+    differ only in the builders they pass.  A prefix built from
+    ``Fraction``s holds its values and builds its grid from them.  A
+    prefix read by ``parse_sequence`` keeps the text of each value (the
+    string read, not a copy): its image reads the leading digits of each
+    value and its exact builder one literal, and ``grid`` or ``values``
+    converts all the text once to integer pairs (p, q), dropping the
+    text; the pairs give the grid with no gcd per value and ``values``
+    when asked for.  An integer table (``ErrorTerm._from_ints``) holds its
+    grid, over D = 1, and reads one value as (f(n), 1).  A convex or
+    smoothed prefix builds each representation from its own source.
+    Equality and hashing are those of ``values``.
 
     ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
-    built once from whichever source the prefix already holds, never from
-    its grid (from text, the leading digits of each value); ``_exact(n)``
-    is one value, from its own text or pairs, else the grid.  Scans and
-    brackets decide on the image first; a scan keeps on the prefix the
-    sums it could not clear, for the last error term it scanned the prefix
-    against.  Neither the image nor that entry takes part in pickling,
-    equality or hashing.
+    never built from the grid; ``_exact(n)`` is one value as (p, q), from
+    the exact builder, else the grid.  Scans and brackets decide on the
+    image first; a scan keeps on the prefix the sums it could not clear,
+    for the last error term it scanned the prefix against.  Neither the
+    image nor that entry takes part in pickling, equality or hashing.
     """
 
-    __slots__ = (
-        "_horizon", "_values", "_texts", "_pairs", "_grid", "_deferred", "_image",
-        "_certified",
-    )
+    __slots__ = ("_horizon", "_builders", "_values", "_grid", "_image", "_certified")
 
     def __init__(self, values: Iterable) -> None:
         vals = tuple(_coerce(v) for v in values)
         if not vals:
             raise ValueError("empty sequence")
-        self._horizon = len(vals)
-        self._values = vals
-        self._texts = self._pairs = self._grid = self._deferred = None
-        self._image = self._certified = None
+
+        def grid():
+            return _integer_grid([(v.numerator, v.denominator) for v in vals])
+
+        self._horizon, self._builders = len(vals), (None, grid, None, None)
+        self._values, self._grid, self._image, self._certified = vals, None, None, None
 
     @classmethod
     def _from_texts(cls, texts: list[str | int]) -> SequencePrefix:
-        """The prefix of the validated literals ``texts`` (``_literal``)."""
+        """The prefix of the validated literals ``texts`` (``_literal``).
+        Its builders share one conversion of the text to pairs, made on
+        the first use of ``grid`` or ``values``, which drops the text."""
         if not texts:
             raise ValueError("empty sequence")
-        prefix = cls.__new__(cls)
-        prefix._horizon = len(texts)
-        prefix._texts = texts
-        prefix._values = prefix._pairs = prefix._grid = prefix._deferred = None
-        prefix._image = prefix._certified = None
-        return prefix
+        pairs = None
+
+        def converted():
+            nonlocal texts, pairs
+            if pairs is None:
+                pairs, texts = _literal_pairs(texts), None
+            return pairs
+
+        return cls._deferred_prefix(
+            len(texts),
+            lambda: tuple(Fraction(p, q) for p, q in converted()),
+            lambda: _integer_grid(converted()),
+            lambda: None if texts is None else _text_image(texts),
+            lambda n: _literal_pair(texts[n - 1]) if pairs is None else pairs[n - 1],
+        )
 
     @classmethod
-    def _deferred_prefix(
-        cls,
-        horizon: int,
-        values: Callable[[], tuple[Fraction, ...]],
-        grid: Callable[[], tuple[int, tuple[int, ...]]],
-        image: Callable[[], tuple[list[int], list[int]]] | None = None,
-    ) -> SequencePrefix:
-        """The prefix of ``horizon`` values whose ``values``, ``grid`` and
-        image the zero-argument callables build once, on first use; all
-        must give the same rationals.  Without ``image``, it is built as
-        usual."""
+    def _deferred_prefix(cls, horizon: int, values, grid, image=None, exact=None) -> SequencePrefix:
+        """The prefix of ``horizon`` values whose ``values`` and ``grid``
+        the zero-argument callables build once, on first use (None for
+        one the caller sets); ``image``, if given, builds the image, or
+        gives None when it has nothing to build it from; ``exact(n)``, if
+        given, is ``_exact(n)``.  All must give the same rationals."""
         prefix = cls.__new__(cls)
-        prefix._horizon = horizon
-        prefix._values = prefix._texts = prefix._pairs = prefix._grid = None
-        prefix._image = prefix._certified = None
-        prefix._deferred = values, grid, image
+        prefix._horizon, prefix._builders = horizon, (values, grid, image, exact)
+        prefix._values = prefix._grid = prefix._image = prefix._certified = None
         return prefix
-
-    def _converted(self) -> list[tuple[int, int]] | None:
-        """The pairs (p, q) of a parsed prefix, converted from its text on
-        first use, which drops the text; None for any other prefix."""
-        if self._texts is not None:
-            self._pairs = [_literal_pair(t) for t in self._texts]
-            self._texts = None
-        return self._pairs
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """a(1), ..., a(H) as reduced ``Fraction``s."""
         if self._values is None:
-            if self._converted() is not None:
-                self._values = tuple(Fraction(p, q) for p, q in self._pairs)
-            elif self._deferred is not None:
-                self._values = self._deferred[0]()
-            else:  # an integer table, over D = 1
-                self._values = tuple(map(Fraction, self._grid[1][1:]))
+            self._values = self._builders[0]()
         return self._values
 
     @property
@@ -230,13 +228,7 @@ class SequencePrefix:
         """``(D, A)``: a common denominator D > 0 of the values and the
         integers A = (0, A[1], ..., A[H]) with a(n) = A[n] / D exactly."""
         if self._grid is None:
-            if self._deferred is not None:
-                self._grid = self._deferred[1]()
-            elif self._converted() is not None:
-                self._grid = _integer_grid(self._pairs)
-            else:
-                pairs = [(v.numerator, v.denominator) for v in self._values]
-                self._grid = _integer_grid(pairs)
+            self._grid = self._builders[1]()
         return self._grid
 
     def _fixed_point(self, from_values: bool = True) -> tuple[list[int], list[int]] | None:
@@ -245,35 +237,29 @@ class SequencePrefix:
         prefix holds its grid, or nothing else to build the image from (an
         integer table, a smoothed prefix), and the grid is the image.
 
-        Built on first use and kept: from the image builder of a deferred
-        prefix, else from a parsed prefix's text (``_text_image``), else
-        from its pairs (p, q) or ``values``, as lo = floor(p * 2**K / q)
-        and hi its ceiling.  With ``from_values`` false those last two are
+        Built on first use and kept: by the image builder (of a convex
+        prefix, or ``_text_image`` of a parsed prefix's text), else from
+        ``values``, when the prefix holds them, as lo = floor(p * 2**K /
+        q) and hi its ceiling.  With ``from_values`` false the values are
         not used and give None: a pass that the grid decides in a few
         comparisons per value gains nothing from them.
         """
         if self._image is None and self._grid is None:
-            if self._deferred is not None and self._deferred[2] is not None:
-                self._image = self._deferred[2]()
-            elif self._texts is not None:
-                self._image = _text_image(self._texts)
-            elif not from_values:
-                return None
-            elif self._pairs is not None:
-                self._image = _fixed_point_of(self._pairs)
-            elif self._values is not None:
+            image = self._builders[2]
+            if image is not None:
+                self._image = image()
+            if self._image is None and from_values and self._values is not None:
                 self._image = _fixed_point_of(
                     (v.numerator, v.denominator) for v in self._values
                 )
         return self._image
 
     def _exact(self, n: int) -> tuple[int, int]:
-        """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from its own
-        text while the prefix holds it, else the pairs or the grid."""
-        if self._texts is not None:
-            return _literal_pair(self._texts[n - 1])
-        if self._pairs is not None:
-            return self._pairs[n - 1]
+        """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from the
+        exact builder (one literal of a parsed prefix), else the grid."""
+        exact = self._builders[3]
+        if exact is not None:
+            return exact(n)
         denom, table = self._grid or self.grid
         return table[n], denom
 
@@ -282,13 +268,10 @@ class SequencePrefix:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
             raise IndexError(f"index {n} outside 1..{self._horizon}")
-        if self._values is None:
-            if self._converted() is not None:
-                return Fraction(*self._pairs[n - 1])
-            if self._deferred is None:  # an integer table, over D = 1
-                return Fraction(self._grid[1][n])
-        # a deferred prefix builds all its values: over the common
-        # denominator of its grid each value would cost a big gcd
+        if self._values is None and self._builders[3] is not None:
+            return Fraction(*self._builders[3](n))
+        # a prefix with no exact builder builds all its values: over the
+        # common denominator of its grid each value would cost a big gcd
         return self.values[n - 1]
 
     def slope(self, n: int) -> Fraction:
@@ -310,7 +293,7 @@ class SequencePrefix:
         return f"{type(self).__name__}(values={self.values!r})"
 
     def __reduce__(self):
-        # a deferred prefix holds closures, which do not pickle
+        # the builders are closures, which do not pickle
         return type(self), (self.values,)
 
 
@@ -419,8 +402,9 @@ class ErrorTerm(SequencePrefix):
     qualifies as an error term.  ``values``, the cached ``grid``,
     ``value`` (with ``f.value(0) == 0``), equality and hashing are those of
     the prefix.  An integer table (``_from_ints``, which the builtin
-    families and integer files use) keeps only its grid ``(1, (0, f(1),
-    ..., f(H)))`` and builds ``values`` when they are first asked for.
+    families and integer files use) is given its grid ``(1, (0, f(1),
+    ..., f(H)))`` and the exact builder (f(n), 1), and builds ``values``
+    only when they are first asked for.
     The partial sums W of sum f(x)/x^2 come as the stream
     ``weight_sums()``, as the cached integers of ``weight_grid`` (or the
     head of them as one pass, ``_weights``) and as the cached fixed-point
@@ -440,11 +424,11 @@ class ErrorTerm(SequencePrefix):
         if not ints:
             raise ValueError("empty sequence")
         cls._check_invariants(ints)
-        term = cls.__new__(cls)
-        term._horizon = len(ints)
-        term._values = term._texts = term._pairs = term._deferred = None
-        term._image = term._certified = None
-        term._grid = 1, (0, *ints)
+        table = (0, *ints)
+        term = cls._deferred_prefix(
+            len(ints), lambda: tuple(map(Fraction, table[1:])), None, exact=lambda n: (table[n], 1)
+        )
+        term._grid = 1, table
         return term
 
     @staticmethod
@@ -1054,15 +1038,20 @@ class _TextReader:
         """The scalar at the cursor, which moves past it.  A number may go
         on in the next piece, and three more characters decide it, so a
         scalar within three of the window's end is read again on a wider
-        window, as is one that fails before the end of the text."""
+        window, as is one that fails before the end of the text, unless
+        it is no value at all with nine characters in the window from
+        where it starts: the longest literal, ``-Infinity``, fits in nine,
+        so no cut element fails that way."""
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, self.pos)
             except ValueError as exc:
-                if not self.ended:
+                decoded = isinstance(exc, json.JSONDecodeError)
+                final = decoded and exc.msg == "Expecting value" and len(self.text) - exc.pos >= 9
+                if not (final or self.ended):
                     self._more()
                     continue
-                if isinstance(exc, json.JSONDecodeError):
+                if decoded:
                     raise self._error(exc.msg, exc.pos) from None
                 raise
             if end + 3 > len(self.text) and not self.ended:
@@ -1147,9 +1136,9 @@ def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     with contiguous indices 1..H, one a line as ``str.splitlines`` splits
     them.  Every value is validated here (a malformed or over-long one
     raises ValueError) but kept as text: the prefix's fixed-point image
-    reads only leading digits, and all values become integers (p, q),
-    unreduced, on the first exact use, from which the grid and
-    ``Fraction``s are built.
+    reads only leading digits, ``_exact(n)`` and ``value(n)`` one literal,
+    and all values become integers (p, q), unreduced, on the first use of
+    the grid or ``values``, which are built from them.
     """
     return _parse_sequence(text)
 
@@ -1195,7 +1184,7 @@ def parse_error_term(text: str | Iterable[str]) -> ErrorTerm:
         texts = _table_from_json(payload, "expected 'family' or 'values'")
     else:
         texts = _table_from_csv(reader.lines())
-    pairs = [_literal_pair(t) for t in texts]
+    pairs = _literal_pairs(texts)
     if all(q == 1 for _, q in pairs):
         return ErrorTerm._from_ints([p for p, _ in pairs])
     return ErrorTerm(Fraction(p, q) for p, q in pairs)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import pickle
+import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -452,20 +454,86 @@ def test_text_prefix_decides_as_its_values(drawn, increments):
             assert scan_violations(parse_sequence(text), f, domain) == want
     for N in range(1, horizon + 1):
         parsed = parse_sequence(text)
-        bracket = fekete_bracket(parsed, N)
-        assert parsed._grid is None and parsed._pairs is None  # from the text alone
+        with _conversions() as converting:
+            bracket = fekete_bracket(parsed, N)
+        assert parsed._grid is None and not converting.called  # from the text alone
         assert bracket == fekete_bracket(reference, N)
         min_slope, argmin, samples = reference_bracket(reference, N)
         assert (bracket.min_slope, bracket.argmin_k) == (min_slope, argmin)
         assert [(s.k, s.bound) for s in bracket.eq8_samples] == samples
 
 
+def _conversions():
+    """A patch that counts the conversions of a parsed text to pairs."""
+    return mock.patch.object(model, "_literal_pairs", wraps=model._literal_pairs)
+
+
 def test_text_is_converted_once_on_first_exact_use():
     a = parse_sequence('{"values": ["1/2", "4/6", 3]}')
-    assert a._exact(2) == (4, 6) and a._exact(3) == (3, 1) and a._pairs is None
-    assert a.value(2) == Fraction(2, 3)
-    assert a._texts is None and a._pairs == [(1, 2), (4, 6), (3, 1)]
+    with _conversions() as converting:
+        assert a._exact(2) == (4, 6) and a._exact(3) == (3, 1)
+        assert a.value(2) == Fraction(2, 3) and not converting.called
+        assert a.grid == (6, (0, 3, 4, 18)) and a.values == (Fraction(1, 2), Fraction(2, 3), 3)
+    converting.assert_called_once_with(["1/2", "4/6", 3])
+    assert [a._exact(n) for n in (1, 2, 3)] == [(1, 2), (4, 6), (3, 1)]
 
+
+
+def _read(prefix, accessor):
+    """What ``accessor`` gives of ``prefix``, for every index it takes."""
+    indices = range(1, prefix.horizon + 1)
+    if accessor == "values":
+        return prefix.values
+    if accessor == "grid":
+        return prefix.grid
+    if accessor == "image":
+        return prefix._fixed_point()
+    if accessor == "exact":
+        return [prefix._exact(n) for n in indices]
+    return [prefix.value(n) for n in range(prefix.horizon + 1)]
+
+
+@given(written_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example(([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)],
+          json.dumps({"values": ["2/4", "4/6", "+06/8"]}), "1,2/4\n3,6/8\n2,04/6\n"), [1])
+@settings(max_examples=40, deadline=None)
+def test_accessor_order_does_not_matter(written, increments):
+    # every prefix kind gives the same rationals whatever accessor it is
+    # first asked through, and its image, when it has one, brackets them
+    values, json_text, csv_text = written
+    horizon = len(values)
+    ints = list(itertools.accumulate(increments[n % len(increments)] for n in range(horizon)))
+    f = ErrorTerm._from_ints(ints)
+    weights = [-Fraction(ints[0]), Fraction(0)]  # W(0), W(1), ..., W(H)
+    for x in range(2, horizon + 1):
+        weights.append(weights[-1] + Fraction(ints[x - 1], x * x))
+    kinds = {
+        "fractions": (lambda: SequencePrefix(values), values),
+        "json": (lambda: parse_sequence(json_text), values),
+        "csv": (lambda: parse_sequence(csv_text), values),
+        "integer term": (lambda: ErrorTerm._from_ints(ints), [Fraction(x) for x in ints]),
+        "convex": (lambda: convex_from_error(f, horizon),
+                   [n * weights[n] for n in range(1, horizon + 1)]),
+        "smoothed": (lambda: smoothed(parse_sequence(json_text), f),
+                     [v - 3 * k * weights[k - 1] for k, v in enumerate(values, start=1)]),
+    }
+    for name, (make, want) in kinds.items():
+        pairs = None
+        for order in itertools.permutations(("values", "grid", "image", "exact", "value")):
+            prefix = make()
+            got = {accessor: _read(prefix, accessor) for accessor in order}
+            assert list(got["values"]) == want, (name, order)
+            denom, table = got["grid"]
+            assert table[0] == 0 and [Fraction(x, denom) for x in table[1:]] == want, (name, order)
+            assert got["value"] == [0, *want], (name, order)
+            assert [Fraction(p, q) for p, q in got["exact"]] == want, (name, order)
+            assert pairs in (None, got["exact"]), (name, order)  # the same pairs, as written
+            pairs = got["exact"]
+            if got["image"] is not None:
+                lo, hi = got["image"]
+                assert len(lo) == len(hi) == horizon + 1 and lo[0] == hi[0] == 0
+                assert all(lo[n] <= v * _SCALE <= hi[n] for n, v in enumerate(want, start=1)), (
+                    name, order)
 
 @given(written_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5),
        st.sampled_from(("text", "pairs", "grid")))
@@ -500,14 +568,16 @@ def test_g_deficit_of_a_parsed_prefix_in_each_state(written, increments, state):
         assert {(n, m): g_deficit(reference, f, n, m) for n, m in pairs} == want
         for text in (json_text, csv_text):
             parsed = parse_sequence(text)
-            if state == "pairs":
-                parsed.value(1)
-            elif state == "grid":
-                parsed.grid
-            for _ in range(2):  # the second pass reuses the smoothed prefix
-                assert {(n, m): g_deficit(parsed, f, n, m) for n, m in pairs} == want
-            held = {"text": parsed._texts, "pairs": parsed._pairs, "grid": parsed._grid}
-            assert held[state] is not None
+            with _conversions() as converting:
+                if state == "pairs":
+                    parsed.values  # converts the text and builds no grid
+                elif state == "grid":
+                    parsed.grid
+                for _ in range(2):  # the second pass reuses the smoothed prefix
+                    assert {(n, m): g_deficit(parsed, f, n, m) for n, m in pairs} == want
+            held = {"text": converting.call_count == 0, "pairs": converting.call_count == 1,
+                    "grid": parsed._grid is not None}
+            assert held[state]
             if state != "grid":
                 assert parsed._grid is None and smoothed(parsed, f)._grid is None
 
@@ -521,12 +591,13 @@ def test_clean_scan_of_a_large_file_holds_its_text_only():
     f = builtin_error_term("floor_sqrt", 4000)
     text = sequence_to_json(convex_from_error(f, 4000))
     size = len(text)
-    tracemalloc.start()
-    try:
-        a = parse_sequence(text)
-        report = scan_violations(a, f, MuBandDomain(Fraction(3, 2), 1))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok and a._grid is None and a._pairs is None, "the clean scan built the grid"
+    with _conversions() as converting:
+        tracemalloc.start()
+        try:
+            a = parse_sequence(text)
+            report = scan_violations(a, f, MuBandDomain(Fraction(3, 2), 1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert report.ok and a._grid is None and not converting.called, "the clean scan built the grid"
     assert held <= 1.05 * size and peak <= 1.15 * size, (held, peak, size)

@@ -265,7 +265,7 @@ def test_g_deficit_validation(monkeypatch):
             g_deficit(prefix, None, 5, 6)
         with pytest.raises(ValueError, match=r"pair \(2, 3\) exceeds error-term horizon 4"):
             g_deficit(prefix, ErrorTerm([0] * 4), 2, 3)
-    assert parsed._texts is not None and parsed._pairs is None and parsed._grid is None
+    assert parsed._values is None and parsed._grid is None  # nothing converted
     assert smoothed(a, ErrorTerm([0] * 4)).horizon == 4
     # a table that is not an ErrorTerm is rejected, not read as one
     for bad_f in (SequencePrefix([0] * 10), [0] * 10, Fraction(0), 0):

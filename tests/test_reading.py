@@ -127,6 +127,10 @@ def _loaded(text: str, chunk: int):
 @example('{"values": ["1"]} x', 7)
 @example('[{"values": ["1"]}]', 2)
 @example('{"values": [12345678901234567890e-3, -0.0]}', 1)
+@example('{"values": [x, ' + '"1", ' * 40 + '"1"]}', 16)  # no value, a long tail
+@example('{"values": [-Infinity, true]}', 13)  # cut after "-"
+@example('{"values": [-Infinity, true]}', 20)  # cut after "-Infinit"
+@example('{"values": [true, -Infinity]}', 14)  # cut after "tr"
 @settings(max_examples=400, deadline=None)
 def test_loader_reads_as_json_loads(text, chunk):
     want, got = _loaded(text, chunk)
@@ -159,6 +163,20 @@ def test_loader_holds_a_long_element_in_linear_time():
     assert sum(calls) < 5 * len(text)
 
 
+def test_loader_fails_on_a_missing_value_without_reading_on():
+    # a 10.5 MB text whose first value is no value at all: the loader
+    # raises json.loads' error from the first window, not the whole text
+    text = '{"values": [x, ' + '"1", ' * 2_100_000 + '"1"]}'
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    piece = 64 * 1024
+    reader = model._TextReader(text[i:i + piece] for i in range(0, len(text), piece))
+    with pytest.raises(ValueError) as got:
+        reader.json()
+    assert str(got.value) == f"invalid JSON: {want.value}"
+    assert "(char 12)" in str(got.value) and len(reader.text) < 256 * 1024
+
+
 _BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
@@ -188,12 +206,13 @@ def test_csv_lines_split_as_splitlines(text, chunk):
     with mock.patch.object(cli, "_READ_CHARS", chunk):
         lines = list(model._TextReader(cli._pieces(io.StringIO(text))).lines())
         assert lines == text.splitlines()
-        got = _outcome(model._parse_sequence, cli._pieces(io.StringIO(text)))
+        with mock.patch.object(model.SequencePrefix, "_from_texts",
+                               wraps=model.SequencePrefix._from_texts) as made:
+            got = _outcome(model._parse_sequence, cli._pieces(io.StringIO(text)))
     # the parser of the whole text, as it read CSV before
-    want = _outcome(lambda t: model.SequencePrefix._from_texts(
-        model._table_from_csv(t.splitlines())), text)
-    if want[0] == "value":
-        assert got[0] == "value" and got[1]._texts == want[1]._texts
+    want = _outcome(lambda t: model._table_from_csv(t.splitlines()), text)
+    if want[0] == "value":  # the literals the parsed prefix holds
+        assert got[0] == "value" and made.call_args.args[0] == want[1]
     else:
         assert got == want
 
