@@ -10,6 +10,8 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -38,17 +40,9 @@ class HorizonExhausted(ValueError):
 
 def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
-    is n * W(n), so a(1) = 0.
-
-    The prefix builds each of its three representations only when it is
-    first used, all from f's own partial sums: ``values`` as the reduced
-    n * W(n) of the stream ``f.weight_sums()``; ``grid`` as ``(D_W, (0,
-    1*Wt[2], ..., H*Wt[H+1]))`` from the ``weight_grid`` of f (of f cut to
-    ``horizon`` when f is longer), O(H) multiplications with no gcd; and
-    the fixed-point image as lo[n] = n * Wlo[n+1] and hi[n] = lo[n] + n *
-    E[n+1] from ``f.weight_bounds``, with no lcm.  So a scan that the
-    image certifies builds no grid and reduces no value, and writing the
-    values builds no grid.
+    is n * W(n), so a(1) = 0: the prefix ``_weighted(f, None, 1, 1, H)``.
+    A scan that its image certifies builds no grid and reduces no value,
+    and writing its values builds no grid.
 
     For any non-negative non-decreasing f the output is non-negative,
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
@@ -61,22 +55,52 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
         raise ValueError(
             f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
         )
+    return _weighted(f, None, 1, 1, horizon)
+
+
+def _weighted(
+    f: ErrorTerm, a: SequencePrefix | None, c: int, shift: int, horizon: int
+) -> SequencePrefix:
+    """The prefix k -> a(k) + c * k * W(k - 1 + shift), k = 1..horizon,
+    with W as in ``f.weight_sums()`` and ``a`` None as zero.  Each of its
+    representations joins that of ``a`` on first use: ``values`` with the
+    W; ``grid`` with the Wt of ``f.weight_grid`` (of ``f._weights`` when
+    it reads less of f) at the lcm of their denominators; the image with
+    ``f.weight_bounds = (Wlo, E)``, as lo_a + c * k * Wlo and hi_a + c *
+    k * (Wlo + E), these two swapped for c < 0, or None if ``a`` has none.
+    """
 
     def values() -> tuple[Fraction, ...]:
-        sums = zip(range(horizon + 1), f.weight_sums())
-        return tuple(x * w for x, w in sums if x)  # skips W(0)
+        sums = itertools.islice(f.weight_sums(), shift, None)
+        terms = (c * k * w for k, w in zip(range(1, horizon + 1), sums))
+        return tuple(terms) if a is None else tuple(x + t for x, t in zip(a.values, terms))
 
     def grid() -> tuple[int, tuple[int, ...]]:
-        # the lcm of a longer f's weight grid would also take in the
-        # denominators of f past the horizon
-        head = f if f.horizon == horizon else ErrorTerm(f.values[:horizon])
-        denom, wt = head.weight_grid
-        return denom, (0, *(x * wt[x + 1] for x in range(1, horizon + 1)))
+        top = horizon + shift
+        if top == f.horizon + 1:
+            w_denom, w = f.weight_grid
+        else:  # W(0) reads f(1): the cut holds at least f(1)
+            w_denom, sums = f._weights(max(top, 2))
+            w = (0, *sums)
+        denom, table = (1, [0] * (horizon + 1)) if a is None else a.grid
+        wide = math.lcm(denom, w_denom)
+        scale, w_scale = wide // denom, c * (wide // w_denom)
+        return wide, (0, *(table[k] * scale + k * w[k + shift] * w_scale
+                           for k in range(1, horizon + 1)))
 
-    def image() -> tuple[list[int], list[int]]:
+    def image() -> tuple[list[int], list[int]] | None:
+        ends = None if a is None else a._fixed_point()
+        if a is not None and ends is None:
+            return None
         lows, misses = f.weight_bounds
-        lo = [x * lows[x + 1] for x in range(horizon + 1)]
-        return lo, [y + x * misses[x + 1] for x, y in enumerate(lo)]
+        steps = range(0, c * (horizon + 1), c)  # c * k
+        lo = [x * w for x, w in zip(steps, lows[shift:])]
+        hi = [y + x * e for x, y, e in zip(steps, lo, misses[shift:])]
+        if c < 0:
+            lo, hi = hi, lo
+        if a is None:
+            return lo, hi
+        return [x + y for x, y in zip(ends[0], lo)], [x + y for x, y in zip(ends[1], hi)]
 
     return SequencePrefix._deferred_prefix(horizon, values, grid, image)
 

@@ -6,10 +6,10 @@ Brackets compare slopes in integers: on the fixed-point image of a
 parsed or convex prefix first, with exact values only where the image
 cannot decide, and on the grid (``SequencePrefix.grid``) for any other
 prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
-is the prefix g(k) = a(k) - 3k * W(k-1), each value from a(k) and
-``ErrorTerm.weight_grid``; its deficit on a pair, ``g_deficit``, reads
-three values (of a parsed ``a``, with three weight sums and no table),
-and its band check is a plain scan of that prefix.  A
+is the prefix g(k) = a(k) - 3k * W(k-1), built as the convex prefix is;
+its deficit on a pair, ``g_deficit``, reads three values (of a parsed
+``a``, with three weight sums and no table), and its band check is a
+plain scan of that prefix, on its image when ``a`` has one.  A
 ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .constructions import _weighted
 from .model import (
     ErrorTerm,
     SequencePrefix,
@@ -45,14 +46,6 @@ __all__ = [
     "mu_chain_certificate",
     "smoothed",
 ]
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 @dataclass(frozen=True)
@@ -199,38 +192,17 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    g is given two builders (``SequencePrefix._deferred_prefix``): its
-    grid, built on first use from ``a.grid = (D, A)`` and ``f.weight_grid
-    = (D_W, Wt)`` as A[k] * (L/D) - 3k * Wt[k] * (L/D_W), L = lcm(D,
-    D_W), and its values, from that grid.  With no image or exact builder,
-    g decides on its grid.  ``f`` keeps the last prefix it smoothed, found
-    by the identity of ``a`` (never by comparing values), so repeated
-    calls with the same (a, f) share one grid.
+    g is ``constructions._weighted(f, a, -3, 0, H')``.  ``f`` keeps the
+    last prefix it smoothed, found by the identity of ``a`` (never by
+    comparing values), so repeated calls with the same (a, f) share one.
     """
     _require_prefix_and_term(a, f)
     if f is None:
         return a
     cached = f.__dict__.get("_smoothed")
-    if cached is not None and cached[0] is a:
-        return cached[1]
-    horizon = min(a.horizon, f.horizon)
-
-    def grid():
-        denom, table = a.grid
-        w_denom, w = f.weight_grid
-        wide = math.lcm(denom, w_denom)
-        scale, w_scale = wide // denom, 3 * (wide // w_denom)
-        return wide, (0, *(
-            table[k] * scale - k * w[k] * w_scale for k in range(1, horizon + 1)
-        ))
-
-    def values():
-        denom, table = g.grid
-        return tuple(Fraction(x, denom) for x in table[1:])
-
-    g = SequencePrefix._deferred_prefix(horizon, values, grid)
-    f._smoothed = a, g
-    return g
+    if cached is None or cached[0] is not a:
+        cached = f._smoothed = a, _weighted(f, a, -3, 0, min(a.horizon, f.horizon))
+    return cached[1]
 
 
 def g_deficit(
@@ -339,13 +311,13 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
         power *= base
     assert power / base <= 2 ** (k + 1) < power
     gap = power - 2 ** (k + 1)
-    n1 = _ceil((power / mu) / gap)
-    n2 = max(N, _ceil(1 / (mu - 1)))
+    n1 = math.ceil((power / mu) / gap)
+    n2 = max(N, math.ceil(1 / (mu - 1)))
     u = [n]
     v = [n]
     for _ in range(k):
         u.append(2 * u[-1])
-        v.append(v[-1] + _floor(mu * v[-1]))
+        v.append(v[-1] + math.floor(mu * v[-1]))
     return MuChainCertificate(
         mu=mu,
         N=N,
@@ -374,7 +346,7 @@ def find_split(z: int, lo: int, hi: int, mu) -> tuple[int, int] | None:
         raise ValueError("mu must exceed 1")
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    x_min = max(lo, _ceil(Fraction(z) / (1 + mu)))
+    x_min = max(lo, math.ceil(Fraction(z) / (1 + mu)))
     x_max = min(hi, z // 2)
     if x_min > x_max:
         return None
@@ -393,14 +365,14 @@ def chain_coverage_failures(cert: MuChainCertificate) -> list[tuple[int, int]]:
     when every z is covered.
     """
     mu = cert.mu
-    z_star = _ceil(3 * (1 + mu) / (mu - 1))
+    z_star = math.ceil(3 * (1 + mu) / (mu - 1))
     failures = set()
     for i in range(cert.k):
         lo, hi = cert.u[i], cert.v[i]
         z_min, z_max = cert.u[i + 1], cert.v[i + 1]
         if lo > z_min // 2:
             failures.add((i, z_min))
-        if _ceil(Fraction(z_max) / (1 + mu)) > hi:
+        if math.ceil(Fraction(z_max) / (1 + mu)) > hi:
             failures.add((i, z_max))
         for z in range(z_min, min(z_max, z_star - 1) + 1):
             if find_split(z, lo, hi, mu) is None:

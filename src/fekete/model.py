@@ -152,7 +152,7 @@ class SequencePrefix:
     text; the pairs give the grid with no gcd per value and ``values``
     when asked for.  An integer table (``ErrorTerm._from_ints``) holds its
     grid, over D = 1, and reads one value as (f(n), 1).  A convex or
-    smoothed prefix builds each representation from its own source.
+    smoothed prefix builds each from ``constructions._weighted``.
     Equality and hashing are those of ``values``.
 
     ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
@@ -235,10 +235,10 @@ class SequencePrefix:
         """``(lo, hi)``: integers with lo[0] = hi[0] = 0 and lo[n] <= a(n) *
         2**K <= hi[n] for n = 1..H, K = ``_IMAGE_BITS``; or None when the
         prefix holds its grid, or nothing else to build the image from (an
-        integer table, a smoothed prefix), and the grid is the image.
+        integer table, the smoothing of one), and the grid is the image.
 
-        Built on first use and kept: by the image builder (of a convex
-        prefix, or ``_text_image`` of a parsed prefix's text), else from
+        Built on first use and kept: by the image builder (of a convex or
+        smoothed prefix, or ``_text_image`` of a parsed text), else from
         ``values``, when the prefix holds them, as lo = floor(p * 2**K /
         q) and hi its ceiling.  With ``from_values`` false the values are
         not used and give None: a pass that the grid decides in a few

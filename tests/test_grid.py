@@ -184,6 +184,7 @@ def error_terms(draw):
 @example((ErrorTerm([Fraction(1, 7), Fraction(1), Fraction(1)]), 3), [1])  # 7 only in f(1)
 @example((ErrorTerm([0, 0, 0, Fraction(2, 3), Fraction(5, 6), 1, 1]), 7), [0, 2])
 @example((ErrorTerm([0] * 9), 9), [1])
+@example((ErrorTerm([0, Fraction(1, 2), Fraction(5, 7)]), 2), [1])  # 7 only in f(H + 1)
 @settings(max_examples=150, deadline=None)
 def test_convex_grid_matches_prefix_of_its_values(drawn, increments):
     f, horizon = drawn
@@ -214,6 +215,28 @@ def test_convex_grid_of_a_longer_error_term_stops_at_the_horizon():
     short = builtin_error_term("floor_sqrt", 50)
     assert convex_from_error(f, 50).grid == convex_from_error(short, 50).grid
     assert convex_from_error(f, 50).grid[0] == short.weight_grid[0] < f.weight_grid[0]
+
+
+def test_convex_grid_of_a_longer_error_term_reduces_none_of_its_values():
+    # the cut is one pass over f's integer grid, with no Fraction built
+    f = builtin_error_term("floor_sqrt", 50)
+    denom, _ = convex_from_error(f, 40).grid
+    assert f._values is None
+    assert denom == ErrorTerm(f.values[:40]).weight_grid[0]
+
+
+def test_prefixes_of_horizon_one_build_every_representation():
+    # W(0) = -f(1) reads f(1), so a one-value g still cuts f at f(1)
+    f = ErrorTerm([Fraction(2, 3)])
+    cases = ((lambda: smoothed(SequencePrefix([5]), f), Fraction(7)),  # 5 + 3 * 2/3
+             (lambda: smoothed(parse_sequence("1,5\n"), f), Fraction(7)),
+             (lambda: convex_from_error(f, 1), Fraction(0)))  # 1 * W(1)
+    for make, want in cases:
+        denom, table = make().grid
+        assert table[0] == 0 and [Fraction(x, denom) for x in table[1:]] == [want]
+        assert make().values == (want,)
+        lo, hi = make()._fixed_point()
+        assert lo[0] == hi[0] == 0 and lo[1] <= want * _SCALE <= hi[1]
 
 
 def _raise(*args, **kwargs):
@@ -256,39 +279,63 @@ _SCALE = 1 << model._IMAGE_BITS
 
 @st.composite
 def imaged_prefixes(draw):
-    """(a, f): a prefix of each source its image is built from, with f the
-    error term of a convex prefix and None otherwise: ``Fraction`` values,
-    unreduced parsed pairs (negative values and integers among them), and
-    convex prefixes of integer and rational error terms, with leading
-    zeros and longer than the horizon."""
-    kind = draw(st.sampled_from(("values", "parsed", "convex", "convex-int")))
+    """(a, f, source): a prefix of each source its image is built from,
+    with f the error term of a convex or smoothed prefix and None
+    otherwise, and source the prefix smoothed, else None: ``Fraction``
+    values, unreduced parsed pairs (negative values and integers among
+    them), convex prefixes of integer and rational error terms, with
+    leading zeros and longer than the horizon, and the smoothing of a
+    parsed or a convex prefix, with f longer or shorter than it."""
+    kind = draw(st.sampled_from(
+        ("values", "parsed", "convex", "convex-int", "smoothed-parsed", "smoothed-convex")
+    ))
+    if kind == "smoothed-convex":
+        f, horizon = draw(error_terms())
+        source = convex_from_error(f, horizon)
+        return smoothed(source, f), f, source
     if kind.startswith("convex"):
         f, horizon = draw(error_terms())
         if kind == "convex-int":
             f = ErrorTerm._from_ints([v.numerator // v.denominator for v in f.values])
-        return convex_from_error(f, horizon), f
+        return convex_from_error(f, horizon), f, None
     values = draw(st.lists(
         st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
         min_size=1, max_size=24,
     ))
     if kind == "values":
-        return SequencePrefix(values), None
+        return SequencePrefix(values), None, None
     k = draw(st.integers(1, 7))
     tokens = [f"{v.numerator * k}/{v.denominator * k}" for v in values]
-    return parse_sequence(json.dumps({"values": tokens})), None
+    parsed = parse_sequence(json.dumps({"values": tokens}))
+    if kind == "smoothed-parsed":
+        f, _ = draw(error_terms())
+        return smoothed(parsed, f), f, parsed
+    return parsed, None, None
+
+
+def _smoothed_text(text, f):
+    source = parse_sequence(text)
+    return smoothed(source, f), f, source
 
 
 @given(imaged_prefixes())
-@example((convex_from_error(model.zero_error_term(9), 9), model.zero_error_term(9)))
-@example((parse_sequence("1,-3/2\n2,4/2\n3,-7\n"), None))
+@example((convex_from_error(model.zero_error_term(9), 9), model.zero_error_term(9), None))
+@example((parse_sequence("1,-3/2\n2,4/2\n3,-7\n"), None, None))
+@example(_smoothed_text("1,1\n2,-5/3\n3,7\n", ErrorTerm([Fraction(1, 3)] * 3)))
 @settings(max_examples=200, deadline=None)
 def test_image_bounds_the_prefix(drawn):
-    a, f = drawn
+    a, f, source = drawn
     lo, hi = a._fixed_point()
     assert a._grid is None and len(lo) == len(hi) == a.horizon + 1 and lo[0] == hi[0] == 0
     exact = [a.value(n) * _SCALE for n in range(1, a.horizon + 1)]
     assert all(lo[n] <= x <= hi[n] for n, x in enumerate(exact, start=1))
-    if f is None:  # one quotient per value: its floor and ceiling
+    if source is not None:  # g(k) = a(k) - 3k W(k-1): a's ends, 3k E[k] further apart
+        lo_a, hi_a = source._fixed_point()
+        misses = f.weight_bounds[1]
+        width = [hi_a[n] - lo_a[n] + 3 * n * misses[n] for n in range(1, a.horizon + 1)]
+        assert [hi[n] - lo[n] for n in range(1, a.horizon + 1)] == width
+        tight = [not w for w in width]
+    elif f is None:  # one quotient per value: its floor and ceiling
         tight = [x.denominator == 1 for x in exact]
     else:  # equal bounds up to the first inexact floor of 2**K f(x) / x^2, 1 < x
         floors = [(v * _SCALE / (x * x)).denominator == 1
@@ -340,6 +387,52 @@ def test_clean_convex_scans_build_no_grid(monkeypatch, family, params):
         s // 2 - -(-2 * s // 5) + 1 for s in range(2, 301) if -(-2 * s // 5) <= s // 2
     )
     assert a._grid is None and a._certified == (f, ())
+
+
+@pytest.mark.parametrize("family, params", _NONZERO_FAMILIES[:4])  # linear,1/2 breaks at (1, 1)
+def test_clean_band_scans_of_the_smoothed_prefix_build_no_grid(monkeypatch, family, params):
+    # G's band check on a fresh parsed and a fresh convex prefix decides on
+    # the image of g alone, with the report of a Fraction-built twin
+    f = builtin_error_term(family, 300, params)
+    text = sequence_to_json(convex_from_error(f, 300))
+    domain = MuBandDomain(2, 1)
+    want = scan_violations(smoothed(SequencePrefix(convex_from_error(f, 300).values), f), None, domain)
+    assert want.ok and want.pairs_checked == sum(min(n, 300 - 2 * n) + 1 for n in range(1, 151))
+    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model, "_integer_grid", _raise)
+    monkeypatch.setattr(checker, "_scaled_tables", _raise)
+    fresh = builtin_error_term(family, 300, params)
+    for a in (parse_sequence(text), convex_from_error(fresh, 300)):
+        g = smoothed(a, fresh)
+        assert scan_violations(g, None, domain) == want
+        assert a._grid is None and g._grid is None
+
+
+_TINY = Fraction(1, 2**70)
+
+
+@pytest.mark.parametrize("bump", [0, 1, -1])
+def test_smoothed_prefix_decides_margins_below_its_image_on_the_grid(bump):
+    # f = 1/3 past f(1) makes every floor of 2**K f(x) / x^2 inexact, so
+    # g's image is at least 3k E[k] = 3k (k - 2) wide.  g(k) = 7k/4,
+    # bumped by 2**-70 at k = 17: each pair ties, or breaks or clears by
+    # far less than that, and slopes differ by less, so the grid decides
+    f = ErrorTerm([0] + [Fraction(1, 3)] * 29)
+    weights = list(f.weight_sums())
+    target = [Fraction(7, 4) * k + bump * _TINY * (k == 17) for k in range(1, 31)]
+    values = [v + 3 * k * weights[k - 1] for k, v in enumerate(target, start=1)]
+    text = "".join(f"{k},{2 * v.numerator}/{2 * v.denominator}\n" for k, v in enumerate(values, 1))
+    twin = SequencePrefix(target)
+    for make in (lambda: SequencePrefix(values), lambda: parse_sequence(text)):
+        g = smoothed(make(), f)
+        assert g._fixed_point() is not None
+        for N in (1, 2, 9, 17, 18):
+            assert fekete_bracket(g, N) == fekete_bracket(twin, N)
+        g = smoothed(make(), f)
+        for domain in (FullDomain(), MuBandDomain(2, 1), ThresholdDomain(3)):
+            assert scan_violations(g, None, domain) == brute_force_scan(twin, None, domain)
+        assert g._grid is not None
+        assert g.values == twin.values
 
 
 def test_parsed_prefix_builds_its_grid_on_first_use(monkeypatch):
