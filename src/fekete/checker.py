@@ -398,13 +398,15 @@ def q_sequence(a: SequencePrefix, n_lo: int) -> QSequence:
 
     The maxima come from one sliding-window pass over the prefix's
     integer grid; a ``Fraction`` is built only for the argmax of each
-    window.
+    window, all read at once (``SequencePrefix._reduced``): the smoothing
+    of a parsed prefix then makes one pass over f, not one per window.
     """
     _require_int(n_lo, "window start")
     horizon = a.horizon
     if n_lo < 1 or 2 * n_lo > horizon:
         raise ValueError(f"horizon {horizon} too small for windows starting at {n_lo}")
-    return QSequence(n_lo, tuple(a.slope(j) for j in _window_argmax(a, n_lo)))
+    argmax = _window_argmax(a, n_lo)
+    return QSequence(n_lo, tuple(v / j for v, j in zip(a._reduced(*argmax), argmax)))
 
 
 def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:

@@ -64,10 +64,12 @@ def _weighted(
     """The prefix k -> a(k) + c * k * W(k - 1 + shift), k = 1..horizon,
     with W as in ``f.weight_sums()`` and ``a`` None as zero.  Each of its
     representations joins that of ``a`` on first use: ``values`` with the
-    W; ``grid`` with the Wt of ``f.weight_grid`` (of ``f._weights`` when
-    it reads less of f) at the lcm of their denominators; the image with
-    ``f.weight_bounds = (Wlo, E)``, as lo_a + c * k * Wlo and hi_a + c *
-    k * (Wlo + E), these two swapped for c < 0, or None if ``a`` has none.
+    W; ``grid`` with the Wt of one ``f._weights`` pass at the lcm of their
+    denominators; the image with ``f.weight_bounds = (Wlo, E)``, as lo_a +
+    c * k * Wlo and hi_a + c * k * (Wlo + E), these two swapped for c < 0,
+    or None if ``a`` has none.  The exact builder, only if ``a`` has one
+    (else a sweep of ``_exact`` reads the grid, built once), joins
+    ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all ks.
     """
 
     def values() -> tuple[Fraction, ...]:
@@ -76,17 +78,14 @@ def _weighted(
         return tuple(terms) if a is None else tuple(x + t for x, t in zip(a.values, terms))
 
     def grid() -> tuple[int, tuple[int, ...]]:
-        top = horizon + shift
-        if top == f.horizon + 1:
-            w_denom, w = f.weight_grid
-        else:  # W(0) reads f(1): the cut holds at least f(1)
-            w_denom, sums = f._weights(max(top, 2))
-            w = (0, *sums)
+        # W(0) reads f(1): the cut holds at least f(1)
+        w_denom, sums = f._weights(max(horizon + shift, 2))
         denom, table = (1, [0] * (horizon + 1)) if a is None else a.grid
         wide = math.lcm(denom, w_denom)
         scale, w_scale = wide // denom, c * (wide // w_denom)
-        return wide, (0, *(table[k] * scale + k * w[k + shift] * w_scale
-                           for k in range(1, horizon + 1)))
+        w = itertools.islice(sums, shift, None)  # Wt[k + shift], k = 1, 2, ...
+        return wide, (0, *(table[k] * scale + k * x * w_scale
+                           for k, x in zip(range(1, horizon + 1), w)))
 
     def image() -> tuple[list[int], list[int]] | None:
         ends = None if a is None else a._fixed_point()
@@ -102,7 +101,14 @@ def _weighted(
             return lo, hi
         return [x + y for x, y in zip(ends[0], lo)], [x + y for x, y in zip(ends[1], hi)]
 
-    return SequencePrefix._deferred_prefix(horizon, values, grid, image)
+    def exact(ks) -> list[tuple[int, int]]:
+        w_denom, sums = f._weights(max(max(ks) + shift, 2))
+        wanted = set(ks)
+        w = {k: x for k, x in enumerate(sums, start=1 - shift) if k in wanted}  # Wt[k + shift]
+        return [(p * w_denom + c * k * w[k] * q, q * w_denom) for k, (p, q) in zip(ks, a._exact(*ks))]
+
+    has_exact = a is not None and a._builders[3] is not None
+    return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
 
 
 def _calkin_wilf(j: int) -> Fraction:

@@ -7,10 +7,9 @@ parsed or convex prefix first, with exact values only where the image
 cannot decide, and on the grid (``SequencePrefix.grid``) for any other
 prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
 is the prefix g(k) = a(k) - 3k * W(k-1), built as the convex prefix is;
-its deficit on a pair, ``g_deficit``, reads three values (of a parsed
-``a``, with three weight sums and no table), and its band check is a
-plain scan of that prefix, on its image when ``a`` has one.  A
-``Fraction`` is built only for a reported value.
+its deficit on a pair, ``g_deficit``, reads three of its exact values,
+and its band check and bracket are those of any prefix, on its image
+when ``a`` has one.  A ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
 minus infinity).  Every output is an exact, finitely-checkable witness:
@@ -140,12 +139,11 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     k <= H//2, where the window [k+1, 2k-1] lies inside the horizon and
     n = H satisfies n >= 2k; an empty window contributes 0.
 
-    A parsed or convex prefix without its grid narrows each argmin and
-    window maximum on its fixed-point image and decides among the few
-    indices left by exact values (``SequencePrefix._exact``: a parsed
-    prefix's exact builder reads one literal, so it builds no grid).  Any
-    other prefix compares slopes on its grid, its own image, by cross
-    products.
+    A prefix with a fixed-point image (parsed, convex or smoothed)
+    narrows each argmin and window maximum on it and decides among the
+    few indices left by exact values (``SequencePrefix._exact``, which
+    builds no grid for a parsed prefix or its smoothing).  Any other
+    prefix compares slopes on its grid, its own image, by cross products.
     """
     _require_int(N, "threshold")
     horizon = a.horizon
@@ -156,11 +154,11 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
         denom, table = a.grid
         lo = hi = table
 
-        def exact(k):
+        def exact(k):  # not a._exact: _largest_abs reads the grid's D from exact(first)
             return table[k], denom
     else:
         lo, hi = image
-        exact = functools.cache(a._exact)  # the ranges below share candidates
+        exact = functools.cache(lambda k: a._exact(k)[0])  # the ranges share candidates
     argmin = _least_slope(lo, hi, N, horizon, exact)
     half = horizon // 2
     candidates = {N, argmin}
@@ -218,14 +216,10 @@ def g_deficit(
             - 3n * sum(f(x)/x^2 for n <= x < n+m)
             - 3m * sum(f(x)/x^2 for m <= x < n+m)
 
-    which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``:
-    three entries of its grid when g holds one; for an ``a`` with an
-    exact builder and no grid (a parsed file: one literal each), three
-    of its values ``a._exact(k) = (p, q)`` and, from one pass of
-    ``f._weights(n + m)`` that holds no table, the three Wt[k], as g(k) =
-    (p * D_W - 3k * Wt[k] * q) / (q * D_W); else three ``_exact`` values
-    of g, from its grid, built once from that of ``a``.  The deficit is
-    reduced to a ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
+    which is g(n+m) - g(n) - g(m) for the prefix g = ``smoothed(a, f)``,
+    from ``g._exact(n+m, n, m)``: for a parsed ``a``, three literals and
+    one ``f._weights`` pass, with no table built.  The deficit is reduced
+    to a ``Fraction`` once.  ``f=None`` gives ``a``'s deficit.
     """
     g = smoothed(a, f)
     _require_int(n, "n")
@@ -237,19 +231,10 @@ def g_deficit(
         raise ValueError(f"pair ({n}, {m}) exceeds sequence horizon {a.horizon}")
     if f is not None and s > f.horizon:
         raise ValueError(f"pair ({n}, {m}) exceeds error-term horizon {f.horizon}")
-    if g._grid is not None:  # one read of the grid held
+    if g._grid is not None:  # read at once: through _exact a sweep pays ~1 us a call
         denom, table = g._grid
         return Fraction(table[s] - table[n] - table[m], denom)
-    if g is not a and a._grid is None and a._builders[3] is not None:  # one value alone
-        w_denom, sums = f._weights(s)
-        w = {k: x for k, x in enumerate(sums, start=1) if k in (n, m, s)}
-
-        def exact(k):
-            p, q = a._exact(k)
-            return p * w_denom - 3 * k * w[k] * q, q * w_denom
-    else:
-        exact = g._exact
-    (x_s, d_s), (x_n, d_n), (x_m, d_m) = exact(s), exact(n), exact(m)
+    (x_s, d_s), (x_n, d_n), (x_m, d_m) = g._exact(s, n, m)
     if d_s == d_n == d_m:  # one grid: no products
         return Fraction(x_s - x_n - x_m, d_s)
     return Fraction(x_s, d_s) - Fraction(x_n, d_n) - Fraction(x_m, d_m)

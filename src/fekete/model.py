@@ -9,6 +9,7 @@ boundary).  Sequences are finite 1-indexed prefixes ``a(1..H)``, with
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -141,27 +142,28 @@ class SequencePrefix:
     ``value(0)`` is defined as 0 so that decomposition identities hold
     without special cases.  A prefix is its horizon H and the builders it
     was given (``_deferred_prefix``): of ``values``, of its integer
-    ``grid``, of its fixed-point image and of one exact value.  Each
-    representation is built on first use and kept; the constructors
-    differ only in the builders they pass.  A prefix built from
-    ``Fraction``s holds its values and builds its grid from them.  A
+    ``grid``, of its fixed-point image and of exact values at given
+    indices.  Each representation is built on first use and kept; the
+    constructors differ only in the builders they pass.  A prefix built
+    from ``Fraction``s holds its values and builds its grid from them.  A
     prefix read by ``parse_sequence`` keeps the text of each value (the
     string read, not a copy): its image reads the leading digits of each
-    value and its exact builder one literal, and ``grid`` or ``values``
-    converts all the text once to integer pairs (p, q), dropping the
-    text; the pairs give the grid with no gcd per value and ``values``
-    when asked for.  An integer table (``ErrorTerm._from_ints``) holds its
-    grid, over D = 1, and reads one value as (f(n), 1).  A convex or
-    smoothed prefix builds each from ``constructions._weighted``.
+    value and its exact builder one literal per index, and ``grid`` or
+    ``values`` converts all the text once to integer pairs (p, q),
+    dropping the text; the pairs give the grid with no gcd per value and
+    ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
+    holds its grid, over D = 1, and reads each value as (f(n), 1).  A
+    convex or smoothed prefix builds each from ``constructions._weighted``.
     Equality and hashing are those of ``values``.
 
     ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
-    never built from the grid; ``_exact(n)`` is one value as (p, q), from
-    the exact builder, else the grid.  Scans and brackets decide on the
-    image first; a scan keeps on the prefix the sums it could not clear,
-    for the last error term it scanned the prefix against.  Neither the
-    image nor that entry takes part in pickling, equality or hashing.
+    never built from the grid; ``_exact(*ns)`` lists the values at the
+    indices ``ns`` as pairs (p, q), from the exact builder ``exact(ns)``,
+    else from the grid.  Scans and brackets decide on the image first; a
+    scan keeps on the prefix the sums it could not clear, for the last
+    error term it scanned the prefix against.  Neither the image nor that
+    entry takes part in pickling, equality or hashing.
     """
 
     __slots__ = ("_horizon", "_builders", "_values", "_grid", "_image", "_certified")
@@ -197,7 +199,7 @@ class SequencePrefix:
             lambda: tuple(Fraction(p, q) for p, q in converted()),
             lambda: _integer_grid(converted()),
             lambda: None if texts is None else _text_image(texts),
-            lambda n: _literal_pair(texts[n - 1]) if pairs is None else pairs[n - 1],
+            lambda ns: [_literal_pair(texts[n - 1]) if pairs is None else pairs[n - 1] for n in ns],
         )
 
     @classmethod
@@ -205,8 +207,8 @@ class SequencePrefix:
         """The prefix of ``horizon`` values whose ``values`` and ``grid``
         the zero-argument callables build once, on first use (None for
         one the caller sets); ``image``, if given, builds the image, or
-        gives None when it has nothing to build it from; ``exact(n)``, if
-        given, is ``_exact(n)``.  All must give the same rationals."""
+        gives None when it has nothing to build it from; ``exact(ns)``, if
+        given, is ``_exact(*ns)``.  All must give the same rationals."""
         prefix = cls.__new__(cls)
         prefix._horizon, prefix._builders = horizon, (values, grid, image, exact)
         prefix._values = prefix._grid = prefix._image = prefix._certified = None
@@ -254,25 +256,30 @@ class SequencePrefix:
                 )
         return self._image
 
-    def _exact(self, n: int) -> tuple[int, int]:
-        """``(p, q)``, q >= 1, with a(n) = p / q, not reduced: from the
-        exact builder (one literal of a parsed prefix), else the grid."""
+    def _exact(self, *ns: int) -> list[tuple[int, int]]:
+        """``[(p, q), ...]``, q >= 1, with a(n) = p / q for each n of
+        ``ns``, not reduced: from the exact builder (one literal each of a
+        parsed prefix), else the grid."""
         exact = self._builders[3]
         if exact is not None:
-            return exact(n)
+            return exact(ns)
         denom, table = self._grid or self.grid
-        return table[n], denom
+        return [(table[n], denom) for n in ns]
 
     def value(self, n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
             raise IndexError(f"index {n} outside 1..{self._horizon}")
+        return self._reduced(n)[0]
+
+    def _reduced(self, *ns: int) -> list[Fraction]:
+        """a(n) for each n of ``ns``: from one exact builder call while the
+        prefix holds no values, else from ``values``, which a prefix with no
+        exact builder builds at once (over its grid each costs a big gcd)."""
         if self._values is None and self._builders[3] is not None:
-            return Fraction(*self._builders[3](n))
-        # a prefix with no exact builder builds all its values: over the
-        # common denominator of its grid each value would cost a big gcd
-        return self.values[n - 1]
+            return [Fraction(p, q) for p, q in self._exact(*ns)]
+        return [self.values[n - 1] for n in ns]
 
     def slope(self, n: int) -> Fraction:
         """The ratio a(n)/n."""
@@ -406,11 +413,11 @@ class ErrorTerm(SequencePrefix):
     ..., f(H)))`` and the exact builder (f(n), 1), and builds ``values``
     only when they are first asked for.
     The partial sums W of sum f(x)/x^2 come as the stream
-    ``weight_sums()``, as the cached integers of ``weight_grid`` (or the
-    head of them as one pass, ``_weights``) and as the cached fixed-point
-    bounds of ``weight_bounds``.  Next to those
-    caches, ``limits.smoothed`` keeps the last prefix it smoothed by this
-    term; none takes part in pickling, equality or hashing.
+    ``weight_sums()``, as integers over one denominator from one pass that
+    holds no table (``_weights``) and as the cached fixed-point bounds of
+    ``weight_bounds``; the last two read one term list.  Next to that
+    cache, ``limits.smoothed`` keeps the last prefix it smoothed by this
+    term; neither takes part in pickling, equality or hashing.
     """
 
     def __init__(self, values: Iterable) -> None:
@@ -426,7 +433,8 @@ class ErrorTerm(SequencePrefix):
         cls._check_invariants(ints)
         table = (0, *ints)
         term = cls._deferred_prefix(
-            len(ints), lambda: tuple(map(Fraction, table[1:])), None, exact=lambda n: (table[n], 1)
+            len(ints), lambda: tuple(map(Fraction, table[1:])), None,
+            exact=lambda ns: [(table[n], 1) for n in ns],
         )
         term._grid = 1, table
         return term
@@ -452,12 +460,21 @@ class ErrorTerm(SequencePrefix):
             total += v / (x * x)
             yield total
 
-    @cached_property
-    def weight_grid(self) -> tuple[int, tuple[int, ...]]:
-        """``(D_W, Wt)``: the W(j) on an integer grid, indexed like
-        ``SequencePrefix.grid``: Wt[0] = 0 and Wt[k] = D_W * W(k-1) for
-        k = 1..H+1, so Wt[k] sits at the index of a(k).  Built on first
-        use and kept.
+    def _weight_terms(self, top: int) -> list[tuple[int, int]]:
+        """``(p_x, q_x * x^2)`` for x = 1..top-1, f(x) = p_x / q_x: from
+        the integer table when the term is one, else from ``values``."""
+        if self._grid is not None and self._grid[0] == 1:
+            table = self._grid[1]
+            return [(table[x], x * x) for x in range(1, top)]
+        return [
+            (v.numerator, v.denominator * x * x)
+            for x, v in enumerate(self.values[: top - 1], start=1)
+        ]
+
+    def _weights(self, top: int) -> tuple[int, Iterator[int]]:
+        """``(D_W, Wt)``: the W(j) of the term cut to f(1..top-1), 2 <= top
+        <= H + 1, on an integer grid: the stream Wt[1], ..., Wt[top] of one
+        pass that keeps nothing, Wt[k] = D_W * W(k-1) at the index of a(k).
 
         With f(x) = p_x/q_x, D_W is the lcm of the q_x * x^2 over the x
         with f(x) != 0 (1 when f is zero throughout): a common denominator
@@ -465,59 +482,28 @@ class ErrorTerm(SequencePrefix):
         to W, so leaving it out of the lcm keeps D_W at 1 for the zero
         term and keeps leading zeros from widening it.  Wt is the integer
         prefix sum of p_x * (D_W // (q_x * x^2)), each division a long
-        number over a short one; no ``Fraction`` is built.  An integer
-        table (grid denominator 1) is read from its grid, with q_x = 1.
-        The table is the stream of ``_weights(H + 1)``.
+        number over a short one; no ``Fraction`` is built.
         """
-        denom, sums = self._weights(self._horizon + 1)
-        return denom, (0, *sums)
-
-    def _weights(self, top: int) -> tuple[int, Iterator[int]]:
-        """``(D_W, Wt)`` of ``weight_grid`` for the term cut to f(1..top-1),
-        2 <= top <= H + 1: D_W its lcm, and Wt the stream of Wt[1], ...,
-        Wt[top], one integer pass that holds no table."""
-        if self._grid is not None and self._grid[0] == 1:
-            table = self._grid[1]
-            terms = [(table[x], x * x) for x in range(1, top)]
-        else:
-            terms = [
-                (v.numerator, v.denominator * x * x)
-                for x, v in enumerate(self.values[: top - 1], start=1)
-            ]
+        terms = self._weight_terms(top)
         denom = math.lcm(*(d for p, d in terms if p))
-
-        def sums():
-            total = -terms[0][0] * (denom // terms[0][1])
-            yield total
-            for p, d in terms:
-                if p:
-                    total += p * (denom // d)
-                yield total
-
-        return denom, sums()
+        steps = (p * (denom // d) if p else 0 for p, d in terms)
+        return denom, itertools.accumulate(steps, initial=-terms[0][0] * (denom // terms[0][1]))
 
     @cached_property
     def weight_bounds(self) -> tuple[list[int], list[int]]:
         """``(Wlo, E)``: the W(j) at scale 2**K, K = ``_IMAGE_BITS``,
-        indexed like ``weight_grid``: Wlo[0] = E[0] = 0 and Wlo[k] <= 2**K
-        * W(k-1) <= Wlo[k] + E[k] for k = 1..H+1.  Built on first use and
-        kept.
+        indexed like the Wt of ``_weights``: Wlo[0] = E[0] = 0 and Wlo[k]
+        <= 2**K * W(k-1) <= Wlo[k] + E[k] for k = 1..H+1.  Built on first
+        use and kept.
 
         Wlo[k] for k >= 2 is the sum of the floors of 2**K * f(x) / x^2
         over 1 < x < k, and E[k] counts the floors among them that are not
         exact, each short by less than 1; Wlo[1] is the floor of -2**K *
         f(1).  Where every floor is exact, as for the zero term, the bounds
-        are equal.  The f(x) are read from the grid when the term holds
-        it, else from ``values``; there is no lcm and no ``Fraction``.
+        are equal.  The terms are those of ``_weights``; there is no lcm
+        and no ``Fraction``.
         """
-        if self._grid is not None:
-            denom, table = self._grid
-            terms = [(table[x], denom * x * x) for x in range(1, self._horizon + 1)]
-        else:
-            terms = [
-                (v.numerator, v.denominator * x * x)
-                for x, v in enumerate(self.values, start=1)
-            ]
+        terms = self._weight_terms(self._horizon + 1)
         first, rem = divmod(-terms[0][0] << _IMAGE_BITS, terms[0][1])
         lows, misses = [0, first, 0], [0, 1 if rem else 0, 0]
         total = count = 0

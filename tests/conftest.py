@@ -23,6 +23,13 @@ def tabulate(fn, horizon: int) -> SequencePrefix:
     return SequencePrefix([fn(n) for n in range(1, horizon + 1)])
 
 
+def weight_grid(f) -> tuple[int, tuple[int, ...]]:
+    """``(D_W, Wt)`` of the whole error term as a table: Wt[0] = 0 and the
+    stream of ``f._weights(H + 1)``, so Wt[k] = D_W * W(k-1), k = 1..H+1."""
+    denom, sums = f._weights(f.horizon + 1)
+    return denom, (0, *sums)
+
+
 def ceil_sqrt(n: int) -> int:
     r = math.isqrt(n)
     return r if r * r == n else r + 1

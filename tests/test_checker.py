@@ -41,6 +41,7 @@ from conftest import (
     reference_admits,
     reference_q,
     tabulate,
+    weight_grid,
 )
 
 
@@ -460,9 +461,9 @@ def test_scaled_tables_match_reference():
     ]
     for seq, err in cases:
         assert _scaled_tables(seq, err) == _scaled_tables_reference(seq, err)
-    # a convex prefix sits on the denominator of f.weight_grid, widened
+    # a convex prefix sits on the denominator of f's weight sums, widened
     # only by the error term's own grid; its tables hold the same rationals
-    w_denom = f.weight_grid[0]
+    w_denom = weight_grid(f)[0]
     for err in (f, None, longer):
         denom, table_a, table_f = _scaled_tables(a, err)
         ref_denom, ref_a, ref_f = _scaled_tables_reference(a, err)

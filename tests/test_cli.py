@@ -490,7 +490,15 @@ def test_gdeficit_of_a_parsed_file_builds_no_weight_table(tmp_path, capsys, monk
     f_file.write_text(json.dumps({"values": [format_rational(v) for v in rational]}))
     terms = {"family:floor_sqrt": [Fraction(math.isqrt(x)) for x in range(1, 121)],
              str(f_file): rational}
-    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    weights = model.ErrorTerm._weights
+    tops = []
+
+    def cut(f, top):
+        tops.append(top)
+        return weights(f, top)
+
+    monkeypatch.setattr(model.ErrorTerm, "_weights", cut)
+    monkeypatch.setattr(model, "_integer_grid", _raise)
     for path in (conv, seq):
         for spec, f in terms.items():
             for n, m in ((1, 1), (2, 3), (17, 30), (40, 80)):
@@ -503,6 +511,8 @@ def test_gdeficit_of_a_parsed_file_builds_no_weight_table(tmp_path, capsys, monk
                 assert main(["gdeficit", "--seq", str(path), "--f", spec,
                              "--n", str(n), "--m", str(m)]) == 0
                 assert Fraction(capsys.readouterr().out.strip()) == want, (path, spec, n, m)
+                assert tops == [s], (path, spec, n, m)  # one pass, cut at n + m
+                tops.clear()
 
 
 def test_construct_writes_its_file_in_less_memory_than_the_file(tmp_path):

@@ -2,7 +2,7 @@
 same prefixes built from ``Fraction``s: values, scan reports, brackets,
 deficits, convexity defects and JSON text must all be equal, and equal
 to Fraction references.  Convex prefixes, whose grid comes from
-``ErrorTerm.weight_grid``, are held to the same prefixes built from their
+``ErrorTerm._weights``, are held to the same prefixes built from their
 values, and each of their representations is built only when used.  The
 fixed-point image of a prefix bounds its exact values, and a clean convex
 prefix is certified on it without its grid."""
@@ -46,7 +46,7 @@ from fekete import (
 )
 from fekete import checker, model
 
-from conftest import brute_force_scan
+from conftest import brute_force_scan, weight_grid
 
 # A few slopes to draw from, so that a(k)/k often ties across k.
 _SLOPE_POOL = (Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2))
@@ -204,7 +204,7 @@ def test_convex_grid_matches_prefix_of_its_values(drawn, increments):
             for m in range(n, horizon - n + 1):
                 assert g_deficit(a, err, n, m) == g_deficit(built, err, n, m)
     assert a._values is None  # every consumer above worked on the grid
-    assert a.grid[0] == ErrorTerm(f.values[:horizon]).weight_grid[0]
+    assert a.grid[0] == weight_grid(ErrorTerm(f.values[:horizon]))[0]
     for n_lo in range(1, horizon // 2 + 1):  # reports values: reduces them
         assert q_sequence(a, n_lo) == q_sequence(built, n_lo)
     assert a == built and hash(a) == hash(built)
@@ -214,7 +214,7 @@ def test_convex_grid_of_a_longer_error_term_stops_at_the_horizon():
     f = builtin_error_term("floor_sqrt", 400)
     short = builtin_error_term("floor_sqrt", 50)
     assert convex_from_error(f, 50).grid == convex_from_error(short, 50).grid
-    assert convex_from_error(f, 50).grid[0] == short.weight_grid[0] < f.weight_grid[0]
+    assert convex_from_error(f, 50).grid[0] == weight_grid(short)[0] < weight_grid(f)[0]
 
 
 def test_convex_grid_of_a_longer_error_term_reduces_none_of_its_values():
@@ -222,7 +222,7 @@ def test_convex_grid_of_a_longer_error_term_reduces_none_of_its_values():
     f = builtin_error_term("floor_sqrt", 50)
     denom, _ = convex_from_error(f, 40).grid
     assert f._values is None
-    assert denom == ErrorTerm(f.values[:40]).weight_grid[0]
+    assert denom == weight_grid(ErrorTerm(f.values[:40]))[0]
 
 
 def test_prefixes_of_horizon_one_build_every_representation():
@@ -247,7 +247,7 @@ def test_writing_a_convex_prefix_builds_no_grid(monkeypatch):
     f = builtin_error_term("floor_sqrt", 60)
     want = sequence_to_json(SequencePrefix(convex_from_error(f, 60).values))
     fresh = builtin_error_term("floor_sqrt", 60)
-    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model.ErrorTerm, "_weights", _raise)
     monkeypatch.setattr(model, "_integer_grid", _raise)
     a = convex_from_error(fresh, 60)
     assert sequence_to_json(a) == want
@@ -376,7 +376,7 @@ _NONZERO_FAMILIES = [
 @pytest.mark.parametrize("family, params", _NONZERO_FAMILIES)
 def test_clean_convex_scans_build_no_grid(monkeypatch, family, params):
     f = builtin_error_term(family, 300, params)
-    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model.ErrorTerm, "_weights", _raise)
     monkeypatch.setattr(model, "_integer_grid", _raise)
     monkeypatch.setattr(checker, "_scaled_tables", _raise)
     a = convex_from_error(f, 300)
@@ -398,7 +398,7 @@ def test_clean_band_scans_of_the_smoothed_prefix_build_no_grid(monkeypatch, fami
     domain = MuBandDomain(2, 1)
     want = scan_violations(smoothed(SequencePrefix(convex_from_error(f, 300).values), f), None, domain)
     assert want.ok and want.pairs_checked == sum(min(n, 300 - 2 * n) + 1 for n in range(1, 151))
-    monkeypatch.setattr(model.ErrorTerm, "weight_grid", property(_raise))
+    monkeypatch.setattr(model.ErrorTerm, "_weights", _raise)
     monkeypatch.setattr(model, "_integer_grid", _raise)
     monkeypatch.setattr(checker, "_scaled_tables", _raise)
     fresh = builtin_error_term(family, 300, params)
@@ -564,11 +564,11 @@ def _conversions():
 def test_text_is_converted_once_on_first_exact_use():
     a = parse_sequence('{"values": ["1/2", "4/6", 3]}')
     with _conversions() as converting:
-        assert a._exact(2) == (4, 6) and a._exact(3) == (3, 1)
+        assert a._exact(2, 3) == [(4, 6), (3, 1)]
         assert a.value(2) == Fraction(2, 3) and not converting.called
         assert a.grid == (6, (0, 3, 4, 18)) and a.values == (Fraction(1, 2), Fraction(2, 3), 3)
     converting.assert_called_once_with(["1/2", "4/6", 3])
-    assert [a._exact(n) for n in (1, 2, 3)] == [(1, 2), (4, 6), (3, 1)]
+    assert a._exact(1, 2, 3) == [(1, 2), (4, 6), (3, 1)]
 
 
 
@@ -582,7 +582,7 @@ def _read(prefix, accessor):
     if accessor == "image":
         return prefix._fixed_point()
     if accessor == "exact":
-        return [prefix._exact(n) for n in indices]
+        return prefix._exact(*indices)
     return [prefix.value(n) for n in range(prefix.horizon + 1)]
 
 
@@ -607,9 +607,12 @@ def test_accessor_order_does_not_matter(written, increments):
         "integer term": (lambda: ErrorTerm._from_ints(ints), [Fraction(x) for x in ints]),
         "convex": (lambda: convex_from_error(f, horizon),
                    [n * weights[n] for n in range(1, horizon + 1)]),
-        "smoothed": (lambda: smoothed(parse_sequence(json_text), f),
-                     [v - 3 * k * weights[k - 1] for k, v in enumerate(values, start=1)]),
     }
+    smoothed_values = [v - 3 * k * weights[k - 1] for k, v in enumerate(values, start=1)]
+    for name, text in (("json", json_text), ("csv", csv_text)):  # with an exact builder
+        kinds[f"smoothed {name}"] = (lambda text=text: smoothed(parse_sequence(text), f),
+                                     smoothed_values)
+    kinds["smoothed fractions"] = (lambda: smoothed(SequencePrefix(values), f), smoothed_values)
     for name, (make, want) in kinds.items():
         pairs = None
         for order in itertools.permutations(("values", "grid", "image", "exact", "value")):
@@ -621,6 +624,7 @@ def test_accessor_order_does_not_matter(written, increments):
             assert got["value"] == [0, *want], (name, order)
             assert [Fraction(p, q) for p, q in got["exact"]] == want, (name, order)
             assert pairs in (None, got["exact"]), (name, order)  # the same pairs, as written
+            assert prefix._exact(*range(horizon, 0, -1)) == got["exact"][::-1], (name, order)
             pairs = got["exact"]
             if got["image"] is not None:
                 lo, hi = got["image"]
@@ -673,6 +677,66 @@ def test_g_deficit_of_a_parsed_prefix_in_each_state(written, increments, state):
             assert held[state]
             if state != "grid":
                 assert parsed._grid is None and smoothed(parsed, f)._grid is None
+
+
+@given(written_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_bracket_of_the_smoothing_of_a_parsed_prefix_builds_no_grid(written, increments):
+    # g's image narrows the candidates and g's exact builder decides them,
+    # from literals: neither grid is built, and the bracket is the twin's
+    values, json_text, csv_text = written
+    horizon = len(values)
+    for f in _error_terms(horizon, increments)[1:]:
+        twin = smoothed(SequencePrefix(values), f)
+        want = [fekete_bracket(twin, N) for N in range(1, horizon + 1)]
+        min_slope, argmin, samples = reference_bracket(twin, 1)
+        assert (want[0].min_slope, want[0].argmin_k) == (min_slope, argmin)
+        assert [(s.k, s.bound) for s in want[0].eq8_samples] == samples
+        for text in (json_text, csv_text):
+            parsed = parse_sequence(text)
+            g = smoothed(parsed, f)
+            with _conversions() as converting:
+                assert [fekete_bracket(g, N) for N in range(1, horizon + 1)] == want
+            assert parsed._grid is None and g._grid is None and not converting.called
+
+
+def _weight_passes():
+    """A patch that records the ``top`` of each ``ErrorTerm._weights`` pass."""
+    return mock.patch.object(ErrorTerm, "_weights", autospec=True, side_effect=ErrorTerm._weights)
+
+
+def test_g_deficit_makes_one_weight_pass_per_call_or_one_per_sweep():
+    # on a parsed prefix each call cuts f once at n + m and builds no grid;
+    # a convex or Fraction-built prefix gives g no exact builder, so the
+    # sweep reads g's grid, built once (one pass, after the convex grid's)
+    f = builtin_error_term("floor_sqrt", 60)
+    values = convex_from_error(f, 60).values
+    pairs = [(n, m) for n in range(1, 31) for m in range(n, 61 - n)]
+    want = [g_deficit(SequencePrefix(values), f, n, m) for n, m in pairs]
+    parsed = parse_sequence(sequence_to_json(SequencePrefix(values)))
+    with _weight_passes() as passes, mock.patch.object(model, "_integer_grid", _raise):
+        for (n, m), deficit in zip(pairs, want):
+            assert g_deficit(parsed, f, n, m) == deficit
+            assert passes.call_args.args[1] == n + m
+    assert passes.call_count == len(pairs)
+    assert parsed._grid is None and smoothed(parsed, f)._grid is None
+    for make, builds in ((lambda: convex_from_error(f, 60), 2), (lambda: SequencePrefix(values), 1)):
+        a = make()
+        with _weight_passes() as passes:
+            assert [g_deficit(a, f, n, m) for n, m in pairs] == want
+        assert passes.call_count == builds
+
+
+def test_q_sequence_of_the_smoothing_of_a_parsed_prefix_reads_its_maxima_at_once():
+    # g's exact builder makes one pass over f per call: the window maxima
+    # are read in one call, after the pass of g's grid, not one per window
+    f = builtin_error_term("floor_sqrt", 80)
+    values = convex_from_error(f, 80).values
+    want = q_sequence(smoothed(SequencePrefix(values), f), 1)
+    g = smoothed(parse_sequence(sequence_to_json(SequencePrefix(values))), f)
+    with _weight_passes() as passes:
+        assert q_sequence(g, 1) == want
+    assert passes.call_count == 2
 
 
 def test_clean_scan_of_a_large_file_holds_its_text_only():

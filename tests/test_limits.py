@@ -41,7 +41,7 @@ from fekete import (
 )
 from fekete import model
 
-from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate
+from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate, weight_grid
 
 
 # --- brackets -------------------------------------------------------------------
@@ -184,7 +184,7 @@ def _rational_error_terms(draw, min_size=1):
 @given(_rational_error_terms())
 @settings(max_examples=100, deadline=None)
 def test_weight_grid_matches_weights(f):
-    denom, grid = f.weight_grid
+    denom, grid = weight_grid(f)
     weights = tuple(f.weight_sums())
     assert len(grid) == f.horizon + 2 and grid[0] == 0
     for k in range(1, f.horizon + 2):
@@ -197,7 +197,7 @@ def test_weight_grid_matches_weights(f):
 @settings(max_examples=100, deadline=None)
 def test_weight_grid_leaves_zero_terms_out_of_the_lcm(zeros, tail):
     f = ErrorTerm([0] * zeros + list(tail.values))
-    denom, grid = f.weight_grid
+    denom, grid = weight_grid(f)
     weights = tuple(f.weight_sums())
     for k in range(1, f.horizon + 2):
         assert Fraction(grid[k], denom) == weights[k - 1], k
@@ -207,9 +207,9 @@ def test_weight_grid_leaves_zero_terms_out_of_the_lcm(zeros, tail):
 
 
 def test_weight_grid_of_the_zero_term_is_on_one():
-    assert zero_error_term(50).weight_grid == (1, (0,) * 52)
+    assert weight_grid(zero_error_term(50)) == (1, (0,) * 52)
     # floor(n/4) is zero below 4
-    assert builtin_error_term("linear", 6, {"c": Fraction(1, 4)}).weight_grid[0] == 3600
+    assert weight_grid(builtin_error_term("linear", 6, {"c": Fraction(1, 4)}))[0] == 3600
 
 
 @given(data=st.data())
@@ -231,7 +231,7 @@ def test_g_deficit_on_grids_against_term_by_term_form(data):
     scale = data.draw(st.integers(2, 4))
     written = [f"{v.numerator * scale}/{v.denominator * scale}" for v in values]
     parsed = parse_sequence(json.dumps({"values": written}))
-    w_denom = f.weight_grid[0]
+    w_denom = weight_grid(f)[0]
     if kind == "convex":
         assert w_denom % a.grid[0] == 0
     else:
