@@ -30,6 +30,7 @@ grid, O(H) integer cross products for the whole table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from .model import (
     PairDomain,
     SequencePrefix,
     _check_printable,
-    _json_with_array,
+    _json_with_arrays,
     _require_int,
     _require_prefix_and_term,
     format_rational,
@@ -114,7 +115,7 @@ def _report_pieces(domain, pairs_checked, violations) -> Iterator[str]:
         for v in violations
     )
     head = {"domain": domain.to_json_dict(), "pairs_checked": pairs_checked}
-    return _json_with_array(head, "violations", items)
+    return _json_with_arrays(head, {"violations": items})
 
 
 def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
@@ -210,10 +211,11 @@ def _certificate_failures(table_lo, table_hi, table_f, sums):
 
 
 def _decide_pairs(a, f, pairs, tables=None):
-    """``(bad, tables)``: the pairs of ``pairs`` that break the
-    inequality, in their order, and the tables their deficits are read
-    from (``_deficits``; None when there is no such pair).  This is the
-    one loop that decides pairs.
+    """``(bad, tables)``: the pairs of the iterable ``pairs`` that break
+    the inequality, in their order, and the tables their deficits are read
+    from (``_deficits``; None when no pair is left for them).  This is the
+    one loop that decides pairs.  It reads ``pairs`` once and keeps the
+    tuples of ``bad`` as they came, so a stream of pairs is never held.
 
     A prefix with an image (parsed, convex, or certified from its values)
     clears (n, m), s = n + m, on it when hi[s] - Flo[s] <= lo[n] + lo[m],
@@ -223,22 +225,33 @@ def _decide_pairs(a, f, pairs, tables=None):
     a prefix built from ``Fraction``s that has no image decides all of
     its pairs there.
     """
-    if not pairs:
+    pairs = _unless_empty(pairs)
+    if pairs is None:
         return [], None
     image = a._fixed_point(from_values=False)
     if image is not None:
         lo, hi = image
         flo = _floor_scaled(f, a.horizon)
-        pairs = [(n, m) for n, m in pairs if hi[n + m] - flo[n + m] > lo[n] + lo[m]]
-        if not pairs:
+        pairs = _unless_empty(
+            p for p in pairs for n, m in (p,) if hi[n + m] - flo[n + m] > lo[n] + lo[m]
+        )
+        if pairs is None:
             return [], None
     tables = tables or _scaled_tables(a, f)
     _, table_a, table_f = tables
     bad = [
-        (n, m) for n, m in pairs
+        p for p in pairs for n, m in (p,)
         if table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m] > 0
     ]
     return bad, tables
+
+
+def _unless_empty(items):
+    """An iterator of the items of ``items``, or None when it has none."""
+    items = iter(items)
+    for first in items:
+        return itertools.chain((first,), items)
+    return None
 
 
 def _deficits(bad, tables) -> Iterator[tuple[int, int, int]]:
@@ -297,7 +310,7 @@ def _scan_sums(a, f, domain):
             tables = _scaled_tables(a, f)
             sums = _certificate_failures(tables[1], tables[1], tables[2], sums)
         a._certified = f, tuple(sums)
-    pairs = [(n, s - n) for s in sums for n in range(lower[s], s // 2 + 1)]
+    pairs = ((n, s - n) for s in sums for n in range(lower[s], s // 2 + 1))
     return (checked, *_decide_pairs(a, f, pairs, tables))
 
 

@@ -164,8 +164,21 @@ def _cmd_decompose(args) -> int:
             f"{MAX_CHAIN_PARTS}"
         )
     chain = constructions.two_good_chain(args.n, args.k)
-    _write(_dump(chain.to_json_dict()), args.output)
+    _write(_chain_pieces(chain), args.output)
     return 0
+
+
+def _chain_pieces(chain: constructions.TwoGoodChain) -> Iterator[str]:
+    """The pieces of ``_dump(chain.to_json_dict())``, checked printable:
+    one piece a multiset or merge, made from the chain's tuples."""
+    model._check_printable([(chain.n, 1)])  # every member is an int in 1..n
+
+    def rows(tuples):
+        return ("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" for row in tuples)
+
+    head = {"n": chain.n, "k": chain.k, "beta": chain.beta}
+    arrays = {"chain": rows(chain.chain), "merge_trace": rows(chain.merge_trace)}
+    return model._json_with_arrays(head, arrays)
 
 
 def _cmd_gdeficit(args) -> int:

@@ -41,11 +41,9 @@ __all__ = [
     "zero_error_term",
 ]
 
+# A literal: the language ``_pack`` reads from ASCII text, over every
+# Unicode decimal digit, as int() reads them.
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
-# The same language over ASCII digits only, tried first: it matches about
-# three times faster than \d, which also admits (as int() does) the other
-# Unicode decimal digits.
-_ASCII_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 def _digit_limit() -> int:
@@ -54,37 +52,95 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _literal(text: str | int) -> str | int:
-    """An integer literal or ``p/q`` string, validated and stripped (the
-    string itself when there is nothing to strip), or an int as given.
-    Malformed text raises ValueError, and so does a part longer than
-    ``int()`` converts, with ``int()``'s error."""
+class _Packed(bytes):
+    """A validated literal ``p`` or ``p/q`` two decimal digits a byte: the
+    bytes whose hex digits are its ASCII text with "/" written "f", a
+    leading "-" written "e" and a "+" dropped, and one "0" after the sign
+    when that leaves an odd count.  Only ``_literal`` makes one, so no
+    bytes from outside pass for a literal."""
+
+    __slots__ = ()
+
+
+# The bytes of two decimal digits.  Without them a packed literal is left
+# with the byte of its sign and the byte that holds its "/".
+_DIGIT_PAIRS = bytes(16 * i + j for i in range(10) for j in range(10))
+
+
+def _pack(s: str) -> _Packed | None:
+    """The packed form of the ASCII text ``s`` if it is a literal: an
+    optional sign, the digits of p and, optionally, "/" and the digits
+    of q, the first not 0.  Else None.
+
+    The digits are checked on the packed bytes: ``bytes.fromhex`` takes
+    only hex digits and the spaces it skips (which shorten it), and a
+    byte that is not two decimal digits is the sign's, the "/"'s or holds
+    some other character.  The digits next to the sign and the "/", which
+    share their bytes, are checked in the text.
+    """
+    neg = s[:1] == "-"
+    body = s[1:] if neg or s[:1] == "+" else s
+    slash = body.find("/")
+    if not "0" <= body[:1] <= "9" or slash >= 0 and not (
+        "0" <= body[slash - 1] <= "9" and "1" <= body[slash + 1:slash + 2] <= "9"
+    ):
+        return None
+    hexed = body.replace("/", "f")
+    if (len(hexed) + neg) % 2:
+        hexed = "0" + hexed
+    if neg:
+        hexed = "e" + hexed
+    try:
+        packed = _Packed.fromhex(hexed)
+    except ValueError:
+        return None
+    marks = len(packed.translate(None, _DIGIT_PAIRS))
+    return packed if 2 * len(packed) == len(hexed) and marks == neg + (slash >= 0) else None
+
+
+def _literal(text: str | int) -> _Packed | int:
+    """An integer literal or ``p/q`` string, validated and stripped, in
+    its packed form (literals in other Unicode decimal digits as their
+    ASCII form); an int, or a packed literal, as given.  Malformed text
+    raises ValueError, and so does a part longer than ``int()`` converts,
+    with ``int()``'s error."""
+    if type(text) is _Packed:
+        return text
     if isinstance(text, bool):
         raise ValueError(f"malformed rational: {text!r}")
     if isinstance(text, int):
         return text
     s = str(text).strip()
-    match = _ASCII_RATIONAL_RE.match(s) or _RATIONAL_RE.match(s)
-    if not match:
+    if not s.isascii():
+        match = _RATIONAL_RE.match(s)
+        if not match:
+            raise ValueError(f"malformed rational: {text!r}")
+        num, den = match.groups()  # int() raises for an over-long part
+        s = str(int(num)) if den is None else f"{int(num)}/{int(den)}"
+    packed = _pack(s)
+    if packed is None:
         raise ValueError(f"malformed rational: {text!r}")
     limit = _digit_limit()
     if limit and len(s) > limit:
-        for part in match.groups():
-            if part and len(part) > limit:
+        for part in s.lstrip("+-").split("/"):
+            if len(part) > limit:
                 int(part)  # raises the error of an over-long literal
-    return s
+    return packed
 
 
-def _literal_pair(literal: str | int) -> tuple[int, int]:
+def _literal_pair(literal: _Packed | int) -> tuple[int, int]:
     """The integers (p, q), q >= 1, of a validated literal, as written:
     not reduced."""
     if isinstance(literal, int):
         return literal, 1
-    num, slash, den = literal.partition("/")
-    return int(num), int(den) if slash else 1
+    num, slash, den = literal.hex().partition("f")
+    # the sign and the zeros after it, among which the pad, which int()
+    # would count against its digit limit
+    p = int(num.lstrip("e0") or "0")
+    return -p if num[0] == "e" else p, int(den) if slash else 1
 
 
-def _literal_pairs(texts: Iterable[str | int]) -> list[tuple[int, int]]:
+def _literal_pairs(texts: Iterable[_Packed | int]) -> list[tuple[int, int]]:
     """``_literal_pair`` of each validated literal of ``texts``: the one
     conversion of a parsed table to integers."""
     return [_literal_pair(t) for t in texts]
@@ -146,12 +202,12 @@ class SequencePrefix:
     indices.  Each representation is built on first use and kept; the
     constructors differ only in the builders they pass.  A prefix built
     from ``Fraction``s holds its values and builds its grid from them.  A
-    prefix read by ``parse_sequence`` keeps the text of each value (the
-    string read, not a copy): its image reads the leading digits of each
-    value and its exact builder one literal per index, and ``grid`` or
-    ``values`` converts all the text once to integer pairs (p, q),
-    dropping the text; the pairs give the grid with no gcd per value and
-    ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
+    prefix read by ``parse_sequence`` keeps each value as the literal read,
+    packed two digits a byte (``_Packed``): its image decodes the leading
+    digits of each value and its exact builder one literal per index, and
+    ``grid`` or ``values`` converts all the literals once to integer pairs
+    (p, q), dropping them; the pairs give the grid with no gcd per value
+    and ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
     holds its grid, over D = 1, and reads each value as (f(n), 1).  A
     convex or smoothed prefix builds each from ``constructions._weighted``.
     Equality and hashing are those of ``values``.
@@ -180,10 +236,13 @@ class SequencePrefix:
         self._values, self._grid, self._image, self._certified = vals, None, None, None
 
     @classmethod
-    def _from_texts(cls, texts: list[str | int]) -> SequencePrefix:
-        """The prefix of the validated literals ``texts`` (``_literal``).
-        Its builders share one conversion of the text to pairs, made on
-        the first use of ``grid`` or ``values``, which drops the text."""
+    def _from_texts(cls, texts: list[_Packed | int]) -> SequencePrefix:
+        """The prefix of the validated literals ``texts`` (``_literal``:
+        packed or ints).  Its image reads the leading digits of each
+        (``_text_image``) and its exact builder one literal per index
+        (``_literal_pair``); its builders share one conversion of the
+        literals to pairs, made on the first use of ``grid`` or
+        ``values``, which drops the literals."""
         if not texts:
             raise ValueError("empty sequence")
         pairs = None
@@ -325,11 +384,18 @@ def _fixed_point_of(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[i
 # beyond the amount by which p is longer than q, enough for hi - lo <= 2.
 _IMAGE_DIGITS = 22
 
-# A literal's sign and the ASCII zeros that lead its numerator.
-_LEADING_RE = re.compile(r"[+-]?0*")
+# The sign and the zeros that lead the numerator of a packed literal, in
+# its hex digits.
+_LEADING_RE = re.compile(r"e?0*")
+
+def _digits(literal: _Packed, start: int, stop: int) -> str:
+    """The hex digits ``start`` to ``stop`` of a packed literal, from the
+    bytes that hold them alone."""
+    first = start % 2
+    return literal[start // 2:(stop + 1) // 2].hex()[first:first + stop - start]
 
 
-def _text_image(texts: Iterable[str | int]) -> tuple[list[int], list[int]]:
+def _text_image(literals: Iterable[_Packed | int]) -> tuple[list[int], list[int]]:
     """The image ``(lo, hi)`` of validated literals (``_literal``), with
     lo[0] = hi[0] = 0 and lo[n] <= a(n) * 2**K <= hi[n] <= lo[n] + 2.
 
@@ -341,29 +407,39 @@ def _text_image(texts: Iterable[str | int]) -> tuple[list[int], list[int]]:
     those bounds, whose floor and ceiling are lo and hi.  A block of t
     digits is off by at most 10**(1 - t) relatively, and |p| * 2**K / q <
     10**(Lp - Lq + 1) * 2**K, so the two quotients differ by less than
-    0.21 and hi - lo <= 2.  Integers, zeros and literals in other Unicode
-    digits (whose leading zeros the ASCII count misses) are read in full.
+    0.21 and hi - lo <= 2.  Integers and zeros are read in full.  Only
+    the bytes of the digits read are decoded; the "/" is found from the
+    one byte that holds it.
     """
     lo, hi = [0], [0]
-    for text in texts:
-        slash = text.find("/") if isinstance(text, str) and text.isascii() else -1
-        start = _LEADING_RE.match(text).end() if slash > 0 else 0
-        if start >= slash:  # an int or integer literal, zero, other digits
-            p, q = _literal_pair(text)
+    for literal in literals:
+        slash = start = 0
+        if not isinstance(literal, int):
+            marks = literal.translate(None, _DIGIT_PAIRS)
+            mark = marks[-1] if marks else 0xe0
+            if not 0xe0 <= mark < 0xf0:  # not the sign: the byte that holds "/"
+                slash = 2 * literal.find(mark) + (mark < 0xf0)
+                head = literal[:12].hex()
+                start = _LEADING_RE.match(head).end()
+                if start == len(head):  # zeros run on past the head
+                    start = _LEADING_RE.match(literal.hex()).end()
+        if start >= slash:  # an int or integer literal, or zero
+            p, q = _literal_pair(literal)
             low, rem = divmod(p << _IMAGE_BITS, q)
             lo.append(low)
             hi.append(low + 1 if rem else low)
             continue
-        long_p, long_q = slash - start, len(text) - slash - 1
+        end = 2 * len(literal)
+        long_p, long_q = slash - start, end - slash - 1
         cut = max(0, long_p - long_q) + _IMAGE_DIGITS
         drop_p, drop_q = max(0, long_p - cut), max(0, long_q - cut)
-        top_p = int(text[start:slash - drop_p])
-        top_q = int(text[slash + 1:len(text) - drop_q])
+        top_p = int(_digits(literal, start, slash - drop_p))
+        top_q = int(_digits(literal, slash + 1, end - drop_q))
         shift = drop_p - drop_q
         num, den = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
         low = (top_p << _IMAGE_BITS) * num // ((top_q + (drop_q > 0)) * den)
         high = -(-((top_p + (drop_p > 0)) << _IMAGE_BITS) * num // (top_q * den))
-        if text[0] == "-":
+        if literal[0] >= 0xe0:
             low, high = -high, -low
         lo.append(low)
         hi.append(high)
@@ -844,24 +920,31 @@ def _check_printable(pairs: Iterable[tuple[int, int]]) -> None:
             format_rational(Fraction(p, q))
 
 
-def _json_with_array(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+def _json_with_arrays(head: dict, arrays: Mapping[str, Iterable[str]]) -> Iterator[str]:
     """The pieces of ``json.dumps(payload, indent=2, sort_keys=True) +
-    "\\n"`` for ``head`` with one more member: ``key``, a list whose
-    elements ``json.dumps`` writes as ``items`` (at depth 2, less the
-    leading indent).  Each item is its own piece.
+    "\\n"`` for ``head`` with one list member more for each key of
+    ``arrays``, whose elements ``json.dumps`` writes as its items (at
+    depth 2, less the leading indent).  Each item is its own piece.
 
-    Only ``head`` goes through ``json.dumps``, which never uses its C
-    encoder when ``indent`` is set.  The array follows the head, so
-    ``key`` must sort after every key of the non-empty ``head``.
+    Only ``head``, with a null in place of each list, goes through
+    ``json.dumps``, which never uses its C encoder when ``indent`` is set.
+    Each null is found after its key at the start of a line indented by
+    two, which no deeper member and no escaped string has.
     """
-    text = json.dumps(head, indent=2, sort_keys=True)
-    yield f'{text[:-2]},\n  "{key}": ['
-    empty = True
-    for item in items:
-        yield "\n    " if empty else ",\n    "
-        yield item
-        empty = False
-    yield "]\n}\n" if empty else "\n  ]\n}\n"
+    text = json.dumps({**head, **dict.fromkeys(arrays)}, indent=2, sort_keys=True) + "\n"
+    done = 0
+    for key in sorted(arrays):
+        member = f"\n  {json.dumps(key)}: "
+        at = text.index(member, done) + len(member)
+        yield text[done:at] + "["
+        empty = True
+        for item in arrays[key]:
+            yield "\n    " if empty else ",\n    "
+            yield item
+            empty = False
+        yield "]" if empty else "\n  ]"
+        done = at + len("null")
+    yield text[done:]
 
 
 def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
@@ -870,7 +953,7 @@ def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
     _check_printable((v.numerator, v.denominator) for v in values)
     # a rendered rational is ASCII digits, "-" and "/": no escaping needed
     items = (f'"{format_rational(v)}"' for v in values)
-    return _json_with_array({"offset": 1}, "values", items)
+    return _json_with_arrays({"offset": 1}, {"values": items})
 
 
 def _sequence_csv_pieces(prefix: SequencePrefix) -> Iterator[str]:
@@ -890,6 +973,8 @@ def sequence_to_csv(prefix: SequencePrefix) -> str:
 
 _DECODER = json.JSONDecoder()
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
+# What follows an array element: a "," and the space after it, or a "]".
+_AFTER_ELEMENT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])")
 _NON_SPACE = re.compile(r"\S")  # as str.isspace() and str.lstrip() read it
 
 
@@ -908,6 +993,9 @@ class _TextReader:
     def __init__(self, source: str | Iterable[str]) -> None:
         self._pieces = iter((source,) if isinstance(source, str) else source)
         self.text, self.pos, self.start, self.ended = "", 0, 0, False
+        # the end, in the whole text, of the window in which an object or
+        # array element last ran past the window (``_elements``)
+        self._overrun = -1
         # the newlines dropped and the offset of the line after the last
         self._lines = self._line_start = 0
 
@@ -954,14 +1042,20 @@ class _TextReader:
             yield from self.text[: self.pos].splitlines()
         yield from self.text.splitlines()
 
-    def json(self):
+    def json(self, literals: bool = False):
         """``json.loads`` of the rest of the text: the same value, or a
         ValueError where it raises one, worded as its error ("invalid
         JSON: " first) with the line, column and offset in the whole text.
+        With ``literals``, a string element of an array that is read on
+        its own and that ``_literal`` takes is kept packed as it is read
+        (``_Packed``), so that no list of the strings is ever held.
 
-        Objects and arrays are walked here, and each scalar is decoded by
-        ``json.JSONDecoder.raw_decode``.  The one difference is depth:
-        this walk keeps its open containers in a list, not on the stack.
+        Objects and arrays are walked here.  Each element of an array that
+        ends, with the "," or "]" after it, inside the window is decoded
+        whole by one scan of the ``json.JSONDecoder`` (``_elements``), and
+        each other scalar by one ``raw_decode``.  The one difference is
+        depth: this walk keeps its open containers in a list, not on the
+        stack.
         """
         if self._skip() == "\ufeff" and self.start + self.pos == 0:
             raise self._error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
@@ -971,34 +1065,80 @@ class _TextReader:
             if char == "{" or char == "[":
                 self.pos += 1
                 value = {} if char == "{" else []
-                if self._skip() != ("}" if char == "{" else "]"):
-                    stack.append([value, self._key() if char == "{" else None])
+                if self._skip() == ("}" if char == "{" else "]"):
+                    self.pos += 1
+                elif char == "{":
+                    stack.append([value, self._key()])
                     continue
-                self.pos += 1
+                elif not self._elements(value, literals):
+                    stack.append([value, None])
+                    continue
             else:
                 value = self._scalar()
             while stack:  # the value is done: file it, and close what it ends
                 container, key = top = stack[-1]
-                if key is None:
-                    container.append(value)
-                else:
+                if key is not None:
                     container[key] = value
+                elif literals and type(value) is str:
+                    container.append(_packed_or_same(value))
+                else:
+                    container.append(value)
                 char = self._skip()
                 if char == ("]" if key is None else "}"):
                     self.pos += 1
-                    value = container
-                    stack.pop()
-                elif char == ",":
+                elif char != ",":
+                    raise self._error("Expecting ',' delimiter", self.pos)
+                elif key is not None:
                     self.pos += 1
-                    if key is not None:
-                        top[1] = self._key()
+                    top[1] = self._key()
                     break
                 else:
-                    raise self._error("Expecting ',' delimiter", self.pos)
+                    self.pos += 1
+                    if not self._elements(container, literals):
+                        break
+                value = container  # closed
+                stack.pop()
             else:
                 if self._skip():
                     raise self._error("Extra data", self.pos)
                 return value
+
+    def _elements(self, array: list, literals: bool) -> bool:
+        """Append to ``array`` the elements from the cursor on that end,
+        with the "," or "]" after them, inside the window, each decoded
+        whole by one scan of the decoder (and kept packed as
+        ``json(literals)`` says).  True, with the cursor past the "]", when
+        that closes the array; else False, with the cursor on the element
+        for the walk to read.
+
+        Once an object or array element has run past the end of the
+        window, no other one is tried until the window moves, so that the
+        window is not scanned again for each container open at its end.
+        """
+        self._skip()
+        text, pos = self.text, self.pos
+        window_end = self.start + len(text)
+        guarded = self._overrun == window_end
+        scan, after_element = _DECODER.scan_once, _AFTER_ELEMENT.match
+        try:
+            while not (guarded and text[pos:pos + 1] in ("[", "{")):
+                value, end = scan(text, pos)
+                after = after_element(text, end)
+                if after is None:
+                    return False
+                if literals and type(value) is str:
+                    value = _packed_or_same(value)
+                array.append(value)
+                pos = after.end()
+                if text[pos - 1] == "]":
+                    return True
+            return False
+        except (StopIteration, ValueError, RecursionError):  # the walk reads it, or raises
+            if text[pos:pos + 1] in ("[", "{"):
+                self._overrun = window_end
+            return False
+        finally:
+            self.pos = pos
 
     def _skip(self) -> str:
         """Move the cursor past JSON whitespace; the character there, ""
@@ -1056,16 +1196,26 @@ class _TextReader:
         )
 
 
+def _packed_or_same(text: str) -> _Packed | str:
+    """``_literal(text)``, or ``text`` itself when that raises: the error
+    is raised when the table is read (``_table_from_json``)."""
+    try:
+        return _literal(text)
+    except ValueError:
+        return text
+
+
 def _json_object(reader: _TextReader) -> dict:
-    """The object of a JSON text; malformed JSON or any other JSON value
-    raises ValueError."""
-    payload = reader.json()
+    """The object of a JSON text of tables, with their literals packed as
+    they are read; malformed JSON or any other JSON value raises
+    ValueError."""
+    payload = reader.json(literals=True)
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
     return payload
 
 
-def _table_from_json(payload: dict, missing: str) -> list[str | int]:
+def _table_from_json(payload: dict, missing: str) -> list[_Packed | int]:
     """The table of ``{"values": [...], "offset": 1}`` as validated
     literals; tables are 1-indexed, so the offset is absent or the int 1.
     ``missing``: the error for an object with no 'values' list."""
@@ -1083,10 +1233,10 @@ def _check_offset(payload: dict) -> None:
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
 
 
-def _table_from_csv(lines: Iterable[str]) -> list[str]:
+def _table_from_csv(lines: Iterable[str]) -> list[_Packed | int]:
     """The table of the ``index,value`` rows ``lines`` as validated
     literals; indices are ASCII digits and run over 1..H, in any order."""
-    entries: dict[int, str] = {}
+    entries: dict[int, _Packed] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -1121,10 +1271,12 @@ def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     field) are unwrapped to their sequence.  CSV rows are ``index,value``
     with contiguous indices 1..H, one a line as ``str.splitlines`` splits
     them.  Every value is validated here (a malformed or over-long one
-    raises ValueError) but kept as text: the prefix's fixed-point image
-    reads only leading digits, ``_exact(n)`` and ``value(n)`` one literal,
-    and all values become integers (p, q), unreduced, on the first use of
-    the grid or ``values``, which are built from them.
+    raises ValueError) but kept as the literal written, packed two digits
+    a byte as it is read (``_Packed``), so the prefix holds about half
+    the text's size: the prefix's fixed-point image decodes only leading
+    digits, ``_exact(n)`` and ``value(n)`` one literal, and all values
+    become integers (p, q), unreduced, on the first use of the grid or
+    ``values``, which are built from them.
     """
     return _parse_sequence(text)
 

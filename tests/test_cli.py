@@ -448,26 +448,31 @@ def _traced_peak(argv):
 def test_check_writes_its_report_in_less_memory_than_the_report(tmp_path):
     # 40,000 violations: the report is streamed, not held as one text, and
     # only the violating pairs are kept, each deficit reduced as it is
-    # written (held as Violations they took about 1.1 times the report)
+    # written (held as Violations they took about 1.1 times the report).
+    # The pairs are decided as they are made from the sums, so the 20.7 MB
+    # report is written in about 3.2 MB (three copies of the pairs took
+    # 8.4 MB)
     conv, out = tmp_path / "sqrt.json", tmp_path / "report.json"
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "400",
                  "-o", str(conv)]) == 0
     code, peak = _traced_peak(["check", "--seq", str(conv), "--f", "zero",
                                "--domain", "full", "-o", str(out)])
     assert code == 1
-    assert peak < 0.5 * out.stat().st_size
+    assert peak < 4_000_000 and peak < 0.5 * out.stat().st_size
 
 
 def test_check_reads_its_file_in_less_memory_than_two_copies(tmp_path):
-    # the file is read a window at a time, so the strings parsed from it
-    # are its one copy held (read whole, its text was a second)
+    # the file is read a window at a time, so the literals parsed from it
+    # are its one copy held (read whole, its text was a second), packed
+    # two digits a byte as they are read: the check peaks at about 0.69
+    # times the file (1.19 while they were held as strings)
     conv, out = tmp_path / "sqrt.json", tmp_path / "report.json"
     assert main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "2000",
                  "-o", str(conv)]) == 0
     code, peak = _traced_peak(["check", "--seq", str(conv), "--f", "family:floor_sqrt",
                                "--domain", "muband:21/20,1", "-o", str(out)])
     assert code == 0
-    assert peak < 1.4 * conv.stat().st_size
+    assert peak < 0.8 * conv.stat().st_size
 
 
 def _raise(*args, **kwargs):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fekete import (
@@ -49,10 +50,63 @@ def test_parse_rational_forms():
     assert parse_rational(12) == Fraction(12)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/0", "a/b", "", "1/-2", "2e3", None])
+# the bytes of a packed literal (b"\x12" is "12") and the hex digits it
+# writes "/" and "-" with are no literal
+@pytest.mark.parametrize("bad", ["1.5", "3/0", "a/b", "", "1/-2", "2e3", None,
+                                 b"12", b"\x12", bytearray(b"12"), "12f5", "e12", "12 34", "-/5"])
 def test_parse_rational_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
         parse_rational(bad)
+
+
+# The grammar of a literal over ASCII digits: the reference for the check
+# that ``model._pack`` makes on the packed bytes.
+_LITERAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+
+# Digits, the marks of a literal, the other hex digits (which
+# ``bytes.fromhex`` takes) and the spaces it skips.
+_NEAR_LITERAL = "0123456789/+-aAbBcCdDeEfF \t\n\r\x0b\x0c"
+
+
+@st.composite
+def near_literals(draw):
+    """Literals with one character changed, added or dropped, and short
+    texts over the characters that come close to one."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_NEAR_LITERAL, max_size=9))
+    text = draw(st.from_regex(_LITERAL_RE, fullmatch=True))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(_NEAR_LITERAL))
+    edit = draw(st.sampled_from(["keep", "replace", "insert", "drop"]))
+    if edit == "replace":
+        return text[:at] + char + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + text[at + 1:] if edit == "drop" else text
+
+
+@given(near_literals())
+@example("12f5")  # "/" is packed as the hex digit f
+@example("-e1")  # and a "-" as e
+@example("1/a")
+@example("a/1")
+@example("12  34")  # spaces between two bytes, which fromhex skips
+@example("12 34")
+@example("-/5")
+@example("1/0")
+@example("0/1")
+@example("-0")
+@settings(max_examples=1000, deadline=None)
+def test_literal_accepts_exactly_the_literal_grammar(text):
+    # the packed bytes are checked, not the text: they take what the
+    # grammar takes, and give its p and q
+    match = _LITERAL_RE.fullmatch(text.strip())
+    if match is None:
+        with pytest.raises(ValueError, match="^malformed rational"):
+            model._literal(text)
+    else:
+        literal = model._literal(text)
+        assert model._literal_pair(literal) == (int(match[1]), int(match[2] or 1))
 
 
 def test_parse_ascii_int():

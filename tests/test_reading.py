@@ -102,16 +102,31 @@ def json_texts(draw):
     return text
 
 
-def _loaded(text: str, chunk: int):
+def _packed(value):
+    """``value`` with each string element of an array packed when it is a
+    literal: what ``_TextReader.json(literals=True)`` does to the strings
+    it reads on their own (those of a whole element it decodes at once
+    stay strings)."""
+    if isinstance(value, list):
+        return [model._packed_or_same(v) if type(v) is str else _packed(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _packed(v) for key, v in value.items()}
+    return value
+
+
+def _loaded(text: str, chunk: int, literals: bool):
     """``json.loads(text)`` or its error, and the loader's value or error
-    from the pieces the CLI reads of a file holding ``text``."""
+    from the pieces the CLI reads of a file holding ``text``, each as its
+    repr; with ``literals``, the literals of arrays packed in both."""
+    shown = (lambda value: repr(_packed(value))) if literals else repr
     try:
-        want = ("value", repr(json.loads(text)))
+        want = ("value", shown(json.loads(text)))
     except ValueError as exc:
         want = ("error", exc)
     with mock.patch.object(cli, "_READ_CHARS", chunk):
         try:
-            got = ("value", repr(model._TextReader(cli._pieces(io.StringIO(text))).json()))
+            reader = model._TextReader(cli._pieces(io.StringIO(text)))
+            got = ("value", shown(reader.json(literals=literals)))
         except ValueError as exc:
             got = ("error", exc)
     return want, got
@@ -133,15 +148,38 @@ def _loaded(text: str, chunk: int):
 @example('{"values": [true, -Infinity]}', 14)  # cut after "tr"
 @settings(max_examples=400, deadline=None)
 def test_loader_reads_as_json_loads(text, chunk):
-    want, got = _loaded(text, chunk)
-    if want[0] == "value":  # repr compares key order, int/float and NaN too
-        assert got == want
-        return
-    assert got[0] == "error", got
-    message, exc = str(got[1]), want[1]
-    assert message.startswith("invalid JSON: ")
-    if _SAME_WORDING and isinstance(exc, json.JSONDecodeError):
-        assert message == f"invalid JSON: {exc}"
+    for literals in (False, True):
+        want, got = _loaded(text, chunk, literals)
+        if want[0] == "value":  # repr compares key order, int/float and NaN too
+            assert got == want
+            continue
+        assert got[0] == "error", got
+        message, exc = str(got[1]), want[1]
+        assert message.startswith("invalid JSON: ")
+        if _SAME_WORDING and isinstance(exc, json.JSONDecodeError):
+            assert message == f"invalid JSON: {exc}"
+
+
+def _scanned(text: str, chunk: int):
+    """The loader's value of ``text`` read ``chunk`` characters at a time,
+    and the characters each scan of the decoder read, at most: to its
+    value's end, or to the end of the window when it failed."""
+    scanned = []
+    real = model._DECODER.scan_once
+
+    def counting(s, idx):
+        try:
+            value, end = real(s, idx)
+        except (StopIteration, ValueError, RecursionError):
+            scanned.append(len(s) - idx)
+            raise
+        scanned.append(end - idx)
+        return value, end
+
+    with mock.patch.object(model._DECODER, "scan_once", counting), \
+            mock.patch.object(cli, "_READ_CHARS", chunk):
+        payload = model._TextReader(cli._pieces(io.StringIO(text))).json()
+    return payload, scanned
 
 
 def test_loader_holds_a_long_element_in_linear_time():
@@ -149,18 +187,21 @@ def test_loader_holds_a_long_element_in_linear_time():
     # refill at least doubles the window, so it is decoded about 14 times,
     # in time linear in its length (one refill a piece would take 2**14)
     text = json.dumps({"values": ["7" * (1 << 14)]})
-    calls = []
-    real = model._DECODER.raw_decode
-
-    def counting(s, idx=0):
-        calls.append(len(s) - idx)
-        return real(s, idx)
-
-    with mock.patch.object(model._DECODER, "raw_decode", counting), \
-            mock.patch.object(cli, "_READ_CHARS", 1):
-        payload = model._TextReader(cli._pieces(io.StringIO(text))).json()
+    payload, scanned = _scanned(text, 1)
     assert payload == json.loads(text)
-    assert sum(calls) < 5 * len(text)
+    assert sum(scanned) < 5 * len(text)
+
+
+def test_loader_scans_nested_arrays_in_linear_time():
+    # 600 arrays, each a string and the next one: every window ends inside
+    # about a hundred of them, each of which a whole-element scan would run
+    # to the end of the window; after the first, the walk reads them, so
+    # the decoder scans the text only a few times over
+    depth = 600
+    text = '{"values": ' + ("[" + json.dumps("7" * 60) + ", ") * depth + "[]" + "]" * depth + "}"
+    payload, scanned = _scanned(text, 4096)
+    assert payload == json.loads(text)
+    assert sum(scanned) < 3 * len(text)
 
 
 def test_loader_fails_on_a_missing_value_without_reading_on():
