@@ -20,12 +20,13 @@ them clear (a clean non-convex prefix, such as a rational-slopes
 construction); and the minorant on the grid, for the sums still left.
 OnePlus domains (at most two pairs per sum) and explicit domains skip
 the certificate and send all their pairs.  Every decision is integer
-arithmetic and reported deficits are exact rationals, each reduced to a
-``Fraction`` as it is reported: ``scan_violations`` holds them all as
-``Violation``s, and the CLI's ``check`` streams its report from the
-violating pairs alone (``_report_stream``).  Window maxima of
-the slopes come from one sliding-window pass (a monotone deque) over the
-grid, O(H) integer cross products for the whole table.
+arithmetic and reported deficits are exact rationals, each reduced as
+it is reported: ``scan_violations`` holds them all as ``Violation``s,
+and the CLI's ``check`` streams its report from the violating pairs
+alone, each deficit reduced by one gcd straight to its text
+(``_report_stream``).  Window maxima of the slopes come from one
+sliding-window pass (a monotone deque) over the grid, O(H) integer cross
+products for the whole table.
 """
 
 from __future__ import annotations
@@ -102,17 +103,19 @@ class ViolationReport:
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) +
         "\\n"``, joined from the pieces ``check`` streams."""
-        return "".join(_report_pieces(self.domain, self.pairs_checked, self.violations))
+        rows = ((v.n, v.m, format_rational(v.deficit)) for v in self.violations)
+        return "".join(_report_pieces(self.domain, self.pairs_checked, rows))
 
 
-def _report_pieces(domain, pairs_checked, violations) -> Iterator[str]:
-    """The pieces of the ``to_json_text`` of a report: one f-string per
-    violation, whose deficit is ASCII digits, "-" and "/" and needs no
-    escaping, made as ``violations`` yields it."""
+def _report_pieces(domain, pairs_checked, rows) -> Iterator[str]:
+    """The pieces of the ``to_json_text`` of a report whose violations are
+    the ``(n, m, text)`` of ``rows``, ``text`` its deficit as
+    ``format_rational`` writes it: one f-string per violation, which needs
+    no escaping (the text is ASCII digits, "-" and "/"), made as ``rows``
+    yields it."""
     items = (
-        f'{{\n      "deficit": "{format_rational(v.deficit)}",\n'
-        f'      "m": {v.m},\n      "n": {v.n}\n    }}'
-        for v in violations
+        f'{{\n      "deficit": "{text}",\n      "m": {m},\n      "n": {n}\n    }}'
+        for n, m, text in rows
     )
     head = {"domain": domain.to_json_dict(), "pairs_checked": pairs_checked}
     return _json_with_arrays(head, {"violations": items})
@@ -355,12 +358,22 @@ def _scan(a, f, domain):
 
 def _report_stream(a, f, domain) -> tuple[bool, Iterator[str]]:
     """Whether ``scan_violations(a, f, domain)`` is ok, and the pieces of
-    its ``to_json_text``, checked printable, with no ``Violation`` held:
-    the printable check reads the unreduced deficits, and each deficit is
-    reduced as its piece is made."""
+    its ``to_json_text``, checked printable, with no ``Violation`` or
+    ``Fraction`` made: the printable check reads the unreduced deficits
+    x / D, and each is reduced as its piece is made, by one gcd(x, D) and
+    two exact divisions."""
     checked, bad, tables = _scan(a, f, domain)
     _check_printable((x, tables[0]) for _, _, x in _deficits(bad, tables))
-    return not bad, _report_pieces(domain, checked, _violations(bad, tables))
+    return not bad, _report_pieces(domain, checked, _deficit_texts(bad, tables))
+
+
+def _deficit_texts(bad, tables) -> Iterator[tuple[int, int, str]]:
+    """``(n, m, text)`` for each pair of ``bad``, ``text`` its deficit
+    x / D reduced and written as ``format_rational`` writes it."""
+    for n, m, x in _deficits(bad, tables):
+        g = math.gcd(x, tables[0])
+        q = tables[0] // g
+        yield n, m, str(x // g) if q == 1 else f"{x // g}/{q}"
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,14 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import checker, constructions, limits, model
+# Each command imports the other modules it runs, so that a process
+# compiles only those (the package loads nothing until asked).
+from . import model
+
+if TYPE_CHECKING:
+    from .constructions import TwoGoodChain
 
 # The longest integer literal, in decimal digits, that the CLI parses or
 # prints (Python's default is 4300).  ``construct convex`` writes values
@@ -136,6 +141,8 @@ def _domain_from(spec: str) -> model.PairDomain:
 
 
 def _cmd_check(args) -> int:
+    from . import checker
+
     seq = _parse_file(args.seq, model._parse_sequence)
     f = _error_term_for(args.f, seq.horizon)
     domain = _domain_from(args.domain)
@@ -145,6 +152,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    from . import limits
+
     seq = _parse_file(args.seq, model._parse_sequence)
     bracket = limits.fekete_bracket(seq, args.N)
     _write(_dump(bracket.to_json_dict()), args.output)
@@ -152,12 +161,16 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_certify_mu(args) -> int:
+    from . import limits
+
     cert = limits.mu_chain_certificate(model.parse_rational(args.mu), args.N, args.n)
     _write(_dump(cert.to_json_dict()), args.output)
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    from . import constructions
+
     if args.k and args.n // args.k > MAX_CHAIN_PARTS:
         raise ValueError(
             f"a chain of n // k = {args.n // args.k} parts exceeds the limit of "
@@ -168,7 +181,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _chain_pieces(chain: constructions.TwoGoodChain) -> Iterator[str]:
+def _chain_pieces(chain: TwoGoodChain) -> Iterator[str]:
     """The pieces of ``_dump(chain.to_json_dict())``, checked printable:
     one piece a multiset or merge, made from the chain's tuples."""
     model._check_printable([(chain.n, 1)])  # every member is an int in 1..n
@@ -182,6 +195,8 @@ def _chain_pieces(chain: constructions.TwoGoodChain) -> Iterator[str]:
 
 
 def _cmd_gdeficit(args) -> int:
+    from . import limits
+
     seq = _parse_file(args.seq, model._parse_sequence)
     f = _error_term_for(args.f, seq.horizon)
     value = limits.g_deficit(seq, f, args.n, args.m)
@@ -197,6 +212,8 @@ def _emit_sequence(prefix: model.SequencePrefix, args) -> None:
 
 
 def _cmd_construct_convex(args) -> int:
+    from . import constructions
+
     _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
     if f is None:
@@ -206,6 +223,8 @@ def _cmd_construct_convex(args) -> int:
 
 
 def _cmd_construct_rational_slopes(args) -> int:
+    from . import constructions
+
     _check_horizon("--Hmax", args.Hmax)
     f = _error_term_for(args.f, args.Hmax)
     if f is None:
@@ -219,6 +238,8 @@ def _cmd_construct_rational_slopes(args) -> int:
 
 
 def _cmd_construct_threshold_gap(args) -> int:
+    from . import constructions
+
     anchors = [model.parse_ascii_int(x, "anchor") for x in args.anchors.split(",")]
     _check_horizon("horizon", anchors[-1] - 1 if args.H is None else args.H)
     _emit_sequence(constructions.threshold_gap_example(args.N, anchors, args.H), args)
@@ -226,6 +247,8 @@ def _cmd_construct_threshold_gap(args) -> int:
 
 
 def _cmd_construct_linear_error(args) -> int:
+    from . import constructions
+
     _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
     if f is None:
@@ -333,10 +356,12 @@ def _main(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except constructions.HorizonExhausted as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
+        # only a construction raises this, so its module is loaded then
+        exhausted = sys.modules.get(f"{__package__}.constructions")
+        if exhausted is not None and isinstance(exc, exhausted.HorizonExhausted):
+            print(f"construction failed: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,8 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
     is n * W(n), so a(1) = 0: the prefix ``_weighted(f, None, 1, 1, H)``.
     A scan that its image certifies builds no grid and reduces no value,
-    and writing its values builds no grid.
+    and writing its values builds neither the grid nor ``values``: the
+    writers read its digits in decimal.
 
     For any non-negative non-decreasing f the output is non-negative,
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
@@ -70,6 +71,8 @@ def _weighted(
     or None if ``a`` has none.  The exact builder, only if ``a`` has one
     (else a sweep of ``_exact`` reads the grid, built once), joins
     ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all ks.
+    With ``a`` None the prefix also lists its values in decimal
+    (``f._weighted_decimals``), for the writers.
     """
 
     def values() -> tuple[Fraction, ...]:
@@ -107,7 +110,12 @@ def _weighted(
         w = {k: x for k, x in enumerate(sums, start=1 - shift) if k in wanted}  # Wt[k + shift]
         return [(p * w_denom + c * k * w[k] * q, q * w_denom) for k, (p, q) in zip(ks, a._exact(*ks))]
 
-    has_exact = a is not None and a._builders[3] is not None
+    if a is None:
+        return SequencePrefix._deferred_prefix(
+            horizon, values, grid, image,
+            decimals=lambda: f._weighted_decimals(c, shift, horizon),
+        )
+    has_exact = a._builders[3] is not None
     return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
 
 

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -198,10 +199,11 @@ class SequencePrefix:
     ``value(0)`` is defined as 0 so that decomposition identities hold
     without special cases.  A prefix is its horizon H and the builders it
     was given (``_deferred_prefix``): of ``values``, of its integer
-    ``grid``, of its fixed-point image and of exact values at given
-    indices.  Each representation is built on first use and kept; the
-    constructors differ only in the builders they pass.  A prefix built
-    from ``Fraction``s holds its values and builds its grid from them.  A
+    ``grid``, of its fixed-point image, of exact values at given indices
+    and of its values in decimal.  Each representation but the last is
+    built on first use and kept; the constructors differ only in the
+    builders they pass.  A prefix built from ``Fraction``s holds its
+    values and builds its grid from them.  A
     prefix read by ``parse_sequence`` keeps each value as the literal read,
     packed two digits a byte (``_Packed``): its image decodes the leading
     digits of each value and its exact builder one literal per index, and
@@ -209,7 +211,9 @@ class SequencePrefix:
     (p, q), dropping them; the pairs give the grid with no gcd per value
     and ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
     holds its grid, over D = 1, and reads each value as (f(n), 1).  A
-    convex or smoothed prefix builds each from ``constructions._weighted``.
+    convex or smoothed prefix builds each from ``constructions._weighted``,
+    and a convex one also its values in decimal, which the writers read
+    instead of ``values`` (``_value_texts``) and no other code reads.
     Equality and hashing are those of ``values``.
 
     ``_fixed_point()`` is the prefix's fixed-point image at scale 2**K,
@@ -232,7 +236,7 @@ class SequencePrefix:
         def grid():
             return _integer_grid([(v.numerator, v.denominator) for v in vals])
 
-        self._horizon, self._builders = len(vals), (None, grid, None, None)
+        self._horizon, self._builders = len(vals), (None, grid, None, None, None)
         self._values, self._grid, self._image, self._certified = vals, None, None, None
 
     @classmethod
@@ -262,14 +266,19 @@ class SequencePrefix:
         )
 
     @classmethod
-    def _deferred_prefix(cls, horizon: int, values, grid, image=None, exact=None) -> SequencePrefix:
+    def _deferred_prefix(
+        cls, horizon: int, values, grid, image=None, exact=None, decimals=None
+    ) -> SequencePrefix:
         """The prefix of ``horizon`` values whose ``values`` and ``grid``
         the zero-argument callables build once, on first use (None for
         one the caller sets); ``image``, if given, builds the image, or
         gives None when it has nothing to build it from; ``exact(ns)``, if
-        given, is ``_exact(*ns)``.  All must give the same rationals."""
+        given, is ``_exact(*ns)``; ``decimals()``, if given, lists the
+        reduced numerators and the denominators of the values, as two
+        lists of integer ``Decimal``s, made anew on each call.  All must
+        give the same rationals."""
         prefix = cls.__new__(cls)
-        prefix._horizon, prefix._builders = horizon, (values, grid, image, exact)
+        prefix._horizon, prefix._builders = horizon, (values, grid, image, exact, decimals)
         prefix._values = prefix._grid = prefix._image = prefix._certified = None
         return prefix
 
@@ -367,6 +376,10 @@ class SequencePrefix:
 # of a clean convex prefix are about f(s)/s, far above the error of an
 # image at this scale; the sums it cannot clear go to the grid.
 _IMAGE_BITS = 64
+
+# The context of ``ErrorTerm._weighted_decimals``: integer arithmetic at
+# any length, in which a result that would be rounded raises instead.
+_EXACT = Context(prec=MAX_PREC, traps=[Inexact, Rounded, InvalidOperation])
 
 
 def _fixed_point_of(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -490,10 +503,12 @@ class ErrorTerm(SequencePrefix):
     only when they are first asked for.
     The partial sums W of sum f(x)/x^2 come as the stream
     ``weight_sums()``, as integers over one denominator from one pass that
-    holds no table (``_weights``) and as the cached fixed-point bounds of
-    ``weight_bounds``; the last two read one term list.  Next to that
-    cache, ``limits.smoothed`` keeps the last prefix it smoothed by this
-    term; neither takes part in pickling, equality or hashing.
+    holds no table (``_weights``), as the cached fixed-point bounds of
+    ``weight_bounds`` and, scaled to the values of a convex prefix, as
+    reduced ``Decimal``s (``_weighted_decimals``); the last three read one
+    term list.  Next to that cache, ``limits.smoothed`` keeps the last
+    prefix it smoothed by this term; neither takes part in pickling,
+    equality or hashing.
     """
 
     def __init__(self, values: Iterable) -> None:
@@ -591,6 +606,50 @@ class ErrorTerm(SequencePrefix):
             lows.append(total)
             misses.append(count)
         return lows, misses
+
+    def _weighted_decimals(
+        self, c: int, shift: int, horizon: int
+    ) -> tuple[list[Decimal], list[Decimal]]:
+        """The reduced numerators and denominators of c * k * W(k - 1 +
+        shift), c != 0, for k = 1..horizon, as two lists of integer
+        ``Decimal``s (two lists hold them in less memory than pairs): the
+        values of ``constructions._weighted(self, None, c, shift,
+        horizon)`` in base ten, whose text takes no conversion from binary.
+
+        One pass over the terms of ``_weights`` keeps W(j) = n / d in
+        lowest terms.  It adds each non-zero term p_x / d_x, reduced first,
+        by Henrici's method, as ``Fraction`` adds: g = gcd(d, d_x), then
+        the sum over d * d_x / g, reduced by its gcd with g.  Scaling by
+        c * k divides both by gcd(d, c * k).  Each gcd is of a short
+        integer and the remainder of d by it, never of two long integers.
+        The pass runs in ``_EXACT``, so a result it would round raises.
+        """
+        terms = self._weight_terms(max(horizon + shift, 2))
+        nums, dens = [], []
+        with localcontext(_EXACT):
+            num, den = Decimal(-terms[0][0]), Decimal(terms[0][1])  # W(0) = -f(1)
+            for j in range(horizon + shift):
+                if j == 1:
+                    num, den = Decimal(0), Decimal(1)  # W(1) = 0
+                elif j > 1 and terms[j - 1][0]:
+                    p, d = terms[j - 1]
+                    g = math.gcd(p, d)
+                    p, d = p // g, d // g
+                    g = math.gcd(int(den % d), d)
+                    if g == 1:
+                        num, den = num * d + den * p, den * d
+                    else:
+                        s = den // g
+                        t = num * (d // g) + s * p
+                        g = math.gcd(int(t % g), g)
+                        num, den = (t // g if g > 1 else t), s * (d // g)
+                if j >= shift:
+                    scale = c * (j + 1 - shift)
+                    g = math.gcd(int(den % scale), scale)
+                    # a zero scaled by c < 0 would read "-0"
+                    nums.append(num * (scale // g) if num and g != scale else num)
+                    dens.append(den // g if g > 1 else den)
+        return nums, dens
 
 
 def _require_prefix_and_term(a, f) -> None:
@@ -947,27 +1006,53 @@ def _json_with_arrays(head: dict, arrays: Mapping[str, Iterable[str]]) -> Iterat
     yield text[done:]
 
 
+def _value_texts(prefix: SequencePrefix) -> Iterator[str]:
+    """``format_rational`` of each value of ``prefix``, checked printable.
+
+    A prefix with a decimal builder (a convex one) gives its texts from
+    the ``Decimal``s it lists, so no long integer is converted to
+    decimal.  ``str`` of a ``Decimal`` knows no digit limit, so the limit
+    is checked here: a part with more digits than ``_digit_limit()``
+    raises the error that ``str()`` of the int would.  Any other prefix
+    formats its ``values``.
+    """
+    decimals = prefix._builders[4]
+    if decimals is None:
+        values = prefix.values
+        _check_printable((v.numerator, v.denominator) for v in values)
+        return map(format_rational, values)
+    nums, dens = decimals()
+    limit = _digit_limit()
+    if limit:
+        for part in itertools.chain(nums, dens):
+            if part.adjusted() >= limit:  # the digits of an integer, less one
+                str(int(part))
+    return (str(p) if q == 1 else f"{p}/{q}" for p, q in zip(nums, dens))
+
+
 def _sequence_json_pieces(prefix: SequencePrefix) -> Iterator[str]:
     """The pieces of ``sequence_to_json(prefix)``, checked printable."""
-    values = prefix.values
-    _check_printable((v.numerator, v.denominator) for v in values)
     # a rendered rational is ASCII digits, "-" and "/": no escaping needed
-    items = (f'"{format_rational(v)}"' for v in values)
+    items = (f'"{text}"' for text in _value_texts(prefix))
     return _json_with_arrays({"offset": 1}, {"values": items})
 
 
 def _sequence_csv_pieces(prefix: SequencePrefix) -> Iterator[str]:
     """The lines of ``sequence_to_csv(prefix)``, checked printable."""
-    values = prefix.values
-    _check_printable((v.numerator, v.denominator) for v in values)
-    return (f"{i},{format_rational(v)}\n" for i, v in enumerate(values, start=1))
+    return (f"{i},{text}\n" for i, text in enumerate(_value_texts(prefix), start=1))
 
 
 def sequence_to_json(prefix: SequencePrefix) -> str:
+    """The JSON text ``{"offset": 1, "values": [...]}`` of ``prefix``,
+    each value written by ``format_rational`` (a convex prefix's from its
+    digits in decimal, ``_value_texts``), indented as ``json.dumps(...,
+    indent=2, sort_keys=True)`` with a newline after it."""
     return "".join(_sequence_json_pieces(prefix))
 
 
 def sequence_to_csv(prefix: SequencePrefix) -> str:
+    """The ``index,value`` lines of ``prefix``, indices 1..H, each value
+    written as ``sequence_to_json`` writes it."""
     return "".join(_sequence_csv_pieces(prefix))
 
 
@@ -1276,7 +1361,9 @@ def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     the text's size: the prefix's fixed-point image decodes only leading
     digits, ``_exact(n)`` and ``value(n)`` one literal, and all values
     become integers (p, q), unreduced, on the first use of the grid or
-    ``values``, which are built from them.
+    ``values``, which are built from them.  Written back, the prefix
+    converts each of its ``values`` to text; only a convex prefix gives
+    its writers digits computed in decimal (``sequence_to_json``).
     """
     return _parse_sequence(text)
 

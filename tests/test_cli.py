@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import fekete
 from fekete import format_rational, sequence_to_json, SequencePrefix
 from fekete import cli, model
 from fekete.cli import MAX_CHAIN_PARTS, MAX_HORIZON, MAX_INT_DIGITS, main
@@ -431,6 +434,85 @@ def test_failed_check_writes_nothing(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "limit" in captured.err
     assert out.read_bytes() == b"an earlier report\n"
+
+
+@pytest.mark.parametrize("form", ["json", "csv"])
+def test_construct_convex_past_the_digit_limit_writes_nothing(tmp_path, capsys, form):
+    # f(2) and f(3) have coprime denominators of about 6,000 digits, so
+    # a(3) = 3 * (f(2)/4 + f(3)/9) has one of about 12,000
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"values": [
+        "0",
+        "1/3" + "0" * 5998 + "1",  # 1/(3*10**5999 + 1)
+        "1/1" + "0" * 5998 + "7",  # 1/(10**5999 + 7)
+    ]}))
+    out = tmp_path / "conv"
+    assert main(["construct", "convex", "--f", str(f), "--H", "2", "--format", form,
+                 "-o", str(out)]) == 0
+    out.write_bytes(b"an earlier file\n")
+    assert main(["construct", "convex", "--f", str(f), "--H", "3", "--format", form,
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit" in captured.err
+    assert out.read_bytes() == b"an earlier file\n"
+
+
+def _fresh_python(code, tmp_path):
+    """Run ``code`` in a new interpreter that imports this package; its
+    exit code, stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fekete.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_LOADED = 'print(sorted(m for m in sys.modules if m.startswith("fekete.")))'
+
+
+def test_check_loads_neither_constructions_nor_limits(tmp_path):
+    (tmp_path / "a.json").write_text(sequence_to_json(tabulate(lambda n: n, 40)))
+    code, out, _ = _fresh_python(
+        "import sys\nfrom fekete.cli import main\n"
+        'code = main(["check", "--seq", "a.json", "--domain", "oneplus:1", "-o", "r.json"])\n'
+        f"print(code)\n{_LOADED}", tmp_path)
+    assert (code, out.split("\n", 1)) == (0, ["0", "['fekete.checker', 'fekete.cli', 'fekete.model']\n"])
+
+
+def test_construct_convex_loads_no_checker(tmp_path):
+    code, out, _ = _fresh_python(
+        "import sys\nfrom fekete.cli import main\n"
+        'code = main(["construct", "convex", "--f", "family:floor_sqrt", "--H", "30", "-o", "c.json"])\n'
+        f"print(code)\n{_LOADED}", tmp_path)
+    assert (code, out.split("\n", 1)) == (0, ["0", "['fekete.cli', 'fekete.constructions', 'fekete.model']\n"])
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    code, out, _ = _fresh_python(
+        "import fekete\nfrom fekete import *\n"
+        "print([n for n in fekete.__all__ if n not in globals()], len(fekete.__all__))", tmp_path)
+    assert (code, out) == (0, f"[] {len(fekete.__all__)}\n")
+
+
+def test_package_loads_submodules_on_use(tmp_path):
+    code, out, _ = _fresh_python(
+        "import sys, fekete\n"
+        f"{_LOADED}\n"
+        "print(fekete.checker.scan_violations.__module__)\n"
+        "print(set(fekete.__all__) <= set(dir(fekete)), 'limits' in dir(fekete))", tmp_path)
+    assert (code, out) == (0, "[]\nfekete.checker\nTrue True\n")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fekete.no_such_name
+
+
+def test_exhausted_construction_exits_one_in_a_fresh_process(tmp_path):
+    code, out, err = _fresh_python(
+        "import sys\nfrom fekete.cli import main\n"
+        'sys.exit(main(["construct", "rational-slopes", "--f", "family:floor_sqrt",'
+        ' "--K", "5", "--Hmax", "60", "-o", "s.json"]))', tmp_path)
+    assert (code, out) == (1, "") and err.startswith("construction failed: ")
+    assert not (tmp_path / "s.json").exists()
 
 
 def _traced_peak(argv):

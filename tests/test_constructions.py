@@ -3,6 +3,8 @@ the slope construction, counterexample generators, 2-good chains."""
 
 from __future__ import annotations
 
+import decimal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,13 +24,16 @@ from fekete import (
     linear_error_example,
     rational_slope_sequence,
     scan_violations,
+    sequence_to_csv,
+    sequence_to_json,
     simplest_rational_in,
     threshold_gap_example,
     two_good_chain,
     zero_error_term,
 )
 
-from fekete.constructions import _simplest_in
+from fekete import model
+from fekete.constructions import _simplest_in, _weighted
 
 from conftest import reference_rational_slope_sequence, tabulate
 
@@ -72,6 +77,102 @@ def test_convex_passes_convexity_and_scan(family, params):
     a = convex_from_error(f, 300)
     assert check_convexity(a) == []
     assert scan_violations(a, f).ok
+
+
+# --- the digits of a convex prefix in decimal ---------------------------------------
+
+BUILTIN_FAMILIES = [
+    ("zero", None),
+    ("constant", {"c": 3}),
+    ("floor_sqrt", None),
+    ("floor_power", {"c": Fraction(3, 2), "delta": Fraction(1, 3)}),
+    ("linear_over_log", None),
+    ("linear", {"c": Fraction(1, 2)}),
+]
+
+
+def _texts_match_values(prefix):
+    """The writers' texts of ``prefix`` are those of a prefix that holds
+    its values, which they format one by one."""
+    held = SequencePrefix(prefix.values)
+    assert sequence_to_json(prefix) == sequence_to_json(held)
+    assert sequence_to_csv(prefix) == sequence_to_csv(held)
+
+
+@pytest.mark.parametrize("family, params", BUILTIN_FAMILIES)
+@pytest.mark.parametrize("horizon", [1, 2, 3, 60, 500])
+def test_convex_texts_from_decimal_digits_match_values(family, params, horizon):
+    f = builtin_error_term(family, horizon, params)
+    a = convex_from_error(f, horizon)
+    assert a._builders[4] is not None
+    _texts_match_values(a)
+    # the other weights of the pass: W from W(0) = -f(1) on, and c < 0
+    for c, shift in [(-3, 0), (2, 0), (-1, 1)]:
+        _texts_match_values(_weighted(f, None, c, shift, horizon))
+
+
+# non-negative, non-decreasing tables: f(1) and each rise a rational with a
+# denominator up to 10**40, zero often
+error_rises = st.lists(
+    st.tuples(st.integers(0, 10**6) | st.just(0), st.integers(1, 10**40)),
+    min_size=1, max_size=30,
+)
+
+
+@given(error_rises)
+@example([(1, 10**40 - 1), (0, 1), (1, 10**39 + 3), (5, 7)])  # f(1) > 0
+@example([(0, 1), (1, 2**127 - 1), (1, 2**89 - 1), (1, 2**61 - 1)])  # coprime
+@settings(max_examples=80, deadline=None)
+def test_convex_texts_of_rational_error_terms_match_values(rises):
+    values, total = [], Fraction(0)
+    for p, q in rises:
+        total += Fraction(p, q)
+        values.append(total)
+    f = ErrorTerm(values)
+    _texts_match_values(convex_from_error(f, f.horizon))
+    _texts_match_values(_weighted(f, None, -3, 0, f.horizon))
+
+
+def test_convex_writers_format_no_value(monkeypatch):
+    def refuse(value):
+        raise AssertionError("format_rational called")
+
+    f = builtin_error_term("floor_sqrt", 300)
+    held = SequencePrefix(convex_from_error(f, 300).values)
+    want = sequence_to_json(held), sequence_to_csv(held)
+    a = convex_from_error(f, 300)
+    monkeypatch.setattr(model, "format_rational", refuse)
+    assert (sequence_to_json(a), sequence_to_csv(a)) == want
+    assert a._values is None and a._grid is None  # neither is built to write
+
+
+def test_convex_writers_leave_the_decimal_context_as_it_was():
+    context = decimal.getcontext()
+    before = context.prec, context.rounding, dict(context.traps), dict(context.flags)
+    sequence_to_json(convex_from_error(builtin_error_term("floor_sqrt", 200), 200))
+    assert decimal.getcontext() is context
+    assert (context.prec, context.rounding, dict(context.traps), dict(context.flags)) == before
+
+
+@pytest.mark.parametrize("limit, fits", [(641, False), (642, True), (700, True)])
+def test_convex_writers_check_the_digit_limit_as_str_does(limit, fits):
+    # at H = 743 the longest part of a floor_sqrt value has 642 digits
+    a = convex_from_error(builtin_error_term("floor_sqrt", 743), 743)
+    held = SequencePrefix(a.values)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for pieces in (model._sequence_json_pieces, model._sequence_csv_pieces):
+            if fits:
+                assert "".join(pieces(a)) == "".join(pieces(held))
+            else:
+                with pytest.raises(ValueError, match="limit") as want:
+                    pieces(held)
+                with pytest.raises(ValueError) as got:
+                    pieces(a)
+                assert str(got.value) == str(want.value)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # --- enumeration of the rationals --------------------------------------------------
