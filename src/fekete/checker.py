@@ -25,8 +25,8 @@ it is reported: ``scan_violations`` holds them all as ``Violation``s,
 and the CLI's ``check`` streams its report from the violating pairs
 alone, each deficit reduced by one gcd straight to its text
 (``_report_stream``).  Window maxima of the slopes come from one
-sliding-window pass (a monotone deque) over the grid, O(H) integer cross
-products for the whole table.
+sliding-window pass (a monotone deque), O(H) comparisons for the whole
+table; they and convexity are decided on ``SequencePrefix._bounds``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .model import (
     _json_with_arrays,
     _require_int,
     _require_prefix_and_term,
+    _slope_below,
     format_rational,
 )
 
@@ -394,23 +395,24 @@ class QSequence:
         return self.values[n - self.n_lo]
 
 
-def _window_argmax(a: SequencePrefix, n_lo: int) -> list[int]:
-    """For n = n_lo..H//2, an index j in [n, 2n] maximising a(j)/j.
+def _window_argmax(bounds, n_lo: int) -> list[int]:
+    """For n = n_lo..H//2, an index j in [n, 2n] maximising a(j)/j, for
+    the ``bounds`` of ``SequencePrefix._bounds``.
 
     Both ends of the window [n, 2n] only move right, so a deque of
     candidate indices with strictly decreasing slopes gives every argmax
-    in amortised O(1) comparisons: O(H) for the whole table.  Slopes are
-    compared on the prefix's grid, a(i)/i <= a(j)/j iff A[i]*j <= A[j]*i.
+    in amortised O(1) comparisons: O(H) for the whole table.  Each is
+    ``_slope_below``, after a test that keeps a falling slope's window.
     """
-    _, table = a.grid
+    lo, hi, _ = bounds
     window: deque[int] = deque()  # 1-based indices j, front holds the max
     top = n_lo - 1  # largest index pushed so far
     out = []
-    for n in range(n_lo, a.horizon // 2 + 1):
+    for n in range(n_lo, (len(lo) - 1) // 2 + 1):
         while top < 2 * n:
             top += 1
-            t = table[top]
-            while window and table[window[-1]] * top <= t * window[-1]:
+            while window and not (hi[top] * window[-1] < lo[window[-1]] * top
+                                  or _slope_below(bounds, top, window[-1])):
                 window.pop()
             window.append(top)
         if window[0] < n:  # only n - 1 can have left the window
@@ -422,16 +424,16 @@ def _window_argmax(a: SequencePrefix, n_lo: int) -> list[int]:
 def q_sequence(a: SequencePrefix, n_lo: int) -> QSequence:
     """Tabulate the doubling-window slope maxima of the prefix.
 
-    The maxima come from one sliding-window pass over the prefix's
-    integer grid; a ``Fraction`` is built only for the argmax of each
-    window, all read at once (``SequencePrefix._reduced``): the smoothing
-    of a parsed prefix then makes one pass over f, not one per window.
+    The maxima come from one sliding-window pass over ``a._bounds()``; a
+    ``Fraction`` is built only for the argmax of each window, all read at
+    once (``SequencePrefix._reduced``): the smoothing of a parsed prefix
+    then makes one pass over f, not one per window.
     """
     _require_int(n_lo, "window start")
     horizon = a.horizon
     if n_lo < 1 or 2 * n_lo > horizon:
         raise ValueError(f"horizon {horizon} too small for windows starting at {n_lo}")
-    argmax = _window_argmax(a, n_lo)
+    argmax = _window_argmax(a._bounds(), n_lo)
     return QSequence(n_lo, tuple(v / j for v, j in zip(a._reduced(*argmax), argmax)))
 
 
@@ -440,28 +442,34 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
 
     An empty list means the window maxima are non-increasing over the whole
     computable range, which must be the case whenever the prefix passes a
-    OnePlus(N) scan.  Consecutive maxima are compared on the grid by
-    cross products; no ``Fraction`` is built.
+    OnePlus(N) scan.  Consecutive maxima are compared as the window pass
+    compares slopes; no ``Fraction`` is built.
     """
     _require_int(N, "threshold")
     if N < 1 or 2 * (N + 1) > a.horizon:
         raise ValueError(f"horizon {a.horizon} too small for threshold {N}")
-    _, table = a.grid
-    argmax = _window_argmax(a, N)
+    bounds = a._bounds()
+    argmax = _window_argmax(bounds, N)
     return [
         N + i
         for i, (j, k) in enumerate(zip(argmax, argmax[1:]))
-        if table[j] * k < table[k] * j
+        if j != k and _slope_below(bounds, j, k)
     ]
 
 
 def check_convexity(a: SequencePrefix) -> list[int]:
-    """Indices n in [2, H-1] where a(n-1) + a(n+1) - 2 a(n) < 0, decided
-    on the prefix's grid as A[n-1] + A[n+1] - 2 A[n] < 0."""
+    """Indices n in [2, H-1] where a(n-1) + a(n+1) - 2 a(n) < 0: on the
+    bounds of ``a._bounds()`` where they fix its sign, else exactly."""
     horizon = a.horizon
     if horizon < 3:
         raise ValueError("horizon too small: need at least 3 values")
-    _, table = a.grid
-    return [
-        n for n in range(2, horizon) if table[n - 1] + table[n + 1] - 2 * table[n] < 0
-    ]
+    lo, hi, exact = a._bounds()
+    out = []
+    for n in range(2, horizon):
+        if hi[n - 1] + hi[n + 1] - 2 * lo[n] < 0:
+            out.append(n)
+        elif lo[n - 1] + lo[n + 1] - 2 * hi[n] < 0:
+            (p, q), (r, s), (t, u) = exact(n - 1), exact(n), exact(n + 1)
+            if (p * u + t * q) * s < 2 * r * q * u:
+                out.append(n)
+    return out

@@ -10,13 +10,11 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import bisect
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, format_rational
+from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, _weighted, format_rational
 
 __all__ = [
     "ConstructionOutput",
@@ -57,66 +55,6 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
             f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
         )
     return _weighted(f, None, 1, 1, horizon)
-
-
-def _weighted(
-    f: ErrorTerm, a: SequencePrefix | None, c: int, shift: int, horizon: int
-) -> SequencePrefix:
-    """The prefix k -> a(k) + c * k * W(k - 1 + shift), k = 1..horizon,
-    with W as in ``f.weight_sums()`` and ``a`` None as zero.  Each of its
-    representations joins that of ``a`` on first use: ``values`` with the
-    W; ``grid`` with the Wt of one ``f._weights`` pass at the lcm of their
-    denominators; the image with ``f.weight_bounds = (Wlo, E)``, as lo_a +
-    c * k * Wlo and hi_a + c * k * (Wlo + E), these two swapped for c < 0,
-    or None if ``a`` has none.  The exact builder, only if ``a`` has one
-    (else a sweep of ``_exact`` reads the grid, built once), joins
-    ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all ks.
-    With ``a`` None the prefix also lists its values in decimal
-    (``f._weighted_decimals``), for the writers.
-    """
-
-    def values() -> tuple[Fraction, ...]:
-        sums = itertools.islice(f.weight_sums(), shift, None)
-        terms = (c * k * w for k, w in zip(range(1, horizon + 1), sums))
-        return tuple(terms) if a is None else tuple(x + t for x, t in zip(a.values, terms))
-
-    def grid() -> tuple[int, tuple[int, ...]]:
-        # W(0) reads f(1): the cut holds at least f(1)
-        w_denom, sums = f._weights(max(horizon + shift, 2))
-        denom, table = (1, [0] * (horizon + 1)) if a is None else a.grid
-        wide = math.lcm(denom, w_denom)
-        scale, w_scale = wide // denom, c * (wide // w_denom)
-        w = itertools.islice(sums, shift, None)  # Wt[k + shift], k = 1, 2, ...
-        return wide, (0, *(table[k] * scale + k * x * w_scale
-                           for k, x in zip(range(1, horizon + 1), w)))
-
-    def image() -> tuple[list[int], list[int]] | None:
-        ends = None if a is None else a._fixed_point()
-        if a is not None and ends is None:
-            return None
-        lows, misses = f.weight_bounds
-        steps = range(0, c * (horizon + 1), c)  # c * k
-        lo = [x * w for x, w in zip(steps, lows[shift:])]
-        hi = [y + x * e for x, y, e in zip(steps, lo, misses[shift:])]
-        if c < 0:
-            lo, hi = hi, lo
-        if a is None:
-            return lo, hi
-        return [x + y for x, y in zip(ends[0], lo)], [x + y for x, y in zip(ends[1], hi)]
-
-    def exact(ks) -> list[tuple[int, int]]:
-        w_denom, sums = f._weights(max(max(ks) + shift, 2))
-        wanted = set(ks)
-        w = {k: x for k, x in enumerate(sums, start=1 - shift) if k in wanted}  # Wt[k + shift]
-        return [(p * w_denom + c * k * w[k] * q, q * w_denom) for k, (p, q) in zip(ks, a._exact(*ks))]
-
-    if a is None:
-        return SequencePrefix._deferred_prefix(
-            horizon, values, grid, image,
-            decimals=lambda: f._weighted_decimals(c, shift, horizon),
-        )
-    has_exact = a._builders[3] is not None
-    return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
 
 
 def _calkin_wilf(j: int) -> Fraction:

@@ -2,14 +2,12 @@
 error-smoothing transform as a prefix of its own, and doubling-chain
 certificates for band-restricted subadditivity.
 
-Brackets compare slopes in integers: on the fixed-point image of a
-parsed or convex prefix first, with exact values only where the image
-cannot decide, and on the grid (``SequencePrefix.grid``) for any other
-prefix.  The smoothing transform has one code path: ``smoothed(a, f)``
-is the prefix g(k) = a(k) - 3k * W(k-1), built as the convex prefix is;
-its deficit on a pair, ``g_deficit``, reads three of its exact values,
-and its band check and bracket are those of any prefix, on its image
-when ``a`` has one.  A ``Fraction`` is built only for a reported value.
+Brackets compare slopes in integers, on ``SequencePrefix._bounds``.  The
+smoothing transform has one code path: ``smoothed(a, f)`` is the prefix
+g(k) = a(k) - 3k * W(k-1), built as the convex prefix is; its deficit on
+a pair, ``g_deficit``, reads three of its exact values, and its band
+check and bracket are those of any prefix, on its image when ``a`` has
+one.  A ``Fraction`` is built only for a reported value.
 
 Nothing here asserts a limit value (a prefix cannot; the limit may even be
 minus infinity).  Every output is an exact, finitely-checkable witness:
@@ -19,18 +17,18 @@ chain whose inequalities were verified as stated.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import _weighted
 from .model import (
     ErrorTerm,
     SequencePrefix,
     _coerce,
     _require_int,
     _require_prefix_and_term,
+    _slope_below,
+    _weighted,
     format_rational,
 )
 
@@ -80,50 +78,29 @@ class LimitBracket:
         }
 
 
-def _least_slope(lo, hi, first: int, last: int, exact) -> int:
-    """The first k in [first, last] minimising a(k)/k.
-
-    lo[k] <= a(k) * S <= hi[k] at one scale S > 0, and ``exact(k)`` is
-    a(k) as an integer pair (p, q), q >= 1.  With b the first k minimising
-    hi[k]/k, only the k with lo[k]/k <= hi[b]/b can attain the least
-    slope, and their exact slopes decide in order of k.  On the grid (lo
-    is hi) b is the answer.
-    """
+def _least_slope(bounds, first: int, last: int) -> int:
+    """The first k in [first, last] minimising a(k)/k, for the ``bounds``
+    of ``SequencePrefix._bounds``: one scan, each k held against the least
+    so far (``_slope_below``, after a test that settles a falling slope)."""
+    lo, hi, _ = bounds
     best = first
     for k in range(first + 1, last + 1):
-        if hi[k] * best < hi[best] * k:
+        if hi[k] * best < lo[best] * k or _slope_below(bounds, k, best):
             best = k
-    if lo is hi:
-        return best
-    top, bound = hi[best], best
-    candidates = [k for k in range(first, last + 1) if lo[k] * bound <= top * k]
-    best = candidates[0]
-    low_num, low_den = exact(best)
-    for k in candidates[1:]:
-        num, den = exact(k)
-        if den == low_den:  # one denominator: no big product
-            below = num * best < low_num * k
-        else:
-            below = num * low_den * best < low_num * den * k
-        if below:
-            best, low_num, low_den = k, num, den
     return best
 
 
-def _largest_abs(lo, hi, first: int, last: int, exact) -> tuple[int, int]:
+def _largest_abs(bounds, first: int, last: int) -> tuple[int, int]:
     """max(|a(j)| for first <= j <= last) as a pair (p, q), (0, 1) if the
-    range is empty; arguments as for ``_least_slope``.  As max(lo[j],
+    range is empty; ``bounds`` as for ``_least_slope``.  As max(lo[j],
     -hi[j]) <= |a(j)| * S <= max(hi[j], -lo[j]), only the j whose upper
     end reaches the largest lower end can attain it; exact values decide.
     """
-    if first > last:
-        return 0, 1
-    if lo is hi:  # the grid: a(j) = lo[j] / D
-        return max(map(abs, lo[first:last + 1])), exact(first)[1]
-    floor = max(max(lo[j], -hi[j]) for j in range(first, last + 1))
+    lo, hi, exact = bounds
+    floor = max(max(lo[first:last + 1], default=0), -min(hi[first:last + 1], default=0))
     best = 0, 1
     for j in range(first, last + 1):
-        if max(hi[j], -lo[j]) >= floor:
+        if hi[j] >= floor or -lo[j] >= floor:
             num, den = exact(j)
             if abs(num) * best[1] > best[0] * den:
                 best = abs(num), den
@@ -139,35 +116,24 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     k <= H//2, where the window [k+1, 2k-1] lies inside the horizon and
     n = H satisfies n >= 2k; an empty window contributes 0.
 
-    A prefix with a fixed-point image (parsed, convex or smoothed)
-    narrows each argmin and window maximum on it and decides among the
-    few indices left by exact values (``SequencePrefix._exact``, which
-    builds no grid for a parsed prefix or its smoothing).  Any other
-    prefix compares slopes on its grid, its own image, by cross products.
+    Each argmin and window maximum is decided on ``a._bounds()``, so a
+    parsed prefix or its smoothing builds no grid.
     """
     _require_int(N, "threshold")
     horizon = a.horizon
     if not 1 <= N <= horizon:
         raise ValueError(f"threshold {N} outside 1..{horizon}")
-    image = a._fixed_point(from_values=False)
-    if image is None:
-        denom, table = a.grid
-        lo = hi = table
-
-        def exact(k):  # not a._exact: _largest_abs reads the grid's D from exact(first)
-            return table[k], denom
-    else:
-        lo, hi = image
-        exact = functools.cache(lambda k: a._exact(k)[0])  # the ranges share candidates
-    argmin = _least_slope(lo, hi, N, horizon, exact)
+    bounds = a._bounds()
+    exact = bounds[2]
+    argmin = _least_slope(bounds, N, horizon)
     half = horizon // 2
     candidates = {N, argmin}
     if half >= N:
-        candidates.add(_least_slope(lo, hi, N, half, exact))
+        candidates.add(_least_slope(bounds, N, half))
     samples = []
     for k in sorted(c for c in candidates if c <= half):
         num, den = exact(k)
-        top, top_den = _largest_abs(lo, hi, k + 1, 2 * k - 1, exact)
+        top, top_den = _largest_abs(bounds, k + 1, 2 * k - 1)
         if top_den != den:
             num, top, den = num * top_den, top * den, den * top_den
         # a(k)/k + max|a(j)|/H
@@ -190,7 +156,7 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    g is ``constructions._weighted(f, a, -3, 0, H')``.  ``f`` keeps the
+    g is ``model._weighted(f, a, -3, 0, H')``.  ``f`` keeps the
     last prefix it smoothed, found by the identity of ``a`` (never by
     comparing values), so repeated calls with the same (a, f) share one.
     """

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -211,7 +211,7 @@ class SequencePrefix:
     (p, q), dropping them; the pairs give the grid with no gcd per value
     and ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
     holds its grid, over D = 1, and reads each value as (f(n), 1).  A
-    convex or smoothed prefix builds each from ``constructions._weighted``,
+    convex or smoothed prefix builds each from ``_weighted``,
     and a convex one also its values in decimal, which the writers read
     instead of ``values`` (``_value_texts``) and no other code reads.
     Equality and hashing are those of ``values``.
@@ -220,10 +220,11 @@ class SequencePrefix:
     K = ``_IMAGE_BITS``: integer bounds lo[n] <= a(n) * 2**K <= hi[n],
     never built from the grid; ``_exact(*ns)`` lists the values at the
     indices ``ns`` as pairs (p, q), from the exact builder ``exact(ns)``,
-    else from the grid.  Scans and brackets decide on the image first; a
-    scan keeps on the prefix the sums it could not clear, for the last
-    error term it scanned the prefix against.  Neither the image nor that
-    entry takes part in pickling, equality or hashing.
+    else from the grid.  Scans decide pairs on the image first, and every
+    slope or value comparison reads ``_bounds()``; a scan keeps on the
+    prefix the sums it could not clear, for the last error term it
+    scanned the prefix against.  Neither the image nor that entry takes
+    part in pickling, equality or hashing.
     """
 
     __slots__ = ("_horizon", "_builders", "_values", "_grid", "_image", "_certified")
@@ -324,6 +325,13 @@ class SequencePrefix:
                 )
         return self._image
 
+    def _bounds(self):
+        """``(lo, hi, exact)``: lo[n] <= a(n) * S <= hi[n] at one scale S >
+        0, the image (``_fixed_point(from_values=False)``) or else the grid,
+        lo = hi = A at S = D; and exact(n) = ``_exact(n)[0]``, read once."""
+        lo, hi = self._fixed_point(from_values=False) or (self.grid[1], self.grid[1])
+        return lo, hi, cache(lambda n: self._exact(n)[0])
+
     def _exact(self, *ns: int) -> list[tuple[int, int]]:
         """``[(p, q), ...]``, q >= 1, with a(n) = p / q for each n of
         ``ns``, not reduced: from the exact builder (one literal each of a
@@ -370,6 +378,22 @@ class SequencePrefix:
     def __reduce__(self):
         # the builders are closures, which do not pickle
         return type(self), (self.values,)
+
+
+def _slope_below(bounds, i: int, j: int) -> bool:
+    """Whether a(i)/i < a(j)/j, for the ``bounds`` of a prefix
+    (``SequencePrefix._bounds``): on lo and hi when the slopes' intervals
+    are disjoint, else on the exact values, with no big product when their
+    denominators are equal."""
+    lo, hi, exact = bounds
+    if hi[i] * j < lo[j] * i:
+        return True
+    if lo[i] * j >= hi[j] * i:
+        return False
+    (p, q), (r, s) = exact(i), exact(j)
+    if q == s:
+        return p * j < r * i
+    return p * s * j < r * q * i
 
 
 # The scale 2**_IMAGE_BITS of a prefix's fixed-point image.  The margins
@@ -613,7 +637,7 @@ class ErrorTerm(SequencePrefix):
         """The reduced numerators and denominators of c * k * W(k - 1 +
         shift), c != 0, for k = 1..horizon, as two lists of integer
         ``Decimal``s (two lists hold them in less memory than pairs): the
-        values of ``constructions._weighted(self, None, c, shift,
+        values of ``_weighted(self, None, c, shift,
         horizon)`` in base ten, whose text takes no conversion from binary.
 
         One pass over the terms of ``_weights`` keeps W(j) = n / d in
@@ -650,6 +674,66 @@ class ErrorTerm(SequencePrefix):
                     nums.append(num * (scale // g) if num and g != scale else num)
                     dens.append(den // g if g > 1 else den)
         return nums, dens
+
+
+def _weighted(
+    f: ErrorTerm, a: SequencePrefix | None, c: int, shift: int, horizon: int
+) -> SequencePrefix:
+    """The prefix k -> a(k) + c * k * W(k - 1 + shift), k = 1..horizon,
+    with W as in ``f.weight_sums()`` and ``a`` None as zero.  Each of its
+    representations joins that of ``a`` on first use: ``values`` with the
+    W; ``grid`` with the Wt of one ``f._weights`` pass at the lcm of their
+    denominators; the image with ``f.weight_bounds = (Wlo, E)``, as lo_a +
+    c * k * Wlo and hi_a + c * k * (Wlo + E), these two swapped for c < 0,
+    or None if ``a`` has none.  The exact builder, only if ``a`` has one
+    (else a sweep of ``_exact`` reads the grid, built once), joins
+    ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all ks.
+    With ``a`` None the prefix also lists its values in decimal
+    (``f._weighted_decimals``), for the writers.
+    """
+
+    def values() -> tuple[Fraction, ...]:
+        sums = itertools.islice(f.weight_sums(), shift, None)
+        terms = (c * k * w for k, w in zip(range(1, horizon + 1), sums))
+        return tuple(terms) if a is None else tuple(x + t for x, t in zip(a.values, terms))
+
+    def grid() -> tuple[int, tuple[int, ...]]:
+        # W(0) reads f(1): the cut holds at least f(1)
+        w_denom, sums = f._weights(max(horizon + shift, 2))
+        denom, table = (1, [0] * (horizon + 1)) if a is None else a.grid
+        wide = math.lcm(denom, w_denom)
+        scale, w_scale = wide // denom, c * (wide // w_denom)
+        w = itertools.islice(sums, shift, None)  # Wt[k + shift], k = 1, 2, ...
+        return wide, (0, *(table[k] * scale + k * x * w_scale
+                           for k, x in zip(range(1, horizon + 1), w)))
+
+    def image() -> tuple[list[int], list[int]] | None:
+        ends = None if a is None else a._fixed_point()
+        if a is not None and ends is None:
+            return None
+        lows, misses = f.weight_bounds
+        steps = range(0, c * (horizon + 1), c)  # c * k
+        lo = [x * w for x, w in zip(steps, lows[shift:])]
+        hi = [y + x * e for x, y, e in zip(steps, lo, misses[shift:])]
+        if c < 0:
+            lo, hi = hi, lo
+        if a is None:
+            return lo, hi
+        return [x + y for x, y in zip(ends[0], lo)], [x + y for x, y in zip(ends[1], hi)]
+
+    def exact(ks) -> list[tuple[int, int]]:
+        w_denom, sums = f._weights(max(max(ks) + shift, 2))
+        wanted = set(ks)
+        w = {k: x for k, x in enumerate(sums, start=1 - shift) if k in wanted}  # Wt[k + shift]
+        return [(p * w_denom + c * k * w[k] * q, q * w_denom) for k, (p, q) in zip(ks, a._exact(*ks))]
+
+    if a is None:
+        return SequencePrefix._deferred_prefix(
+            horizon, values, grid, image,
+            decimals=lambda: f._weighted_decimals(c, shift, horizon),
+        )
+    has_exact = a._builders[3] is not None
+    return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
 
 
 def _require_prefix_and_term(a, f) -> None:

@@ -480,6 +480,18 @@ def test_check_loads_neither_constructions_nor_limits(tmp_path):
     assert (code, out.split("\n", 1)) == (0, ["0", "['fekete.checker', 'fekete.cli', 'fekete.model']\n"])
 
 
+@pytest.mark.parametrize("command", [
+    ["limit", "--seq", "a.json", "--N", "1"],
+    ["gdeficit", "--seq", "a.json", "--f", "family:floor_sqrt", "--n", "3", "--m", "5"],
+])
+def test_limit_and_gdeficit_load_no_constructions(tmp_path, command):
+    (tmp_path / "a.json").write_text(sequence_to_json(tabulate(lambda n: n, 40)))
+    code, out, _ = _fresh_python(
+        f"import sys\nfrom fekete.cli import main\ncode = main({command!r})\n"
+        f"print(code)\n{_LOADED}", tmp_path)
+    assert (code, out.splitlines()[-2:]) == (0, ["0", "['fekete.cli', 'fekete.limits', 'fekete.model']"])
+
+
 def test_construct_convex_loads_no_checker(tmp_path):
     code, out, _ = _fresh_python(
         "import sys\nfrom fekete.cli import main\n"

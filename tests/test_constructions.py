@@ -33,7 +33,7 @@ from fekete import (
 )
 
 from fekete import model
-from fekete.constructions import _simplest_in, _weighted
+from fekete.constructions import _simplest_in
 
 from conftest import reference_rational_slope_sequence, tabulate
 
@@ -108,7 +108,7 @@ def test_convex_texts_from_decimal_digits_match_values(family, params, horizon):
     _texts_match_values(a)
     # the other weights of the pass: W from W(0) = -f(1) on, and c < 0
     for c, shift in [(-3, 0), (2, 0), (-1, 1)]:
-        _texts_match_values(_weighted(f, None, c, shift, horizon))
+        _texts_match_values(model._weighted(f, None, c, shift, horizon))
 
 
 # non-negative, non-decreasing tables: f(1) and each rise a rational with a
@@ -130,7 +130,7 @@ def test_convex_texts_of_rational_error_terms_match_values(rises):
         values.append(total)
     f = ErrorTerm(values)
     _texts_match_values(convex_from_error(f, f.horizon))
-    _texts_match_values(_weighted(f, None, -3, 0, f.horizon))
+    _texts_match_values(model._weighted(f, None, -3, 0, f.horizon))
 
 
 def test_convex_writers_format_no_value(monkeypatch):

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import sys
 import tracemalloc
 import unicodedata
@@ -49,7 +50,7 @@ from fekete import (
 )
 from fekete import checker, model
 
-from conftest import brute_force_scan, weight_grid
+from conftest import brute_force_scan, reference_q, weight_grid
 
 # A few slopes to draw from, so that a(k)/k often ties across k.
 _SLOPE_POOL = (Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2))
@@ -610,9 +611,22 @@ def text_prefixes(draw):
     return values, json.dumps({"values": tokens})
 
 
+# A long slope, and values within 10**-40 of c * k: the image of each
+# value is about 10**-19 wide, so only exact values tell these apart.
+_C, _TINY = Fraction(10**30 + 7, 10**29 + 1), Fraction(1, 10**40)
+_BUMPED = [_C * k + k * k * _TINY + (3 * _TINY if k == 5 else 0) for k in range(1, 10)]
+
+
 @given(text_prefixes(), st.lists(st.integers(0, 3), min_size=1, max_size=5))
-@example(([Fraction(10**30 + 7, 10**29 + 1) * k for k in range(1, 9)],
+@example(([_C * k for k in range(1, 9)],
           json.dumps({"values": [f"{(10**30 + 7) * k}/{10**29 + 1}" for k in range(1, 9)]})),
+         [1])
+@example(([_C * k for k in range(1, 9)],  # tied slopes, each written over its own denominator
+          json.dumps({"values": [f"{(10**30 + 7) * k * (k + 1)}/{(10**29 + 1) * (k + 1)}"
+                                 for k in range(1, 9)]})),
+         [1])
+@example((_BUMPED,  # slopes rising by 10**-40, one negative second difference
+          json.dumps({"values": [f"{v.numerator}/{v.denominator}" for v in _BUMPED]})),
          [1])
 @settings(max_examples=120, deadline=None)
 def test_text_prefix_decides_as_its_values(drawn, increments):
@@ -633,6 +647,52 @@ def test_text_prefix_decides_as_its_values(drawn, increments):
         min_slope, argmin, samples = reference_bracket(reference, N)
         assert (bracket.min_slope, bracket.argmin_k) == (min_slope, argmin)
         assert [(s.k, s.bound) for s in bracket.eq8_samples] == samples
+    parsed = parse_sequence(text)
+    with _conversions() as converting:
+        got = _slopes_and_convexity(parsed)
+    assert parsed._grid is None and not converting.called
+    assert got == _slopes_and_convexity(reference) == _reference_slopes_and_convexity(values)
+
+
+def _slopes_and_convexity(a):
+    """The window maxima and their rises from every start, and the
+    convexity defects (None below three values), of ``a``."""
+    half = a.horizon // 2
+    return ([q_sequence(a, n).values for n in range(1, half + 1)],
+            [check_q_monotone(a, N) for N in range(1, half)],
+            check_convexity(a) if a.horizon >= 3 else None)
+
+
+def _reference_slopes_and_convexity(values):
+    """``_slopes_and_convexity`` of the prefix of ``values``, in Fractions
+    from the definitions."""
+    half = len(values) // 2
+    qs = [tuple(reference_q(SequencePrefix(values), n)) for n in range(1, half + 1)]
+    rises = [[N + i for i, (x, y) in enumerate(zip(q, q[1:])) if x < y]
+             for N, q in zip(range(1, half), qs)]
+    convex = [n for n in range(2, len(values)) if values[n - 2] + values[n] < 2 * values[n - 1]]
+    return qs, rises, convex if len(values) >= 3 else None
+
+
+def test_wide_denominator_file_is_decided_without_a_grid(monkeypatch):
+    # 300 values p/q with random 600-bit odd p and q: the grid's D, the lcm
+    # of the q, would have about 180 kbit, so slopes, window maxima,
+    # convexity and the bracket are decided on the image and the literals
+    rng = random.Random(300)
+    pairs = [(rng.choice((1, -1)) * (rng.getrandbits(600) | 1), rng.getrandbits(600) | 1)
+             for _ in range(300)]
+    values = [Fraction(p, q) for p, q in pairs]
+    a = parse_sequence(json.dumps({"values": [f"{p}/{q}" for p, q in pairs]}))
+    monkeypatch.setattr(model, "_integer_grid", _raise)
+    q = reference_q(SequencePrefix(values), 1)
+    assert list(q_sequence(a, 1).values) == q
+    assert check_q_monotone(a, 1) == [n for n, (x, y) in enumerate(zip(q, q[1:]), 1) if x < y]
+    assert check_convexity(a) == [n for n in range(2, 300) if values[n - 2] + values[n] < 2 * values[n - 1]]
+    bracket = fekete_bracket(a, 1)
+    min_slope, argmin, samples = reference_bracket(SequencePrefix(values), 1)
+    assert (bracket.min_slope, bracket.argmin_k) == (min_slope, argmin)
+    assert [(s.k, s.bound) for s in bracket.eq8_samples] == samples
+    assert a._grid is None
 
 
 def _conversions():
@@ -808,14 +868,15 @@ def test_g_deficit_makes_one_weight_pass_per_call_or_one_per_sweep():
 
 def test_q_sequence_of_the_smoothing_of_a_parsed_prefix_reads_its_maxima_at_once():
     # g's exact builder makes one pass over f per call: the window maxima
-    # are read in one call, after the pass of g's grid, not one per window
+    # are found on g's image, with no grid, and read in one call, not one
+    # per window
     f = builtin_error_term("floor_sqrt", 80)
     values = convex_from_error(f, 80).values
     want = q_sequence(smoothed(SequencePrefix(values), f), 1)
     g = smoothed(parse_sequence(sequence_to_json(SequencePrefix(values))), f)
     with _weight_passes() as passes:
         assert q_sequence(g, 1) == want
-    assert passes.call_count == 2
+    assert passes.call_count == 1 and g._grid is None
 
 
 def test_clean_scan_of_a_large_file_holds_its_text_only():
