@@ -58,7 +58,9 @@ _EXPORTS = {
         "SequencePrefix",
         "ThresholdDomain",
         "builtin_error_term",
+        "family_parameters",
         "format_rational",
+        "parse_ascii_int",
         "parse_error_term",
         "parse_rational",
         "parse_sequence",

@@ -88,11 +88,12 @@ def _check_horizon(option: str, horizon: int) -> None:
         raise ValueError(f"{option} {horizon} exceeds the limit of {MAX_HORIZON}")
 
 
-def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm | None:
-    """--f grammar: ``zero``, a file path, or ``family:name[,param,...]``
-    with parameters in the family's positional order."""
+def _error_term_for(spec: str, horizon: int) -> model.ErrorTerm:
+    """--f grammar: ``zero`` (the ``zero`` family), a file path, or
+    ``family:name[,param,...]`` with parameters in the family's positional
+    order."""
     if spec == "zero":
-        return None
+        return model.zero_error_term(horizon)
     if spec.startswith("family:"):
         name, *raw = spec[len("family:"):].split(",")
         names = model.family_parameters(name)
@@ -216,8 +217,6 @@ def _cmd_construct_convex(args) -> int:
 
     _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
-    if f is None:
-        f = model.zero_error_term(args.H)
     _emit_sequence(constructions.convex_from_error(f, args.H), args)
     return 0
 
@@ -227,8 +226,6 @@ def _cmd_construct_rational_slopes(args) -> int:
 
     _check_horizon("--Hmax", args.Hmax)
     f = _error_term_for(args.f, args.Hmax)
-    if f is None:
-        f = model.zero_error_term(args.Hmax)
     out = constructions.rational_slope_sequence(f, args.K, args.Hmax)
     if args.format == "csv":
         _write(model._sequence_csv_pieces(out.b), args.output)
@@ -251,8 +248,6 @@ def _cmd_construct_linear_error(args) -> int:
 
     _check_horizon("--H", args.H)
     f = _error_term_for(args.f, args.H)
-    if f is None:
-        f = model.zero_error_term(args.H)
     prefix = constructions.linear_error_example(f, model.parse_rational(args.L), args.H)
     _emit_sequence(prefix, args)
     return 0

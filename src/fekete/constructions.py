@@ -38,7 +38,7 @@ class HorizonExhausted(ValueError):
 
 def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     """The convex sequence a(n) = n * sum(f(i)/i^2 for 1 < i <= n), that
-    is n * W(n), so a(1) = 0: the prefix ``_weighted(f, None, 1, 1, H)``.
+    is n * W(n), so a(1) = 0: the prefix ``_weighted(f, None, H)``.
     A scan that its image certifies builds no grid and reduces no value,
     and writing its values builds neither the grid nor ``values``: the
     writers read its digits in decimal.
@@ -54,7 +54,7 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
         raise ValueError(
             f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
         )
-    return _weighted(f, None, 1, 1, horizon)
+    return _weighted(f, None, horizon)
 
 
 def _calkin_wilf(j: int) -> Fraction:

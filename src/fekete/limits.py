@@ -156,7 +156,7 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
     checks G's subadditivity on the domain.  ``smoothed(a, None)`` is
     ``a``.
 
-    g is ``model._weighted(f, a, -3, 0, H')``.  ``f`` keeps the
+    g is ``model._weighted(f, a, H')``.  ``f`` keeps the
     last prefix it smoothed, found by the identity of ``a`` (never by
     comparing values), so repeated calls with the same (a, f) share one.
     """
@@ -165,7 +165,7 @@ def smoothed(a: SequencePrefix, f: ErrorTerm | None) -> SequencePrefix:
         return a
     cached = f.__dict__.get("_smoothed")
     if cached is None or cached[0] is not a:
-        cached = f._smoothed = a, _weighted(f, a, -3, 0, min(a.horizon, f.horizon))
+        cached = f._smoothed = a, _weighted(f, a, min(a.horizon, f.horizon))
     return cached[1]
 
 

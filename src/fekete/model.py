@@ -631,32 +631,28 @@ class ErrorTerm(SequencePrefix):
             misses.append(count)
         return lows, misses
 
-    def _weighted_decimals(
-        self, c: int, shift: int, horizon: int
-    ) -> tuple[list[Decimal], list[Decimal]]:
-        """The reduced numerators and denominators of c * k * W(k - 1 +
-        shift), c != 0, for k = 1..horizon, as two lists of integer
-        ``Decimal``s (two lists hold them in less memory than pairs): the
-        values of ``_weighted(self, None, c, shift,
-        horizon)`` in base ten, whose text takes no conversion from binary.
+    def _weighted_decimals(self, horizon: int) -> tuple[list[Decimal], list[Decimal]]:
+        """The reduced numerators and denominators of k * W(k) for k =
+        1..horizon, as two lists of integer ``Decimal``s (two lists hold
+        them in less memory than pairs): the values of the convex prefix
+        ``_weighted(self, None, horizon)`` in base ten, whose text takes no
+        conversion from binary.
 
-        One pass over the terms of ``_weights`` keeps W(j) = n / d in
-        lowest terms.  It adds each non-zero term p_x / d_x, reduced first,
-        by Henrici's method, as ``Fraction`` adds: g = gcd(d, d_x), then
-        the sum over d * d_x / g, reduced by its gcd with g.  Scaling by
-        c * k divides both by gcd(d, c * k).  Each gcd is of a short
+        One pass over the terms of ``_weights`` keeps W(k) = n / d in
+        lowest terms, from W(1) = 0.  It adds each non-zero term p_x / d_x,
+        reduced first, by Henrici's method, as ``Fraction`` adds: g =
+        gcd(d, d_x), then the sum over d * d_x / g, reduced by its gcd with
+        g.  Scaling by k divides both by gcd(d, k).  Each gcd is of a short
         integer and the remainder of d by it, never of two long integers.
         The pass runs in ``_EXACT``, so a result it would round raises.
         """
-        terms = self._weight_terms(max(horizon + shift, 2))
+        terms = self._weight_terms(horizon + 1)
         nums, dens = [], []
         with localcontext(_EXACT):
-            num, den = Decimal(-terms[0][0]), Decimal(terms[0][1])  # W(0) = -f(1)
-            for j in range(horizon + shift):
-                if j == 1:
-                    num, den = Decimal(0), Decimal(1)  # W(1) = 0
-                elif j > 1 and terms[j - 1][0]:
-                    p, d = terms[j - 1]
+            num, den = Decimal(0), Decimal(1)  # W(1) = 0
+            for k in range(1, horizon + 1):
+                if k > 1 and terms[k - 1][0]:
+                    p, d = terms[k - 1]
                     g = math.gcd(p, d)
                     p, d = p // g, d // g
                     g = math.gcd(int(den % d), d)
@@ -667,30 +663,28 @@ class ErrorTerm(SequencePrefix):
                         t = num * (d // g) + s * p
                         g = math.gcd(int(t % g), g)
                         num, den = (t // g if g > 1 else t), s * (d // g)
-                if j >= shift:
-                    scale = c * (j + 1 - shift)
-                    g = math.gcd(int(den % scale), scale)
-                    # a zero scaled by c < 0 would read "-0"
-                    nums.append(num * (scale // g) if num and g != scale else num)
-                    dens.append(den // g if g > 1 else den)
+                g = math.gcd(int(den % k), k)
+                nums.append(num * (k // g) if g != k else num)
+                dens.append(den // g if g > 1 else den)
         return nums, dens
 
 
-def _weighted(
-    f: ErrorTerm, a: SequencePrefix | None, c: int, shift: int, horizon: int
-) -> SequencePrefix:
+def _weighted(f: ErrorTerm, a: SequencePrefix | None, horizon: int) -> SequencePrefix:
     """The prefix k -> a(k) + c * k * W(k - 1 + shift), k = 1..horizon,
-    with W as in ``f.weight_sums()`` and ``a`` None as zero.  Each of its
-    representations joins that of ``a`` on first use: ``values`` with the
-    W; ``grid`` with the Wt of one ``f._weights`` pass at the lcm of their
-    denominators; the image with ``f.weight_bounds = (Wlo, E)``, as lo_a +
-    c * k * Wlo and hi_a + c * k * (Wlo + E), these two swapped for c < 0,
-    or None if ``a`` has none.  The exact builder, only if ``a`` has one
-    (else a sweep of ``_exact`` reads the grid, built once), joins
-    ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all ks.
-    With ``a`` None the prefix also lists its values in decimal
+    with W as in ``f.weight_sums()``, in one of its two forms, which ``a``
+    picks: with ``a`` None, the convex prefix k * W(k) (c = 1, shift =
+    1); else the smoothing a(k) - 3k * W(k-1) (c = -3, shift = 0).  Each
+    of its representations joins that of ``a`` on first use: ``values``
+    with the W; ``grid`` with the Wt of one ``f._weights`` pass at the lcm
+    of their denominators; the image with ``f.weight_bounds = (Wlo, E)``,
+    as lo_a + c * k * Wlo and hi_a + c * k * (Wlo + E), these two swapped
+    for c < 0, or None if ``a`` has none.  The exact builder, only if
+    ``a`` has one (else a sweep of ``_exact`` reads the grid, built once),
+    joins ``a._exact(*ks)`` with the Wt of one ``f._weights`` pass for all
+    ks.  The convex prefix also lists its values in decimal
     (``f._weighted_decimals``), for the writers.
     """
+    c, shift = (1, 1) if a is None else (-3, 0)
 
     def values() -> tuple[Fraction, ...]:
         sums = itertools.islice(f.weight_sums(), shift, None)
@@ -730,7 +724,7 @@ def _weighted(
     if a is None:
         return SequencePrefix._deferred_prefix(
             horizon, values, grid, image,
-            decimals=lambda: f._weighted_decimals(c, shift, horizon),
+            decimals=lambda: f._weighted_decimals(horizon),
         )
     has_exact = a._builders[3] is not None
     return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
@@ -747,20 +741,10 @@ def _require_prefix_and_term(a, f) -> None:
 
 # --- builtin error-term families -------------------------------------------
 
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "zero": (),
-    "constant": ("c",),
-    "floor_sqrt": (),
-    "floor_power": ("c", "delta"),
-    "linear_over_log": (),
-    "linear": ("c",),
-}
-
-
 def family_parameters(family: str) -> tuple[str, ...]:
     """Parameter names a builtin family expects, in positional order."""
     try:
-        return _FAMILY_PARAMS[family]
+        return _FAMILIES[family][0]
     except KeyError:
         raise ValueError(f"unknown error-term family: {family!r}") from None
 
@@ -809,12 +793,33 @@ def _floor_ratio_log2(n: int) -> int:
     return t
 
 
+def _floor_power(horizon: int, c: Fraction, delta: Fraction) -> list[int]:
+    """floor(c * n**(1 - delta)) for n = 1..horizon, in integers
+    (``_floor_root``)."""
+    if not 0 < delta <= 1:
+        raise ValueError("parameter out of range: delta must be in (0, 1]")
+    d = 1 - delta
+    dp, dq = d.numerator, d.denominator
+    cp, cq = c.numerator, c.denominator
+    return [_floor_root(cp ** dq * n ** dp, dq) // cq for n in range(1, horizon + 1)]
+
+
+# Each builtin family: its parameter names, in positional order, and the
+# tabulator of its int values f(1..H), given H and the parameters by name.
+_FAMILIES = {
+    "zero": ((), lambda horizon: [0] * horizon),
+    "constant": (("c",), lambda horizon, c: [c.numerator // c.denominator] * horizon),
+    "floor_sqrt": ((), lambda horizon: [math.isqrt(n) for n in range(1, horizon + 1)]),
+    "floor_power": (("c", "delta"), _floor_power),
+    "linear_over_log": ((), lambda horizon: [_floor_ratio_log2(n) for n in range(1, horizon + 1)]),
+    "linear": (("c",), lambda horizon, c: [c.numerator * n // c.denominator
+                                           for n in range(1, horizon + 1)]),
+}
+
+
 def zero_error_term(horizon: int) -> ErrorTerm:
     """The identically-zero error term (plain subadditivity)."""
-    _require_int(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    return ErrorTerm._from_ints([0] * horizon)
+    return builtin_error_term("zero", horizon)
 
 
 def builtin_error_term(
@@ -845,39 +850,9 @@ def builtin_error_term(
             f"family {family!r} expects parameters {list(expected)}, got {sorted(given)}"
         )
     args = {k: _coerce(v) for k, v in given.items()}
-
-    if family == "zero":
-        values = [0] * horizon
-    elif family == "constant":
-        c = args["c"]
-        if c < 0:
-            raise ValueError("parameter out of range: c must be >= 0")
-        values = [c.numerator // c.denominator] * horizon
-    elif family == "floor_sqrt":
-        values = [math.isqrt(n) for n in range(1, horizon + 1)]
-    elif family == "floor_power":
-        c, delta = args["c"], args["delta"]
-        if c < 0:
-            raise ValueError("parameter out of range: c must be >= 0")
-        if not 0 < delta <= 1:
-            raise ValueError("parameter out of range: delta must be in (0, 1]")
-        d = 1 - delta
-        dp, dq = d.numerator, d.denominator
-        cp, cq = c.numerator, c.denominator
-        values = [
-            _floor_root(cp ** dq * n ** dp, dq) // cq for n in range(1, horizon + 1)
-        ]
-    elif family == "linear_over_log":
-        values = [_floor_ratio_log2(n) for n in range(1, horizon + 1)]
-    elif family == "linear":
-        c = args["c"]
-        if c < 0:
-            raise ValueError("parameter out of range: c must be >= 0")
-        values = [(c.numerator * n) // c.denominator for n in range(1, horizon + 1)]
-    else:  # pragma: no cover - family_parameters already rejected it
-        raise ValueError(f"unknown error-term family: {family!r}")
-
-    return ErrorTerm._from_ints(values)
+    if args.get("c", 0) < 0:
+        raise ValueError("parameter out of range: c must be >= 0")
+    return ErrorTerm._from_ints(_FAMILIES[family][1](horizon, **args))
 
 
 # --- pair domains -----------------------------------------------------------

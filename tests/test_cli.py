@@ -189,6 +189,13 @@ def test_check_family_error_term(tmp_path):
     assert main(["check", "--seq", seq, "--f", "family:linear,1"]) == 0
 
 
+def test_family_parameter_out_of_range_exits_two(tmp_path, capsys):
+    out = tmp_path / "neg.json"
+    code = main(["construct", "convex", "--f", "family:linear,-1", "--H", "5", "-o", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr() == ("", "error: parameter out of range: c must be >= 0\n")
+
+
 def test_usage_and_format_errors(tmp_path, capsys):
     assert main(["nope"]) == 2
     assert main(["check"]) == 2
@@ -505,6 +512,11 @@ def test_star_import_binds_every_public_name(tmp_path):
         "import fekete\nfrom fekete import *\n"
         "print([n for n in fekete.__all__ if n not in globals()], len(fekete.__all__))", tmp_path)
     assert (code, out) == (0, f"[] {len(fekete.__all__)}\n")
+
+
+@pytest.mark.parametrize("module", ["checker", "constructions", "limits", "model"])
+def test_package_exports_are_each_modules_public_names(module):
+    assert list(fekete._EXPORTS[module]) == sorted(getattr(fekete, module).__all__)
 
 
 def test_package_loads_submodules_on_use(tmp_path):

@@ -123,6 +123,28 @@ def test_construct_bytes_match_golden_digests(tmp_path):
     assert run_digests(_construct_commands(), tmp_path / "out") == recorded
 
 
+def _spelled(commands, f: str) -> list[list[str]]:
+    """The argv of ``commands`` that take ``--f zero``, with ``f`` for it."""
+    return [[f if arg == "zero" else arg for arg in argv] for argv in commands if "zero" in argv]
+
+
+def test_zero_is_the_zero_family(tmp_path, capsys):
+    """``--f zero`` and ``--f family:zero`` are one term: ``check`` on
+    every domain, ``gdeficit`` and ``construct convex`` give the same exit
+    code and bytes, and ``construct rational-slopes`` the same error."""
+    commands = [*_commands("dirty.csv"), *_construct_commands()]
+    zero = run_digests(_spelled(commands, "zero"), tmp_path / "out")
+    family = run_digests(_spelled(commands, "family:zero"), tmp_path / "out")
+    assert len(zero) == len(DOMAINS) + len(G_PAIRS) + 2
+    assert list(zero.values()) == list(family.values())
+    for f in ("zero", "family:zero"):
+        out = tmp_path / "slopes.json"
+        code = main(["construct", "rational-slopes", "--f", f, "--K", "3", "--Hmax", "60",
+                     "-o", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr() == ("", "error: f identically zero within the window\n")
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -106,9 +106,6 @@ def test_convex_texts_from_decimal_digits_match_values(family, params, horizon):
     a = convex_from_error(f, horizon)
     assert a._builders[4] is not None
     _texts_match_values(a)
-    # the other weights of the pass: W from W(0) = -f(1) on, and c < 0
-    for c, shift in [(-3, 0), (2, 0), (-1, 1)]:
-        _texts_match_values(model._weighted(f, None, c, shift, horizon))
 
 
 # non-negative, non-decreasing tables: f(1) and each rise a rational with a
@@ -130,7 +127,6 @@ def test_convex_texts_of_rational_error_terms_match_values(rises):
         values.append(total)
     f = ErrorTerm(values)
     _texts_match_values(convex_from_error(f, f.horizon))
-    _texts_match_values(model._weighted(f, None, -3, 0, f.horizon))
 
 
 def test_convex_writers_format_no_value(monkeypatch):

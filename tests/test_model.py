@@ -322,14 +322,26 @@ def test_floor_power_family():
 
 
 def test_family_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown error-term family: 'nope'")):
         builtin_error_term("nope", 5)
-    with pytest.raises(ValueError):
-        builtin_error_term("linear", 5, {"c": -1})
-    with pytest.raises(ValueError):
+    out_of_range = "parameter out of range: c must be >= 0"
+    for family, params in [
+        ("constant", {"c": -1}),
+        ("linear", {"c": Fraction(-1, 3)}),
+        ("floor_power", {"c": -1, "delta": Fraction(1, 2)}),
+        ("floor_power", {"c": -1, "delta": Fraction(3, 2)}),  # c is checked first
+    ]:
+        with pytest.raises(ValueError, match=re.escape(out_of_range)):
+            builtin_error_term(family, 5, params)
+    with pytest.raises(ValueError, match=re.escape("parameter out of range: delta must be in (0, 1]")):
         builtin_error_term("floor_power", 5, {"c": 1, "delta": Fraction(3, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("parameter out of range: delta must be in (0, 1]")):
+        builtin_error_term("floor_power", 5, {"c": 1, "delta": 0})
+    with pytest.raises(ValueError, match=re.escape("family 'constant' expects parameters ['c'], got []")):
         builtin_error_term("constant", 5)  # missing parameter
+    for build in (lambda h: builtin_error_term("floor_sqrt", h), zero_error_term):
+        with pytest.raises(ValueError, match="^horizon must be positive$"):
+            build(0)
 
 
 @pytest.mark.parametrize(
