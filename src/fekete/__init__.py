@@ -13,7 +13,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them.
+# The public names, by the module that defines them: the one list of them.
+# Each module's ``__all__`` is its entry, and the package finds a name's
+# module here without importing any.
 _EXPORTS = {
     "checker": (
         "QSequence",

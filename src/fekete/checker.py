@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import _EXPORTS
 from .model import (
     _IMAGE_BITS,
     ErrorTerm,
@@ -53,15 +54,7 @@ from .model import (
     format_rational,
 )
 
-__all__ = [
-    "QSequence",
-    "Violation",
-    "ViolationReport",
-    "check_convexity",
-    "check_q_monotone",
-    "q_sequence",
-    "scan_violations",
-]
+__all__ = list(_EXPORTS["checker"])
 
 
 @dataclass(frozen=True)
@@ -267,13 +260,6 @@ def _deficits(bad, tables) -> Iterator[tuple[int, int, int]]:
             yield n, m, table_a[n + m] - table_f[n + m] - table_a[n] - table_a[m]
 
 
-def _violations(bad, tables) -> Iterator[Violation]:
-    """The ``Violation`` of each pair of ``bad``, its deficit reduced to a
-    ``Fraction`` as it is yielded."""
-    for n, m, x in _deficits(bad, tables):
-        yield Violation(n, m, Fraction(x, tables[0]))
-
-
 def _scan_sums(a, f, domain):
     """``(pairs_checked, bad, tables)`` of an ``IntervalDomain``, the last
     two from ``_decide_pairs``: chooses the sums whose pairs in the domain
@@ -289,7 +275,7 @@ def _scan_sums(a, f, domain):
     still have a pair left.  None of the steps reads the domain.
     """
     horizon = a.horizon
-    lower = domain._lower_ends(horizon)
+    lower = domain._lower_ends(0, horizon)
     checked = 0
     narrow = True
     for s in range(2, horizon + 1):
@@ -338,7 +324,9 @@ def scan_violations(
     if domain is None:
         domain = FullDomain()
     checked, bad, tables = _scan(a, f, domain)
-    violations = tuple(_violations(bad, tables))
+    violations = tuple(
+        Violation(n, m, Fraction(x, tables[0])) for n, m, x in _deficits(bad, tables)
+    )
     return ViolationReport(domain=domain, pairs_checked=checked, violations=violations)
 
 

@@ -12,14 +12,11 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 # Each command imports the other modules it runs, so that a process
 # compiles only those (the package loads nothing until asked).
 from . import model
-
-if TYPE_CHECKING:
-    from .constructions import TwoGoodChain
 
 # The longest integer literal, in decimal digits, that the CLI parses or
 # prints (Python's default is 4300).  ``construct convex`` writes values
@@ -170,28 +167,37 @@ def _cmd_certify_mu(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from . import constructions
-
     if args.k and args.n // args.k > MAX_CHAIN_PARTS:
         raise ValueError(
             f"a chain of n // k = {args.n // args.k} parts exceeds the limit of "
             f"{MAX_CHAIN_PARTS}"
         )
-    chain = constructions.two_good_chain(args.n, args.k)
-    _write(_chain_pieces(chain), args.output)
+    _write(_chain_pieces(args.n, args.k), args.output)
     return 0
 
 
-def _chain_pieces(chain: TwoGoodChain) -> Iterator[str]:
-    """The pieces of ``_dump(chain.to_json_dict())``, checked printable:
-    one piece a multiset or merge, made from the chain's tuples."""
-    model._check_printable([(chain.n, 1)])  # every member is an int in 1..n
+def _chain_pieces(n: int, k: int) -> Iterator[str]:
+    """The pieces of ``_dump(two_good_chain(n, k).to_json_dict())``,
+    checked printable, with n and k checked now: one piece a multiset or
+    merge, made as the chain's steps yield them.  Only the merges are
+    held, as "merge_trace" follows "chain"."""
+    from . import constructions
+
+    beta, steps = constructions._two_good_steps(n, k)
+    model._check_printable([(n, 1)])  # every member is an int in 1..n
+    merges = []
+
+    def multisets():
+        for multiset, merge in steps:
+            if merge is not None:
+                merges.append(merge)
+            yield multiset
 
     def rows(tuples):
         return ("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" for row in tuples)
 
-    head = {"n": chain.n, "k": chain.k, "beta": chain.beta}
-    arrays = {"chain": rows(chain.chain), "merge_trace": rows(chain.merge_trace)}
+    head = {"n": n, "k": k, "beta": beta}
+    arrays = {"chain": rows(multisets()), "merge_trace": rows(merges)}
     return model._json_with_arrays(head, arrays)
 
 

@@ -14,20 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import _EXPORTS
 from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, _weighted, format_rational
 
-__all__ = [
-    "ConstructionOutput",
-    "HorizonExhausted",
-    "TwoGoodChain",
-    "convex_from_error",
-    "enumerate_rationals",
-    "linear_error_example",
-    "rational_slope_sequence",
-    "simplest_rational_in",
-    "threshold_gap_example",
-    "two_good_chain",
-]
+__all__ = list(_EXPORTS["constructions"])
 
 ENUMERATION_TAG = "calkin-wilf-signed"
 
@@ -384,21 +374,29 @@ class TwoGoodChain:
 def two_good_chain(n: int, k: int) -> TwoGoodChain:
     """Decompose n as (floor(n/k) - 1) parts k plus a remainder beta in
     [k, 2k-1], then merge two minimal members at a time down to {n}."""
+    beta, steps = _two_good_steps(n, k)
+    chain, trace = zip(*steps)
+    return TwoGoodChain(n, k, beta, chain, trace[1:])
+
+
+def _two_good_steps(n: int, k: int):
+    """``(beta, steps)`` of ``two_good_chain(n, k)``, its arguments checked
+    now: ``steps`` yields each multiset of the chain, initial first, as a
+    sorted tuple, with the merge ``(x, y, x + y)`` that made it (None for
+    the first).  It holds one multiset at a time."""
     _require_int(n, "n")
     _require_int(k, "k")
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
     parts = n // k
     beta = n - (parts - 1) * k
-    current = [k] * (parts - 1) + [beta]
-    chain = [tuple(current)]
-    trace = []
-    while len(current) > 1:
-        x, y = current[0], current[1]
-        merged = x + y
-        rest = current[2:]
-        bisect.insort(rest, merged)
-        trace.append((x, y, merged))
-        chain.append(tuple(rest))
-        current = rest
-    return TwoGoodChain(n, k, beta, tuple(chain), tuple(trace))
+
+    def steps(current):
+        yield tuple(current), None
+        while len(current) > 1:
+            x, y = current[0], current[1]
+            del current[:2]
+            bisect.insort(current, x + y)
+            yield tuple(current), (x, y, x + y)
+
+    return beta, steps([k] * (parts - 1) + [beta])

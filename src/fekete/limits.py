@@ -18,9 +18,10 @@ chain whose inequalities were verified as stated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+from . import _EXPORTS
 from .model import (
     ErrorTerm,
     SequencePrefix,
@@ -32,17 +33,7 @@ from .model import (
     format_rational,
 )
 
-__all__ = [
-    "Eq8Sample",
-    "LimitBracket",
-    "MuChainCertificate",
-    "chain_coverage_failures",
-    "fekete_bracket",
-    "find_split",
-    "g_deficit",
-    "mu_chain_certificate",
-    "smoothed",
-]
+__all__ = list(_EXPORTS["limits"])
 
 
 @dataclass(frozen=True)
@@ -229,24 +220,22 @@ class MuChainCertificate:
     doubling_covered: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": format_rational(self.mu),
-            "N": self.N,
-            "k": self.k,
-            "N1": self.N1,
-            "N2": self.N2,
-            "n": self.n,
-            "u": list(self.u),
-            "v": list(self.v),
-            "doubling_covered": self.doubling_covered,
-        }
+        payload = asdict(self)
+        return {**payload, "mu": format_rational(self.mu), "u": list(self.u), "v": list(self.v)}
+
+
+# The deepest chain ``mu_chain_certificate`` builds.  Its depth k grows
+# like 2*ln(2)/(mu - 1) as mu falls to 1: 13,863 levels, printed in 58 MB,
+# at mu = 10001/10000.
+MAX_CHAIN_DEPTH = 2000
 
 
 def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     """Build the chain certificate for growth factor ``mu`` from base ``n``.
 
     ``mu`` is an exact rational (Fraction, int or ``p/q`` string); floats
-    raise TypeError."""
+    raise TypeError.  A mu whose depth k exceeds ``MAX_CHAIN_DEPTH`` (mu
+    below about 1 + 1/1443) raises ValueError."""
     mu = _coerce(mu)
     _require_int(N, "threshold")
     _require_int(n, "base")
@@ -254,32 +243,37 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
         raise ValueError("mu must exceed 1")
     if N < 1 or n < 1:
         raise ValueError("threshold and base must be positive")
-    base = 1 + mu
-    k = 1
-    power = base  # (1 + mu) ** k
-    while 2 ** (k + 1) >= power:
+    p, q = mu.numerator, mu.denominator
+
+    def short(k):  # 2**(k+1) >= (1 + mu)**k
+        return (p + q) ** k <= 2 * (2 * q) ** k
+
+    # k is the least k with k*r > 1, r = log2((1 + mu)/2).  The double r,
+    # from log1p((mu - 1)/2) correctly rounded (1 for mu >= 3, where k <=
+    # 2), is within 1e-15 of r relatively: it refuses a mu past the bound
+    # with no power built, else puts k within one, and exact powers settle k
+    r = math.log1p((p - q) / (2 * q) if p < 3 * q else 1.0) / math.log(2)
+    too_deep = f"mu is too close to 1: its chain is deeper than {MAX_CHAIN_DEPTH}"
+    if MAX_CHAIN_DEPTH * r < 1 - 1e-9:
+        raise ValueError(too_deep)
+    k = int(1 / r) + 1
+    while k > 1 and not short(k - 1):
+        k -= 1
+    while k <= MAX_CHAIN_DEPTH and short(k):
         k += 1
-        power *= base
-    assert power / base <= 2 ** (k + 1) < power
-    gap = power - 2 ** (k + 1)
-    n1 = math.ceil((power / mu) / gap)
+    if k > MAX_CHAIN_DEPTH:
+        raise ValueError(too_deep)
+    # (1 + mu)**k = (p + q)**k / q**k exceeds 2**(k+1) by gap = ((p +
+    # q)**k - 2 * (2q)**k) / q**k, and N1 = ceil((1 + mu)**k / mu / gap)
+    power = (p + q) ** k
+    n1 = -(-power * q // (p * (power - 2 * (2 * q) ** k)))
     n2 = max(N, math.ceil(1 / (mu - 1)))
     u = [n]
     v = [n]
     for _ in range(k):
         u.append(2 * u[-1])
         v.append(v[-1] + math.floor(mu * v[-1]))
-    return MuChainCertificate(
-        mu=mu,
-        N=N,
-        k=k,
-        N1=n1,
-        N2=n2,
-        n=n,
-        u=tuple(u),
-        v=tuple(v),
-        doubling_covered=2 * u[-1] <= v[-1],
-    )
+    return MuChainCertificate(mu, N, k, n1, n2, n, tuple(u), tuple(v), 2 * u[-1] <= v[-1])
 
 
 def find_split(z: int, lo: int, hi: int, mu) -> tuple[int, int] | None:

@@ -2,9 +2,10 @@
 
 All scalars are arbitrary-precision rationals (``fractions.Fraction``), so
 every inequality decided anywhere in the package is decided exactly (the
-one float, in ``_floor_ratio_log2``, is settled in integers at its
-boundary).  Sequences are finite 1-indexed prefixes ``a(1..H)``, with
-``a(0) = 0`` supplied implicitly where an operation needs it.
+one float here, in ``_floor_ratio_log2``, is settled in integers at its
+boundary, as is the depth estimate of ``limits.mu_chain_certificate``).
+Sequences are finite 1-indexed prefixes ``a(1..H)``, with ``a(0) = 0``
+supplied implicitly where an operation needs it.
 """
 
 from __future__ import annotations
@@ -20,27 +21,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping
 
-__all__ = [
-    "ErrorTerm",
-    "ExplicitDomain",
-    "FullDomain",
-    "IntervalDomain",
-    "MuBandDomain",
-    "OnePlusDomain",
-    "PairDomain",
-    "SequencePrefix",
-    "ThresholdDomain",
-    "builtin_error_term",
-    "family_parameters",
-    "format_rational",
-    "parse_ascii_int",
-    "parse_error_term",
-    "parse_rational",
-    "parse_sequence",
-    "sequence_to_csv",
-    "sequence_to_json",
-    "zero_error_term",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["model"])
 
 # A literal: the language ``_pack`` reads from ASCII text, over every
 # Unicode decimal digit, as int() reads them.
@@ -915,40 +898,36 @@ class IntervalDomain(PairDomain):
             raise ValueError(
                 f"variant {self.variant!r} does not fit N={self.N}, mu={self.mu}, slack={self.slack}"
             )
-        # the ints of the lower ends, read once: s - n <= mu*n + slack is
-        # n >= (s - slack) * den / (num + den), with mu = num / den
-        mu = self.mu
-        den, wide = (None, None) if mu is None else (mu.denominator, mu.numerator + mu.denominator)
-        object.__setattr__(self, "_lower", (self.N, den, wide, self.slack))
+
+    def _lower_ends(self, first: int, last: int) -> list[int]:
+        """The lower end of ``sum_interval(s)`` for s = first..last, in one
+        pass on ints: s - n <= mu*n + slack is n >= (s - slack) * den /
+        (num + den), with mu = num / den."""
+        N, mu, slack = self.N, self.mu, self.slack
+        if mu is None:
+            return [N] * (last - first + 1)
+        den, wide = mu.denominator, mu.numerator + mu.denominator
+        ends = [-((slack - s) * den // wide) for s in range(first, last + 1)]
+        return [lo if lo > N else N for lo in ends]
 
     def sum_interval(self, s: int) -> tuple[int, int]:
         """The admitted smaller members n of the pairs (n, s - n), as the
         closed interval ``(lo, s // 2)``, empty when lo > s // 2."""
-        N, den, wide, slack = self._lower
-        if wide is None:
-            return N, s // 2
-        lo = -((slack - s) * den // wide)
-        return (lo if lo > N else N), s // 2
-
-    def _lower_ends(self, horizon: int) -> list[int]:
-        """The lower end of ``sum_interval(s)`` for s = 0..horizon, in one
-        pass on ints."""
-        N, den, wide, slack = self._lower
-        if wide is None:
-            return [N] * (horizon + 1)
-        ends = [-((slack - s) * den // wide) for s in range(horizon + 1)]
-        return [lo if lo > N else N for lo in ends]
+        return self._lower_ends(s, s)[0], s // 2
 
     def admits(self, n: int, m: int) -> bool:
         lo, hi = (n, m) if n <= m else (m, n)
         return self.sum_interval(lo + hi)[0] <= lo
 
     def pairs_upto(self, horizon):
+        # the lower ends rise with s, so the largest sum s whose lower end
+        # is at most n, the top of n's pairs (n, s - n), rises with n
+        lower = self._lower_ends(0, horizon)
+        top = 0
         for n in range(self.N, horizon // 2 + 1):
-            m_top = horizon - n
-            if self.mu is not None:
-                m_top = min(m_top, self.mu.numerator * n // self.mu.denominator + self.slack)
-            for m in range(n, m_top + 1):
+            while top < horizon and lower[top + 1] <= n:
+                top += 1
+            for m in range(n, top - n + 1):
                 yield n, m
 
     def to_json_dict(self):

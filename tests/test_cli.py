@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +18,8 @@ import fekete
 from fekete import format_rational, sequence_to_json, SequencePrefix
 from fekete import cli, model
 from fekete.cli import MAX_CHAIN_PARTS, MAX_HORIZON, MAX_INT_DIGITS, main
+from fekete.constructions import two_good_chain
+from fekete.limits import MAX_CHAIN_DEPTH
 
 from conftest import tabulate
 
@@ -348,6 +352,49 @@ def test_decompose_rejects_chains_past_the_bound(tmp_path, capsys, n, k):
     assert not out.exists()
 
 
+def test_decompose_checks_n_and_k_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "chain.json"
+    assert main(["decompose", "--n", "5", "--k", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: need n >= 2k")
+    assert not out.exists()
+
+
+def test_decompose_streams_its_chain(tmp_path):
+    # one multiset is held at a time, and the merges: n // k = 2000 parts
+    # write 18.1 MB in about 0.26 MB (held whole, the chain took 16.4 MB)
+    out = tmp_path / "chain.json"
+    code, peak = _traced_peak(["decompose", "--n", "2000", "--k", "1", "-o", str(out)])
+    assert code == 0 and peak < 1_000_000
+    for n, k in ((2000, 1), (100, 7), (41, 20)):
+        assert main(["decompose", "--n", str(n), "--k", str(k), "-o", str(out)]) == 0
+        assert out.read_text() == cli._dump(two_good_chain(n, k).to_json_dict())[0]
+
+
+@pytest.mark.parametrize(
+    "mu", ["100001/100000", "1000000001/1000000000", f"{10**300 + 1}/{10**300}"]
+)
+def test_certify_mu_refuses_chains_past_the_depth_bound(capsys, mu):
+    # k is about 13,863, 1.4e9 and 1.4e300: refused from a float estimate
+    # of the depth, with no power or chain built
+    start = time.perf_counter()
+    assert main(["certify-mu", "--mu", mu, "--N", "2", "--n", "5"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(MAX_CHAIN_DEPTH) in captured.err
+
+
+def test_certify_mu_below_the_bound_writes_the_same_bytes(capsys):
+    # k = 1981, near the bound: the bytes written when k came from a loop
+    # of Fraction powers
+    assert main(["certify-mu", "--mu", "10007/10000", "--N", "2", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["k"] == 1981
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdb9e0708e8230320b81471d5083e516824d5953215e10786f8534f90c36e4c5"
+    )
+
+
 def test_decompose_bound_admits_exactly_max_parts(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_CHAIN_PARTS", 10)
     assert main(["decompose", "--n", "32", "--k", "3"]) == 0  # 10 parts
@@ -514,9 +561,14 @@ def test_star_import_binds_every_public_name(tmp_path):
     assert (code, out) == (0, f"[] {len(fekete.__all__)}\n")
 
 
-@pytest.mark.parametrize("module", ["checker", "constructions", "limits", "model"])
+@pytest.mark.parametrize("module", sorted(fekete._EXPORTS))
 def test_package_exports_are_each_modules_public_names(module):
-    assert list(fekete._EXPORTS[module]) == sorted(getattr(fekete, module).__all__)
+    # the table is each module's __all__, so it is checked against where
+    # each name is defined: a name imported into a module is not its own
+    names = fekete._EXPORTS[module]
+    assert list(names) == sorted(names)
+    for name in names:
+        assert getattr(getattr(fekete, module), name).__module__ == f"fekete.{module}", name
 
 
 def test_package_loads_submodules_on_use(tmp_path):

@@ -39,7 +39,7 @@ from fekete import (
     two_good_chain,
     zero_error_term,
 )
-from fekete import model
+from fekete import limits, model
 
 from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate, weight_grid
 
@@ -471,6 +471,37 @@ def test_certificate_doubling_covered_from_analytic_bound():
         start = max(probe.N1, probe.N2)
         for n in range(start, start + 50):
             assert mu_chain_certificate(mu, 1, n).doubling_covered
+
+
+def _least_depth(mu):
+    return next(k for k in itertools.count(1) if 2 ** (k + 1) < (1 + mu) ** k)
+
+
+def test_certificate_depth_bound(monkeypatch):
+    # the depth comes from a float estimate settled by exact powers; a
+    # mu whose least k exceeds the bound is refused, whichever decides it
+    monkeypatch.setattr(limits, "MAX_CHAIN_DEPTH", 15)
+    for p in range(1050, 1200):
+        mu = Fraction(p, 1000)
+        if _least_depth(mu) <= 15:
+            assert mu_chain_certificate(mu, 1, 3).k == _least_depth(mu), mu
+        else:
+            with pytest.raises(ValueError, match="deeper than 15"):
+                mu_chain_certificate(mu, 1, 3)
+
+
+def test_certificate_depth_bound_is_exact_at_the_limit():
+    # the least p/q with k <= MAX_CHAIN_DEPTH, so k = MAX_CHAIN_DEPTH there
+    # and (p - 1)/q is refused: (1 + mu)/2 against 2**(1/MAX_CHAIN_DEPTH)
+    depth, q = limits.MAX_CHAIN_DEPTH, 10**12
+    p = int((2 * 2 ** (1 / depth) - 1) * q)
+    while (p + q) ** depth <= 2 * (2 * q) ** depth:
+        p += 1
+    while (p - 1 + q) ** depth > 2 * (2 * q) ** depth:
+        p -= 1
+    assert mu_chain_certificate(Fraction(p, q), 1, 1).k == depth
+    with pytest.raises(ValueError, match=f"deeper than {depth}"):
+        mu_chain_certificate(Fraction(p - 1, q), 1, 1)
 
 
 def test_certificate_validation():

@@ -416,13 +416,14 @@ def test_pairs_upto_matches_admits():
             for m in range(-1, horizon + 1):
                 want = reference_admits(domain, n, m)
                 assert domain.admits(n, m) == want, (domain, n, m)
-        expected = [
-            (n, m)
-            for n in range(1, horizon + 1)
-            for m in range(n, horizon - n + 1)
-            if reference_admits(domain, n, m)
-        ]
-        assert list(domain.pairs_upto(horizon)) == expected, domain
+        for top in (0, 1, 2, 3, 7, horizon):
+            expected = [
+                (n, m)
+                for n in range(1, top + 1)
+                for m in range(n, top - n + 1)
+                if reference_admits(domain, n, m)
+            ]
+            assert list(domain.pairs_upto(top)) == expected, (domain, top)
 
 
 def test_sum_interval_matches_admits():
