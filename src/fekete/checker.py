@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -48,6 +47,7 @@ from .model import (
     SequencePrefix,
     _check_printable,
     _json_with_arrays,
+    _record,
     _require_int,
     _require_prefix_and_term,
     _slope_below,
@@ -57,7 +57,7 @@ from .model import (
 __all__ = list(_EXPORTS["checker"])
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     """One admitted pair breaking the inequality, with its exact excess
     a(n+m) - a(n) - a(m) - f(n+m) > 0."""
@@ -67,7 +67,7 @@ class Violation:
     deficit: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class ViolationReport:
     """Outcome of a pair scan, sorted by (n + m, n).
 
@@ -365,7 +365,7 @@ def _deficit_texts(bad, tables) -> Iterator[tuple[int, int, str]]:
         yield n, m, str(x // g) if q == 1 else f"{x // g}/{q}"
 
 
-@dataclass(frozen=True)
+@_record
 class QSequence:
     """Windowed slope maxima q(n) = max of a(j)/j over n <= j <= 2n,
     tabulated for n in [n_lo, H//2]."""

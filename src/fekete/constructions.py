@@ -10,12 +10,19 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
-from .model import ErrorTerm, SequencePrefix, _coerce, _require_int, _weighted, format_rational
+from .model import (
+    ErrorTerm,
+    SequencePrefix,
+    _coerce,
+    _record,
+    _require_int,
+    _weighted,
+    format_rational,
+)
 
 __all__ = list(_EXPORTS["constructions"])
 
@@ -128,7 +135,7 @@ def simplest_rational_in(lo, hi, forbidden: Iterable = ()) -> Fraction:
     return _simplest_avoiding(lo, hi, banned.__contains__)
 
 
-@dataclass
+@_record(frozen=False)
 class ConstructionOutput:
     """A constructed prefix b with its witness data: the subtracted
     monotone sequence c, the registry of slopes b(x)/x (all pairwise
@@ -339,7 +346,7 @@ def linear_error_example(f: ErrorTerm, bound, horizon: int) -> SequencePrefix:
     return SequencePrefix(values)
 
 
-@dataclass(frozen=True)
+@_record
 class TwoGoodChain:
     """Merge chain from the multiset {k, ..., k, beta} down to {n}.
 

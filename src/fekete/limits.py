@@ -18,7 +18,6 @@ chain whose inequalities were verified as stated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import _EXPORTS
@@ -26,6 +25,7 @@ from .model import (
     ErrorTerm,
     SequencePrefix,
     _coerce,
+    _record,
     _require_int,
     _require_prefix_and_term,
     _slope_below,
@@ -36,7 +36,7 @@ from .model import (
 __all__ = list(_EXPORTS["limits"])
 
 
-@dataclass(frozen=True)
+@_record
 class Eq8Sample:
     """One window-bound sample: a(n)/n <= bound for every extension that is
     subadditive above the bracket's threshold, where
@@ -47,7 +47,7 @@ class Eq8Sample:
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class LimitBracket:
     """Certified upper-bound data for the limiting slope of any
     threshold-subadditive extension of a prefix."""
@@ -197,7 +197,7 @@ def g_deficit(
     return Fraction(x_s, d_s) - Fraction(x_n, d_n) - Fraction(x_m, d_m)
 
 
-@dataclass(frozen=True)
+@_record
 class MuChainCertificate:
     """Doubling chain u (u_{i+1} = 2 u_i) against the growth chain v
     (v_{i+1} = v_i + floor(mu * v_i)) from a common base n.
@@ -220,7 +220,7 @@ class MuChainCertificate:
     doubling_covered: bool
 
     def to_json_dict(self) -> dict:
-        payload = asdict(self)
+        payload = {name: getattr(self, name) for name in self.__match_args__}
         return {**payload, "mu": format_rational(self.mu), "u": list(self.u), "v": list(self.v)}
 
 
@@ -244,10 +244,6 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     if N < 1 or n < 1:
         raise ValueError("threshold and base must be positive")
     p, q = mu.numerator, mu.denominator
-
-    def short(k):  # 2**(k+1) >= (1 + mu)**k
-        return (p + q) ** k <= 2 * (2 * q) ** k
-
     # k is the least k with k*r > 1, r = log2((1 + mu)/2).  The double r,
     # from log1p((mu - 1)/2) correctly rounded (1 for mu >= 3, where k <=
     # 2), is within 1e-15 of r relatively: it refuses a mu past the bound
@@ -256,17 +252,23 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     too_deep = f"mu is too close to 1: its chain is deeper than {MAX_CHAIN_DEPTH}"
     if MAX_CHAIN_DEPTH * r < 1 - 1e-9:
         raise ValueError(too_deep)
+    # k is short while 2**(k+1) >= (1 + mu)**k, that is high <= 2 * low
+    # for the pair high, low = (p + q)**k, (2q)**k, built once and then
+    # stepped with k by one exact division or multiplication each
     k = int(1 / r) + 1
-    while k > 1 and not short(k - 1):
-        k -= 1
-    while k <= MAX_CHAIN_DEPTH and short(k):
-        k += 1
+    high, low = (p + q) ** k, (2 * q) ** k
+    while k > 1:
+        below = high // (p + q), low // (2 * q)
+        if below[0] <= 2 * below[1]:
+            break
+        k, (high, low) = k - 1, below
+    while k <= MAX_CHAIN_DEPTH and high <= 2 * low:
+        k, high, low = k + 1, high * (p + q), low * (2 * q)
     if k > MAX_CHAIN_DEPTH:
         raise ValueError(too_deep)
-    # (1 + mu)**k = (p + q)**k / q**k exceeds 2**(k+1) by gap = ((p +
-    # q)**k - 2 * (2q)**k) / q**k, and N1 = ceil((1 + mu)**k / mu / gap)
-    power = (p + q) ** k
-    n1 = -(-power * q // (p * (power - 2 * (2 * q) ** k)))
+    # (1 + mu)**k = high / q**k exceeds 2**(k+1) by gap = (high - 2 *
+    # low) / q**k, and N1 = ceil((1 + mu)**k / mu / gap)
+    n1 = -(-high * q // (p * (high - 2 * low)))
     n2 = max(N, math.ceil(1 / (mu - 1)))
     u = [n]
     v = [n]

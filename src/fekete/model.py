@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from functools import cache, cached_property
@@ -838,6 +837,66 @@ def builtin_error_term(
     return ErrorTerm._from_ints(_FAMILIES[family][1](horizon, **args))
 
 
+# --- records ----------------------------------------------------------------
+
+
+def _record(cls=None, /, *, frozen: bool = True):
+    """Make ``cls`` a record of the fields it annotates, in order, as
+    ``dataclasses.dataclass(frozen=frozen)`` would, without importing
+    ``dataclasses``, which would load ``inspect`` and ``ast`` into every
+    process that imports the package (README, "Records").
+
+    The record gets an ``__init__`` taking the fields, positionally or by
+    name, with the class attributes as the defaults of the last ones, that
+    calls ``__post_init__`` if the class has one (a class that writes its
+    own ``__init__`` keeps it); the repr ``Name(field=value, ...)``;
+    equality of the field values, only between records of one class; and
+    ``__match_args__``.  A frozen record hashes its field values and
+    raises AttributeError on assigning or deleting an attribute (its own
+    ``__init__`` and ``__post_init__`` use ``object.__setattr__``); a
+    mutable one is unhashable.  Records pickle as any plain object does.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+    if "__init__" not in cls.__dict__:
+        store = "    _set(self, {0!r}, {0})\n" if frozen else "    self.{0} = {0}\n"
+        source = f"def __init__(self, {', '.join(names)}):\n" + "".join(map(store.format, names))
+        if hasattr(cls, "__post_init__"):
+            source += "    self.__post_init__()\n"
+        scope = {}
+        exec(source, {"_set": object.__setattr__}, scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__defaults__ = defaults
+
+    def values(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__repr__, cls.__eq__, cls.__match_args__ = __repr__, __eq__, names
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+        cls.__hash__ = lambda self: hash(values(self))
+    else:
+        cls.__hash__ = None
+    return cls
+
+
 # --- pair domains -----------------------------------------------------------
 
 
@@ -863,7 +922,7 @@ class PairDomain:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_record
 class IntervalDomain(PairDomain):
     """The pairs with N <= n <= m and m <= mu*n + slack; ``mu = None``
     means no upper bound on m.
@@ -899,25 +958,39 @@ class IntervalDomain(PairDomain):
                 f"variant {self.variant!r} does not fit N={self.N}, mu={self.mu}, slack={self.slack}"
             )
 
+    @cached_property
+    def _band(self) -> tuple[int, int, int, int]:
+        """``(N, slack, den, num + den)`` for mu = num / den, with den = 0
+        when mu is None, which leaves n >= N alone."""
+        if self.mu is None:
+            return self.N, 0, 0, 1
+        num, den = self.mu.numerator, self.mu.denominator
+        return self.N, self.slack, den, num + den
+
+    @staticmethod
+    def _lower_end(band: tuple[int, int, int, int], s: int) -> int:
+        """The lower end of ``sum_interval(s)`` for ``band = self._band``,
+        on ints: s - n <= mu*n + slack is n >= (s - slack) * den / (num +
+        den).  It takes the band, not self, so ``_lower_ends`` maps it
+        with no attribute lookup per sum."""
+        N, slack, den, wide = band
+        lo = -((slack - s) * den // wide)
+        return lo if lo > N else N
+
     def _lower_ends(self, first: int, last: int) -> list[int]:
-        """The lower end of ``sum_interval(s)`` for s = first..last, in one
-        pass on ints: s - n <= mu*n + slack is n >= (s - slack) * den /
-        (num + den), with mu = num / den."""
-        N, mu, slack = self.N, self.mu, self.slack
-        if mu is None:
-            return [N] * (last - first + 1)
-        den, wide = mu.denominator, mu.numerator + mu.denominator
-        ends = [-((slack - s) * den // wide) for s in range(first, last + 1)]
-        return [lo if lo > N else N for lo in ends]
+        """The lower end of ``sum_interval(s)`` for s = first..last."""
+        if self.mu is None:
+            return [self.N] * (last - first + 1)
+        return list(map(self._lower_end, itertools.repeat(self._band), range(first, last + 1)))
 
     def sum_interval(self, s: int) -> tuple[int, int]:
         """The admitted smaller members n of the pairs (n, s - n), as the
         closed interval ``(lo, s // 2)``, empty when lo > s // 2."""
-        return self._lower_ends(s, s)[0], s // 2
+        return self._lower_end(self._band, s), s // 2
 
     def admits(self, n: int, m: int) -> bool:
         lo, hi = (n, m) if n <= m else (m, n)
-        return self.sum_interval(lo + hi)[0] <= lo
+        return self._lower_end(self._band, lo + hi) <= lo
 
     def pairs_upto(self, horizon):
         # the lower ends rise with s, so the largest sum s whose lower end
@@ -962,7 +1035,7 @@ def OnePlusDomain(N: int) -> IntervalDomain:
     return IntervalDomain("oneplus", N, Fraction(1), 1)
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class ExplicitDomain(PairDomain):
     """A finite, explicitly listed set of pairs (stored normalised)."""
 

@@ -490,6 +490,23 @@ def test_certificate_depth_bound(monkeypatch):
                 mu_chain_certificate(mu, 1, 3)
 
 
+@pytest.mark.parametrize("scale", [1, 0.8, 1.25])
+def test_certificate_depth_and_n1_match_their_definitions(monkeypatch, scale):
+    # the exact powers settle the depth one level at a time from the float
+    # estimate, here also from one several levels too deep or too shallow,
+    # and N1 = ceil((1 + mu)**k / mu / ((1 + mu)**k - 2**(k+1))) reuses them
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda x: scale * log1p(x))
+    for mu in (
+        Fraction(101, 100), Fraction(11, 10), Fraction(3, 2), Fraction(7, 4), Fraction(2),
+        Fraction(3), Fraction(7, 2), Fraction(5), Fraction(100),
+    ):
+        k = _least_depth(mu)
+        power = (1 + mu) ** k
+        cert = mu_chain_certificate(mu, 1, 1)
+        assert (cert.k, cert.N1) == (k, math.ceil(power / mu / (power - 2 ** (k + 1)))), mu
+
+
 def test_certificate_depth_bound_is_exact_at_the_limit():
     # the least p/q with k <= MAX_CHAIN_DEPTH, so k = MAX_CHAIN_DEPTH there
     # and (p - 1)/q is refused: (1 + mu)/2 against 2**(1/MAX_CHAIN_DEPTH)
