@@ -34,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from . import _EXPORTS
 from .model import (
@@ -334,6 +334,8 @@ def _scan(a, f, domain):
     """``(pairs_checked, bad, tables)`` of ``scan_violations(a, f,
     domain)``: its violating pairs, not yet made into ``Violation``s."""
     _require_prefix_and_term(a, f)
+    if not isinstance(domain, PairDomain):
+        raise TypeError(f"domain must be a PairDomain, got {type(domain).__name__}")
     horizon = a.horizon
     if f is not None and f.horizon < horizon:
         raise ValueError(
@@ -378,6 +380,7 @@ class QSequence:
         return self.n_lo + len(self.values) - 1
 
     def q(self, n: int) -> Fraction:
+        _require_int(n, "index")
         if not self.n_lo <= n <= self.n_hi:
             raise IndexError(f"index {n} outside {self.n_lo}..{self.n_hi}")
         return self.values[n - self.n_lo]
@@ -417,6 +420,7 @@ def q_sequence(a: SequencePrefix, n_lo: int) -> QSequence:
     once (``SequencePrefix._reduced``): the smoothing of a parsed prefix
     then makes one pass over f, not one per window.
     """
+    _require_prefix_and_term(a)
     _require_int(n_lo, "window start")
     horizon = a.horizon
     if n_lo < 1 or 2 * n_lo > horizon:
@@ -433,6 +437,7 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
     OnePlus(N) scan.  Consecutive maxima are compared as the window pass
     compares slopes; no ``Fraction`` is built.
     """
+    _require_prefix_and_term(a)
     _require_int(N, "threshold")
     if N < 1 or 2 * (N + 1) > a.horizon:
         raise ValueError(f"horizon {a.horizon} too small for threshold {N}")
@@ -448,6 +453,7 @@ def check_q_monotone(a: SequencePrefix, N: int) -> list[int]:
 def check_convexity(a: SequencePrefix) -> list[int]:
     """Indices n in [2, H-1] where a(n-1) + a(n+1) - 2 a(n) < 0: on the
     bounds of ``a._bounds()`` where they fix its sign, else exactly."""
+    _require_prefix_and_term(a)
     horizon = a.horizon
     if horizon < 3:
         raise ValueError("horizon too small: need at least 3 values")

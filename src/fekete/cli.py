@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 # Each command imports the other modules it runs, so that a process
 # compiles only those (the package loads nothing until asked).
@@ -73,11 +72,6 @@ def _write(pieces: Iterable[str], path: str | None) -> None:
     with out as fh:
         fh.write(first)
         fh.writelines(pieces)
-
-
-def _dump(payload: dict) -> list[str]:
-    """The indented JSON text of ``payload``, as one piece."""
-    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
 def _check_horizon(option: str, horizon: int) -> None:
@@ -154,7 +148,7 @@ def _cmd_limit(args) -> int:
 
     seq = _parse_file(args.seq, model._parse_sequence)
     bracket = limits.fekete_bracket(seq, args.N)
-    _write(_dump(bracket.to_json_dict()), args.output)
+    _write(model._json_with_arrays(bracket.to_json_dict(), {}), args.output)
     return 0
 
 
@@ -162,7 +156,7 @@ def _cmd_certify_mu(args) -> int:
     from . import limits
 
     cert = limits.mu_chain_certificate(model.parse_rational(args.mu), args.N, args.n)
-    _write(_dump(cert.to_json_dict()), args.output)
+    _write(model._json_with_arrays(cert.to_json_dict(), {}), args.output)
     return 0
 
 
@@ -177,10 +171,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _chain_pieces(n: int, k: int) -> Iterator[str]:
-    """The pieces of ``_dump(two_good_chain(n, k).to_json_dict())``,
-    checked printable, with n and k checked now: one piece a multiset or
-    merge, made as the chain's steps yield them.  Only the merges are
-    held, as "merge_trace" follows "chain"."""
+    """The pieces of the indented JSON text of ``two_good_chain(n,
+    k).to_json_dict()``, checked printable, with n and k checked now: one
+    piece a multiset or merge, made as the chain's steps yield them.  Only
+    the merges are held, as "merge_trace" follows "chain"."""
     from . import constructions
 
     beta, steps = constructions._two_good_steps(n, k)
@@ -236,7 +230,7 @@ def _cmd_construct_rational_slopes(args) -> int:
     if args.format == "csv":
         _write(model._sequence_csv_pieces(out.b), args.output)
     else:
-        _write(_dump(out.to_json_dict()), args.output)
+        _write(model._json_with_arrays(out.to_json_dict(), {}), args.output)
     return 0
 
 

@@ -10,8 +10,8 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .model import (
@@ -20,6 +20,8 @@ from .model import (
     _coerce,
     _record,
     _require_int,
+    _require_positive,
+    _require_window,
     _weighted,
     format_rational,
 )
@@ -44,13 +46,7 @@ def convex_from_error(f: ErrorTerm, horizon: int) -> SequencePrefix:
     convex (second difference f(n+1)/(n+1) - (n-1) f(n)/n^2 >= 0), and
     passes the full-domain f-scan.
     """
-    _require_int(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if horizon > f.horizon:
-        raise ValueError(
-            f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
-        )
+    _require_window(f, horizon)
     return _weighted(f, None, horizon)
 
 
@@ -177,14 +173,8 @@ def rational_slope_sequence(f: ErrorTerm, K: int, h_max: int) -> ConstructionOut
     target inside ``h_max``; with a summable sum of f(n)/n^2 that is the
     expected outcome, since the source slope stays bounded.
     """
-    _require_int(K, "K")
-    _require_int(h_max, "window")
-    if K < 1:
-        raise ValueError("K must be positive")
-    if h_max < 1:
-        raise ValueError("window must be positive")
-    if h_max > f.horizon:
-        raise ValueError(f"window {h_max} exceeds error-term horizon {f.horizon}")
+    _require_positive(K, "K")
+    _require_window(f, h_max, "window")
     source = convex_from_error(f, h_max)
     slope = [Fraction(0)] + list(source.slopes())  # 1-based
 
@@ -319,15 +309,9 @@ def linear_error_example(f: ErrorTerm, bound, horizon: int) -> SequencePrefix:
     rational; floats raise TypeError.
     """
     bound = _coerce(bound)
-    _require_int(horizon, "horizon")
     if bound <= 0:
         raise ValueError("bound must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if horizon > f.horizon:
-        raise ValueError(
-            f"horizon mismatch: need f up to {horizon}, have {f.horizon}"
-        )
+    _require_window(f, horizon)
     anchors = []
     x = 1
     while x <= horizon:

@@ -24,9 +24,9 @@ from . import _EXPORTS
 from .model import (
     ErrorTerm,
     SequencePrefix,
-    _coerce,
     _record,
     _require_int,
+    _require_mu,
     _require_prefix_and_term,
     _slope_below,
     _weighted,
@@ -110,6 +110,7 @@ def fekete_bracket(a: SequencePrefix, N: int) -> LimitBracket:
     Each argmin and window maximum is decided on ``a._bounds()``, so a
     parsed prefix or its smoothing builds no grid.
     """
+    _require_prefix_and_term(a)
     _require_int(N, "threshold")
     horizon = a.horizon
     if not 1 <= N <= horizon:
@@ -236,11 +237,9 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     ``mu`` is an exact rational (Fraction, int or ``p/q`` string); floats
     raise TypeError.  A mu whose depth k exceeds ``MAX_CHAIN_DEPTH`` (mu
     below about 1 + 1/1443) raises ValueError."""
-    mu = _coerce(mu)
+    mu = _require_mu(mu)
     _require_int(N, "threshold")
     _require_int(n, "base")
-    if mu <= 1:
-        raise ValueError("mu must exceed 1")
     if N < 1 or n < 1:
         raise ValueError("threshold and base must be positive")
     p, q = mu.numerator, mu.denominator
@@ -269,12 +268,11 @@ def mu_chain_certificate(mu, N: int, n: int) -> MuChainCertificate:
     # (1 + mu)**k = high / q**k exceeds 2**(k+1) by gap = (high - 2 *
     # low) / q**k, and N1 = ceil((1 + mu)**k / mu / gap)
     n1 = -(-high * q // (p * (high - 2 * low)))
-    n2 = max(N, math.ceil(1 / (mu - 1)))
-    u = [n]
-    v = [n]
+    n2 = max(N, -(-q // (p - q)))  # ceil(1 / (mu - 1))
+    u, v = [n], [n]
     for _ in range(k):
         u.append(2 * u[-1])
-        v.append(v[-1] + math.floor(mu * v[-1]))
+        v.append(v[-1] + v[-1] * p // q)
     return MuChainCertificate(mu, N, k, n1, n2, n, tuple(u), tuple(v), 2 * u[-1] <= v[-1])
 
 
@@ -285,19 +283,19 @@ def find_split(z: int, lo: int, hi: int, mu) -> tuple[int, int] | None:
     [lo, hi], so the answer is a closed-form endpoint comparison.  ``mu``
     must be an exact rational; floats raise TypeError.
     """
-    mu = _coerce(mu)
+    mu = _require_mu(mu)
     _require_int(z, "z")
     _require_int(lo, "lo")
     _require_int(hi, "hi")
-    if mu <= 1:
-        raise ValueError("mu must exceed 1")
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    x_min = max(lo, math.ceil(Fraction(z) / (1 + mu)))
-    x_max = min(hi, z // 2)
-    if x_min > x_max:
-        return None
-    return x_min, z - x_min
+    return _least_split(z, lo, hi, mu.numerator, mu.denominator)
+
+
+def _least_split(z: int, lo: int, hi: int, p: int, q: int) -> tuple[int, int] | None:
+    """``find_split(z, lo, hi, p/q)`` for valid arguments, in integers."""
+    x_min = max(lo, -(-z * q // (p + q)))
+    return (x_min, z - x_min) if x_min <= min(hi, z // 2) else None
 
 
 def chain_coverage_failures(cert: MuChainCertificate) -> list[tuple[int, int]]:
@@ -311,17 +309,17 @@ def chain_coverage_failures(cert: MuChainCertificate) -> list[tuple[int, int]]:
     that bound are tested directly.  Returns (level, z) witnesses, empty
     when every z is covered.
     """
-    mu = cert.mu
-    z_star = math.ceil(3 * (1 + mu) / (mu - 1))
+    p, q = cert.mu.numerator, cert.mu.denominator
+    z_star = -(-3 * (p + q) // (p - q))  # ceil(3(1 + mu)/(mu - 1))
     failures = set()
     for i in range(cert.k):
         lo, hi = cert.u[i], cert.v[i]
         z_min, z_max = cert.u[i + 1], cert.v[i + 1]
         if lo > z_min // 2:
             failures.add((i, z_min))
-        if math.ceil(Fraction(z_max) / (1 + mu)) > hi:
+        if -(-z_max * q // (p + q)) > hi:  # ceil(z_max/(1 + mu))
             failures.add((i, z_max))
         for z in range(z_min, min(z_max, z_star - 1) + 1):
-            if find_split(z, lo, hi, mu) is None:
+            if _least_split(z, lo, hi, p, q) is None:
                 failures.add((i, z))
     return sorted(failures)

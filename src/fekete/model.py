@@ -15,10 +15,10 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
 
@@ -164,6 +164,13 @@ def _require_int(value, what: str) -> None:
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
+def _require_positive(value, what: str) -> None:
+    """``_require_int``, then a ValueError for a value below 1."""
+    _require_int(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be positive")
+
+
 def _coerce(value) -> Fraction:
     """Accept Fraction, int, or a p/q string; anything inexact is rejected."""
     if isinstance(value, Fraction):
@@ -173,6 +180,14 @@ def _coerce(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _require_mu(mu) -> Fraction:
+    """``_coerce(mu)`` for a band's growth factor, which must exceed 1."""
+    mu = _coerce(mu)
+    if mu <= 1:
+        raise ValueError("mu must exceed 1")
+    return mu
 
 
 class SequencePrefix:
@@ -230,8 +245,6 @@ class SequencePrefix:
         (``_literal_pair``); its builders share one conversion of the
         literals to pairs, made on the first use of ``grid`` or
         ``values``, which drops the literals."""
-        if not texts:
-            raise ValueError("empty sequence")
         pairs = None
 
         def converted():
@@ -260,6 +273,8 @@ class SequencePrefix:
         reduced numerators and the denominators of the values, as two
         lists of integer ``Decimal``s, made anew on each call.  All must
         give the same rationals."""
+        if horizon < 1:
+            raise ValueError("empty sequence")
         prefix = cls.__new__(cls)
         prefix._horizon, prefix._builders = horizon, (values, grid, image, exact, decimals)
         prefix._values = prefix._grid = prefix._image = prefix._certified = None
@@ -325,6 +340,7 @@ class SequencePrefix:
         return [(table[n], denom) for n in ns]
 
     def value(self, n: int) -> Fraction:
+        _require_int(n, "index")
         if n == 0:
             return Fraction(0)
         if not 1 <= n <= self._horizon:
@@ -525,14 +541,12 @@ class ErrorTerm(SequencePrefix):
     def _from_ints(cls, ints: list[int]) -> ErrorTerm:
         """The error term of the ints f(1), ..., f(H), held as its grid
         alone, with no ``Fraction`` built."""
-        if not ints:
-            raise ValueError("empty sequence")
-        cls._check_invariants(ints)
         table = (0, *ints)
         term = cls._deferred_prefix(
             len(ints), lambda: tuple(map(Fraction, table[1:])), None,
             exact=lambda ns: [(table[n], 1) for n in ns],
         )
+        cls._check_invariants(ints)
         term._grid = 1, table
         return term
 
@@ -712,13 +726,23 @@ def _weighted(f: ErrorTerm, a: SequencePrefix | None, horizon: int) -> SequenceP
     return SequencePrefix._deferred_prefix(horizon, values, grid, image, exact if has_exact else None)
 
 
-def _require_prefix_and_term(a, f) -> None:
+def _require_prefix_and_term(a, f=None) -> None:
     """Reject, with a TypeError, an ``a`` that is not a SequencePrefix or
     an ``f`` that is neither an ErrorTerm nor None."""
     if not isinstance(a, SequencePrefix):
         raise TypeError(f"a must be a SequencePrefix, got {type(a).__name__}")
     if f is not None and not isinstance(f, ErrorTerm):
         raise TypeError(f"f must be an ErrorTerm or None, got {type(f).__name__}")
+
+
+def _require_window(f, horizon: int, what: str = "horizon") -> None:
+    """Reject an ``f`` that is not an ErrorTerm (TypeError), and a window
+    ``horizon`` that ``_require_positive`` rejects or that passes f's."""
+    if not isinstance(f, ErrorTerm):
+        raise TypeError(f"f must be an ErrorTerm, got {type(f).__name__}")
+    _require_positive(horizon, what)
+    if horizon > f.horizon:
+        raise ValueError(f"{what} {horizon} exceeds error-term horizon {f.horizon}")
 
 
 # --- builtin error-term families -------------------------------------------
@@ -822,9 +846,7 @@ def builtin_error_term(
     monotonicity and non-negativity are decided exactly, and the term is
     an integer table: no ``Fraction`` is built unless ``values`` is used.
     """
-    _require_int(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    _require_positive(horizon, "horizon")
     expected = family_parameters(family)
     given = dict(params or {})
     if set(given) != set(expected):
@@ -940,11 +962,11 @@ class IntervalDomain(PairDomain):
     slack: int = 0
 
     def __post_init__(self):
-        _require_int(self.N, "threshold")
-        if self.N < 1:
-            raise ValueError("threshold must be positive")
         if self.mu is not None:
-            object.__setattr__(self, "mu", _coerce(self.mu))
+            mu = _require_mu(self.mu) if self.variant == "muband" else _coerce(self.mu)
+            object.__setattr__(self, "mu", mu)
+        _require_positive(self.N, "threshold")
+        _require_int(self.slack, "slack")
         # the report names only the variant and its parameters, so the
         # bounds must be the ones that name implies
         fits = {
@@ -1024,9 +1046,6 @@ def ThresholdDomain(N: int) -> IntervalDomain:
 
 def MuBandDomain(mu, N: int) -> IntervalDomain:
     """Pairs with N <= n <= m <= mu * n (after normalising n <= m), mu > 1."""
-    mu = _coerce(mu)
-    if mu <= 1:
-        raise ValueError("mu must exceed 1")
     return IntervalDomain("muband", N, mu)
 
 
@@ -1401,16 +1420,6 @@ def _packed_or_same(text: str) -> _Packed | str:
         return text
 
 
-def _json_object(reader: _TextReader) -> dict:
-    """The object of a JSON text of tables, with their literals packed as
-    they are read; malformed JSON or any other JSON value raises
-    ValueError."""
-    payload = reader.json(literals=True)
-    if not isinstance(payload, dict):
-        raise ValueError("expected a JSON object")
-    return payload
-
-
 def _table_from_json(payload: dict, missing: str) -> list[_Packed | int]:
     """The table of ``{"values": [...], "offset": 1}`` as validated
     literals; tables are 1-indexed, so the offset is absent or the int 1.
@@ -1427,6 +1436,15 @@ def _check_offset(payload: dict) -> None:
     offset = payload.get("offset", 1)
     if not (_is_int(offset) and offset == 1):
         raise ValueError(f"unsupported offset {offset!r}: tables are 1-indexed")
+
+
+def _read_table(text: str | Iterable[str], from_object):
+    """``from_object`` of the JSON object (literals packed) of a text whose
+    first non-space character is "{", else the literals of its CSV rows."""
+    reader = _TextReader(text)
+    if reader.first() == "{":
+        return from_object(reader.json(literals=True))
+    return _table_from_csv(reader.lines())
 
 
 def _table_from_csv(lines: Iterable[str]) -> list[_Packed | int]:
@@ -1483,15 +1501,12 @@ def _parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     """``parse_sequence(text)``.  The CLI calls this name, so that a
     wrapper of ``parse_sequence`` that measures its argument as a str (as
     the benchmark's tracer does) sees only strs."""
-    reader = _TextReader(text)
-    if reader.first() == "{":
-        payload = _json_object(reader)
+    def from_object(payload: dict) -> list[_Packed | int]:
         if "values" not in payload and isinstance(payload.get("b"), dict):
             payload = payload["b"]  # construction outputs wrap their sequence in "b"
-        texts = _table_from_json(payload, "expected a 'values' list")
-    else:
-        texts = _table_from_csv(reader.lines())
-    return SequencePrefix._from_texts(texts)
+        return _table_from_json(payload, "expected a 'values' list")
+
+    return SequencePrefix._from_texts(_read_table(text, from_object))
 
 
 def parse_error_term(text: str | Iterable[str]) -> ErrorTerm:
@@ -1501,26 +1516,27 @@ def parse_error_term(text: str | Iterable[str]) -> ErrorTerm:
     ``parse_sequence`` reads them.  A table whose entries are all written
     as integers (``p`` or ``p/1``) becomes an integer table, as a builtin
     family does."""
-    reader = _TextReader(text)
-    if reader.first() == "{":
-        payload = _json_object(reader)
-        if "family" in payload:
-            family = payload["family"]
-            if not isinstance(family, str):
-                raise ValueError("family descriptor needs a string 'family'")
-            horizon = payload.get("H")
-            if not _is_int(horizon):
-                raise ValueError("family descriptor needs an integer 'H'")
-            raw = payload.get("params", {})
-            if not isinstance(raw, dict):
-                raise ValueError("'params' must be an object")
-            _check_offset(payload)
-            params = {k: parse_rational(v) for k, v in raw.items()}
-            return builtin_error_term(family, horizon, params)
-        texts = _table_from_json(payload, "expected 'family' or 'values'")
-    else:
-        texts = _table_from_csv(reader.lines())
-    pairs = _literal_pairs(texts)
+    table = _read_table(text, _error_term_table)
+    if isinstance(table, ErrorTerm):
+        return table
+    pairs = _literal_pairs(table)
     if all(q == 1 for _, q in pairs):
         return ErrorTerm._from_ints([p for p, _ in pairs])
     return ErrorTerm(Fraction(p, q) for p, q in pairs)
+
+
+def _error_term_table(payload: dict) -> ErrorTerm | list[_Packed | int]:
+    """The term of a family descriptor, else the table of the object."""
+    if "family" not in payload:
+        return _table_from_json(payload, "expected 'family' or 'values'")
+    family = payload["family"]
+    if not isinstance(family, str):
+        raise ValueError("family descriptor needs a string 'family'")
+    horizon = payload.get("H")
+    if not _is_int(horizon):
+        raise ValueError("family descriptor needs an integer 'H'")
+    raw = payload.get("params", {})
+    if not isinstance(raw, dict):
+        raise ValueError("'params' must be an object")
+    _check_offset(payload)
+    return builtin_error_term(family, horizon, {k: parse_rational(v) for k, v in raw.items()})

@@ -698,3 +698,11 @@ def test_monotone_shift_preserves_subadditivity(seed):
     c = monotone_rationals(horizon, seed)
     b = SequencePrefix([a.value(n) - c[n - 1] * n for n in range(1, horizon + 1)])
     assert scan_violations(b, f).ok
+
+
+def test_q_outside_its_windows_raises_index_error():
+    qs = q_sequence(tabulate(lambda n: n, 12), 2)
+    assert (qs.n_lo, qs.n_hi) == (2, 6)
+    for n in (1, 7):
+        with pytest.raises(IndexError, match=f"^index {n} outside 2..6$"):
+            qs.q(n)

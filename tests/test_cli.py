@@ -367,7 +367,8 @@ def test_decompose_streams_its_chain(tmp_path):
     assert code == 0 and peak < 1_000_000
     for n, k in ((2000, 1), (100, 7), (41, 20)):
         assert main(["decompose", "--n", str(n), "--k", str(k), "-o", str(out)]) == 0
-        assert out.read_text() == cli._dump(two_good_chain(n, k).to_json_dict())[0]
+        expected = json.dumps(two_good_chain(n, k).to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == expected
 
 
 @pytest.mark.parametrize(
@@ -704,3 +705,24 @@ def test_stdout_output_matches_the_file(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([*argv, "-o", "-"]) == code
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--domain", "threshold", "malformed domain spec: 'threshold'"),
+        ("--domain", "muband:3/2", "muband needs 'P/Q,N'"),
+        ("--domain", "explicit:LIST", "explicit domain file needs a 'pairs' list"),
+        ("--domain", "lower:2", "unknown domain variant: 'lower'"),
+        ("--f", "family:linear", "family 'linear' expects parameters ['c'], got 0"),
+    ],
+)
+def test_malformed_domain_and_family_specs_exit_two(tmp_path, capsys, option, spec, message):
+    seq = _write_seq(tmp_path, "b.json", SequencePrefix([0, 0, 10, 0]))
+    listed = tmp_path / "list.json"
+    listed.write_text("[[1, 2]]")
+    out = tmp_path / "report.json"
+    argv = ["check", "--seq", seq, option, spec.replace("LIST", str(listed)), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()

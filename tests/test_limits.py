@@ -41,7 +41,14 @@ from fekete import (
 )
 from fekete import limits, model
 
-from conftest import ceil_sqrt, monotone_rationals, reference_admits, tabulate, weight_grid
+from conftest import (
+    brute_force_scan,
+    ceil_sqrt,
+    monotone_rationals,
+    reference_admits,
+    tabulate,
+    weight_grid,
+)
 
 
 # --- brackets -------------------------------------------------------------------
@@ -655,3 +662,37 @@ def test_chain_coverage_detects_gaps():
         doubling_covered=True,
     )
     assert chain_coverage_failures(forged) == [(0, 26)]
+
+
+@pytest.mark.parametrize(
+    "mu, u, v, expected",
+    [
+        # the lower end alone: z_min = 9 lies above z* = 6, so no z is
+        # tested on its own, and u_0 = 5 exceeds z_min // 2 = 4
+        (Fraction(3), (5, 9), (5, 9), [(0, 9)]),
+        # the small-z test alone: both ends split, z = 3 does not
+        (Fraction(3, 2), (1, 2), (2, 4), [(0, 3)]),
+    ],
+)
+def test_chain_coverage_reports_the_lower_end_and_a_small_z(mu, u, v, expected):
+    from fekete.limits import MuChainCertificate
+
+    forged = MuChainCertificate(mu, 1, 1, 1, 2, u[0], u, v, False)
+    assert chain_coverage_failures(forged) == expected
+    for i, z in expected:  # no split in the per-z scan of the definition
+        assert not any(x <= z - x <= mu * x for x in range(u[i], v[i] + 1))
+
+
+def test_smoothing_an_integer_table_has_no_image_and_scans_as_brute_force():
+    # an integer table (read from integer CSV, n**2: superadditive) holds
+    # its grid and no image, so its smoothing has none either: every pair
+    # is decided on the grid
+    a = model.parse_error_term("".join(f"{n},{n * n}\n" for n in range(1, 41)))
+    f = builtin_error_term("floor_power", 40, {"c": 2, "delta": Fraction(1, 2)})
+    g = smoothed(a, f)
+    assert a._fixed_point() is None and g._fixed_point() is None
+    for domain in (FullDomain(), MuBandDomain(Fraction(3, 2), 2), OnePlusDomain(1)):
+        report = scan_violations(g, None, domain)
+        assert report.violations and report == brute_force_scan(g, None, domain)
+    sums = list(f.weight_sums())
+    assert g.values == tuple(a.value(k) - 3 * k * sums[k - 1] for k in range(1, 41))

@@ -645,3 +645,9 @@ def test_parse_error_term_forms():
 def test_parse_error_term_rejects_malformed_descriptor(text):
     with pytest.raises(ValueError):
         parse_error_term(text)
+
+
+@pytest.mark.parametrize("params", ["[1]", '"c"', "2", "null"])
+def test_family_descriptor_params_must_be_an_object(params):
+    with pytest.raises(ValueError, match="^'params' must be an object$"):
+        parse_error_term(f'{{"family": "constant", "params": {params}, "H": 3}}')

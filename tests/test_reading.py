@@ -294,3 +294,13 @@ def test_invalid_json_is_placed_in_the_file(tmp_path, capsys, monkeypatch, spec)
     assert captured.err == (
         f"error: invalid JSON: Expecting ',' delimiter: line 1002 column 5 (char {len(head) + 4})\n"
     )
+
+
+def test_a_key_without_its_colon_is_refused_as_json_loads_refuses_it():
+    text = '{"offset": 1, "values" ["1", "2"]}'
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(text)
+    for source in (text, iter(text)):  # whole, and one character a piece
+        with pytest.raises(ValueError) as read:
+            model.parse_sequence(source)
+        assert str(read.value) == f"invalid JSON: {decoded.value}"

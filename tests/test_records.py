@@ -1,5 +1,5 @@
 """The ten public records keep their value semantics, and importing the
-package loads neither ``dataclasses`` nor ``inspect``."""
+package loads neither ``dataclasses`` nor ``inspect``, nor ``typing``."""
 
 import pickle
 import subprocess
@@ -197,13 +197,25 @@ sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import fekete, fekete.checker, fekete.cli, fekete.constructions, fekete.limits, fekete.model
 assert fekete.__file__.startswith(sys.argv[1]), fekete.__file__
-print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))
 """
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+def _loaded_by_import(*names: str) -> str:
+    """Which of ``names`` importing the package and its five modules adds
+    to ``sys.modules``, printed, in a ``python -S`` process."""
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _FOOTPRINT, str(SRC)],
+        [sys.executable, "-S", "-c", _FOOTPRINT, str(SRC), *names],
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "[]\n", done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_import("dataclasses", "inspect") == "[]\n"
+
+
+def test_importing_the_package_loads_no_typing():
+    # every annotation name comes from collections.abc, which functools
+    # and re load anyway
+    assert _loaded_by_import("typing") == "[]\n"
