@@ -18,6 +18,9 @@ image, which clears every sum of a clean convex prefix; the pairs of
 each sum it leaves, tested on the image, which clear the sum if all of
 them clear (a clean non-convex prefix, such as a rational-slopes
 construction); and the minorant on the grid, for the sums still left.
+A table that one pass over its second differences finds convex is its
+own minorant, and only another table has its hull built, by Andrew's
+monotone chain.
 OnePlus domains (at most two pairs per sum) and explicit domains skip
 the certificate and send all their pairs.  Every decision is integer
 arithmetic and reported deficits are exact rationals, each reduced as
@@ -136,12 +139,19 @@ def _scaled_tables(a: SequencePrefix, f: ErrorTerm | None):
 
 def _lower_minorant(table_a, top):
     """The lower convex minorant of the points (n, A[n]), 1 <= n <= top,
-    at every integer n, as ``(num, width)`` lists with minorant(n) =
-    num[n] / width[n] exactly.
+    at every integer n, as ``(num, width)`` with minorant(n) = num[n] /
+    width[n] exactly; ``width`` is None when every width is 1.
 
-    The hull is Andrew's monotone chain with integer cross products;
-    collinear points are dropped from it and then interpolated.
+    One exact pass over the second differences, A[n-1] + A[n+1] >= 2 A[n]
+    (collinear points count as convex), finds a convex table: it is its
+    own minorant, and ``table_a`` itself comes back with no hull built.
+    Any other table goes through Andrew's monotone chain with integer
+    cross products; collinear points are dropped from it and then
+    interpolated.
     """
+    if all(x + z >= 2 * y for x, y, z in
+           zip(table_a[1:top - 1], table_a[2:top], table_a[3:top + 1])):
+        return table_a, None
     xs, ys = [], []
     for x in range(1, top + 1):
         y = table_a[x]
@@ -198,6 +208,8 @@ def _certificate_failures(table_lo, table_hi, table_f, sums):
     violation in any domain, whatever the lower end of its interval.
     """
     num, width = _lower_minorant(table_lo, len(table_lo) - 2)
+    if width is None:  # lo is convex: ľ = lo
+        return tuple(s for s in sums if table_hi[s] - table_f[s] > num[s // 2] + num[s - s // 2])
     failed = []
     for s in sums:
         h = s // 2
@@ -276,13 +288,9 @@ def _scan_sums(a, f, domain):
     """
     horizon = a.horizon
     lower = domain._lower_ends(0, horizon)
-    checked = 0
-    narrow = True
-    for s in range(2, horizon + 1):
-        lo, hi = lower[s], s // 2
-        if lo <= hi:
-            checked += hi - lo + 1
-            narrow = narrow and hi - lo < _DIRECT_PAIRS
+    counts = [k for s in range(2, horizon + 1) for k in (s // 2 - lower[s] + 1,) if k > 0]
+    checked = sum(counts)
+    narrow = max(counts, default=0) <= _DIRECT_PAIRS
     sums, tables = range(2, horizon + 1), None
     cached = a._certified
     if cached is not None and cached[0] is f:

@@ -27,6 +27,7 @@ from .model import (
     _record,
     _require_int,
     _require_mu,
+    _require_positive,
     _require_prefix_and_term,
     _slope_below,
     _weighted,
@@ -219,6 +220,11 @@ class MuChainCertificate:
     u: tuple[int, ...]
     v: tuple[int, ...]
     doubling_covered: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", _require_mu(self.mu))
+        _require_positive(self.N, "threshold")
+        _require_positive(self.n, "base")
 
     def to_json_dict(self) -> dict:
         payload = {name: getattr(self, name) for name in self.__match_args__}

@@ -755,27 +755,6 @@ def family_parameters(family: str) -> tuple[str, ...]:
         raise ValueError(f"unknown error-term family: {family!r}") from None
 
 
-def _floor_root(x: int, r: int) -> int:
-    """Largest t >= 0 with t**r <= x (integer Newton iteration)."""
-    if x < 0 or r < 1:
-        raise ValueError("need x >= 0 and r >= 1")
-    if r == 1 or x in (0, 1):
-        return x
-    if r == 2:
-        return math.isqrt(x)
-    t = 1 << -(-x.bit_length() // r)
-    while True:
-        nt = ((r - 1) * t + x // t ** (r - 1)) // r
-        if nt >= t:
-            break
-        t = nt
-    while t ** r > x:
-        t -= 1
-    while (t + 1) ** r <= x:
-        t += 1
-    return t
-
-
 def _floor_ratio_log2(n: int) -> int:
     """floor(n / log2(n + 1)), decided exactly.
 
@@ -800,14 +779,36 @@ def _floor_ratio_log2(n: int) -> int:
 
 
 def _floor_power(horizon: int, c: Fraction, delta: Fraction) -> list[int]:
-    """floor(c * n**(1 - delta)) for n = 1..horizon, in integers
-    (``_floor_root``)."""
+    """floor(c * n**(1 - delta)) for n = 1..horizon, in integers.
+
+    With c = cp/cq and 1 - delta = dp/dq, f(n) is the largest v with
+    (v*cq)**dq <= cp**dq * n**dp.  The right side never falls as n grows,
+    so v walks up from f(1) = floor(c): at each n one comparison with
+    ((v + 1)*cq)**dq, kept from the last step, tells whether v moves.
+    When it does, v gallops (+1, +2, +4, ...) and halves back, so a step
+    of j costs O(log j) comparisons, and a large c does not walk one unit
+    at a time.
+    """
     if not 0 < delta <= 1:
         raise ValueError("parameter out of range: delta must be in (0, 1]")
     d = 1 - delta
     dp, dq = d.numerator, d.denominator
     cp, cq = c.numerator, c.denominator
-    return [_floor_root(cp ** dq * n ** dp, dq) // cq for n in range(1, horizon + 1)]
+    scale, v = cp ** dq, cp // cq
+    step, rows = ((v + 1) * cq) ** dq, []
+    for n in range(1, horizon + 1):
+        power = scale * n ** dp
+        if power >= step:  # v + 1 fits
+            v, k = v + 1, 1
+            while ((v + k) * cq) ** dq <= power:
+                v, k = v + k, 2 * k
+            while k > 1:  # v fits and v + k does not
+                k //= 2
+                if ((v + k) * cq) ** dq <= power:
+                    v += k
+            step = ((v + 1) * cq) ** dq
+        rows.append(v)
+    return rows
 
 
 # Each builtin family: its parameter names, in positional order, and the

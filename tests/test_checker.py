@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pickle
@@ -422,6 +423,60 @@ def test_minorant_built_once_per_prefix_and_error_term(monkeypatch):
     held.grid
     assert scan_violations(held, f, FullDomain()) == brute_force_scan(held, f, FullDomain())
     assert built[7:] == ["grid"] and held._image is None
+
+
+def _monotone_chain_minorant(table_a, top):
+    """The lower convex minorant of (n, A[n]), 1 <= n <= top, as the
+    rationals minorant(n) for n = 1..top: Andrew's monotone chain with
+    integer cross products, every point interpolated on its hull edge."""
+    xs, ys = [], []
+    for x in range(1, top + 1):
+        y = table_a[x]
+        while len(xs) >= 2 and (ys[-1] - ys[-2]) * (x - xs[-2]) >= (y - ys[-2]) * (xs[-1] - xs[-2]):
+            xs.pop()
+            ys.pop()
+        xs.append(x)
+        ys.append(y)
+    out = [Fraction(table_a[1])]
+    for (x1, y1), (x2, y2) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        out.extend(Fraction(y1 * (x2 - x1) + (y2 - y1) * (x - x1), x2 - x1)
+                   for x in range(x1 + 1, x2 + 1))
+    return out
+
+
+@st.composite
+def integer_tables(draw):
+    """``(table, top)``: integers A[0..top + 1], random, convex (collinear
+    runs included: steps repeat) or nearly convex on 1..top, with top from
+    1 up; A[0] and A[top + 1] lie outside the minorant and are drawn freely."""
+    top = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("random", "convex", "nearly-convex")))
+    ints = st.integers(-50, 50)
+    if kind == "random":
+        inner = draw(st.lists(ints, min_size=top, max_size=top))
+    else:
+        steps = sorted(draw(st.lists(st.integers(-6, 6), min_size=top, max_size=top)))
+        inner = list(itertools.accumulate(steps, initial=draw(ints)))[1:]
+        if kind == "nearly-convex":
+            for _ in range(draw(st.integers(1, 3))):
+                inner[draw(st.integers(0, top - 1))] += draw(st.integers(-3, 3))
+    return [draw(ints), *inner, draw(ints)], top
+
+
+@given(integer_tables())
+@settings(max_examples=400, deadline=None)
+@example(([0] * 42, 40))  # the zero family's image
+@example((list(range(42)), 40))  # a(n) = n: every point collinear
+@example(([0, 0, 1, 0, 1], 3))  # one dent: the hull skips n = 2
+def test_lower_minorant_matches_the_monotone_chain(case):
+    table, top = case
+    num, width = checker._lower_minorant(table, top)
+    reference = _monotone_chain_minorant(table, top)
+    assert [Fraction(num[x], 1 if width is None else width[x])
+            for x in range(1, top + 1)] == reference
+    # a table is convex exactly when it is its own minorant, and only then
+    # skips the hull
+    assert (width is None) == (reference == table[1:top + 1])
 
 
 def _scaled_tables_reference(a, f):

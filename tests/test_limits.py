@@ -664,6 +664,16 @@ def test_chain_coverage_detects_gaps():
     assert chain_coverage_failures(forged) == [(0, 26)]
 
 
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2)])
+def test_hand_built_chain_certificate_refuses_mu_at_most_one(mu):
+    # the record checks its own fields: mu = 1 divided by zero in
+    # chain_coverage_failures, and mu = 1/2 gave a meaningless witness
+    from fekete.limits import MuChainCertificate
+
+    with pytest.raises(ValueError, match="^mu must exceed 1$"):
+        MuChainCertificate(mu, 1, 1, 1, 1, 10, (10, 20), (10, 15), False)
+
+
 @pytest.mark.parametrize(
     "mu, u, v, expected",
     [

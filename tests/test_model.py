@@ -312,6 +312,32 @@ def test_constant_family():
     assert f.values == (5, 5, 5, 5)
 
 
+def _floor_root(x: int, r: int) -> int:
+    """Largest t >= 0 with t**r <= x (integer Newton iteration)."""
+    if r == 1 or x in (0, 1):
+        return x
+    t = 1 << -(-x.bit_length() // r)
+    while True:
+        nt = ((r - 1) * t + x // t ** (r - 1)) // r
+        if nt >= t:
+            break
+        t = nt
+    while t ** r > x:
+        t -= 1
+    while (t + 1) ** r <= x:
+        t += 1
+    return t
+
+
+def _floor_power_reference(horizon, c, delta):
+    """floor(c * n**(1 - delta)) as floor((cp**dq * n**dp)**(1/dq)) // cq,
+    one root per n."""
+    d = 1 - delta
+    dp, dq = d.numerator, d.denominator
+    cp, cq = c.numerator, c.denominator
+    return tuple(_floor_root(cp ** dq * n ** dp, dq) // cq for n in range(1, horizon + 1))
+
+
 def test_floor_power_family():
     f = builtin_error_term("floor_power", 9, {"c": 1, "delta": Fraction(1, 2)})
     assert f.values == tuple(math.isqrt(n) for n in range(1, 10))
@@ -319,6 +345,16 @@ def test_floor_power_family():
     for n in range(1, 9):
         t = g.value(n)
         assert (2 * t) ** 2 <= 9 * n < (2 * (t + 1)) ** 2  # t = floor(3 sqrt(n) / 2)
+    # the walk against one root per n: delta = 1 is a constant, c = 0 zero
+    for c in (0, 1, Fraction(7, 3), Fraction(11, 4), 4):
+        for delta in (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7),
+                      Fraction(5, 6), 1):
+            f = builtin_error_term("floor_power", 2000, {"c": c, "delta": delta})
+            assert f.grid[1][1:] == _floor_power_reference(2000, Fraction(c), Fraction(delta))
+    # a large c takes steps of many units at each n
+    for c in (Fraction(10**12 + 1, 3), 10**30):
+        f = builtin_error_term("floor_power", 300, {"c": c, "delta": Fraction(1, 3)})
+        assert f.grid[1][1:] == _floor_power_reference(300, Fraction(c), Fraction(1, 3))
 
 
 def test_family_errors():
