@@ -52,6 +52,7 @@ from .model import (
     _json_with_arrays,
     _record,
     _require_int,
+    _require_positive,
     _require_prefix_and_term,
     _slope_below,
     format_rational,
@@ -382,6 +383,9 @@ class QSequence:
 
     n_lo: int
     values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        _require_positive(self.n_lo, "window start")
 
     @property
     def n_hi(self) -> int:

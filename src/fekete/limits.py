@@ -47,6 +47,10 @@ class Eq8Sample:
     k: int
     bound: Fraction
 
+    def __post_init__(self):
+        _require_positive(self.n, "index")
+        _require_positive(self.k, "window start")
+
 
 @_record
 class LimitBracket:
@@ -57,6 +61,10 @@ class LimitBracket:
     min_slope: Fraction
     argmin_k: int
     eq8_samples: tuple[Eq8Sample, ...]
+
+    def __post_init__(self):
+        _require_positive(self.N, "threshold")
+        _require_positive(self.argmin_k, "argmin")
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from binascii import unhexlify
 from collections.abc import Iterable, Iterator, Mapping
 from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
@@ -29,18 +30,18 @@ __all__ = list(_EXPORTS["model"])
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
-def _digit_limit() -> int:
-    """The most decimal digits ``int()`` and ``str()`` convert, 0 for no
-    limit (Python < 3.10.7 has none)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# The most decimal digits ``int()`` and ``str()`` convert, 0 for no limit
+# (Python < 3.10.7 has none): read at each call, as it may be set anew.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class _Packed(bytes):
     """A validated literal ``p`` or ``p/q`` two decimal digits a byte: the
     bytes whose hex digits are its ASCII text with "/" written "f", a
     leading "-" written "e" and a "+" dropped, and one "0" after the sign
-    when that leaves an odd count.  Only ``_literal`` makes one, so no
-    bytes from outside pass for a literal."""
+    when that leaves an odd count.  Only ``_pack`` makes one, for
+    ``_literal`` and ``_imaged``, so no bytes from outside pass for a
+    literal."""
 
     __slots__ = ()
 
@@ -49,36 +50,33 @@ class _Packed(bytes):
 # with the byte of its sign and the byte that holds its "/".
 _DIGIT_PAIRS = bytes(16 * i + j for i in range(10) for j in range(10))
 
+# What goes before the hex digits of a literal, by 2 * (negative) + (odd
+# count): the sign's "e" and the pad "0".
+_HEX_HEADS = ("", "0", "e", "e0")
 
-def _pack(s: str) -> _Packed | None:
-    """The packed form of the ASCII text ``s`` if it is a literal: an
-    optional sign, the digits of p and, optionally, "/" and the digits
-    of q, the first not 0.  Else None.
 
-    The digits are checked on the packed bytes: ``bytes.fromhex`` takes
-    only hex digits and the spaces it skips (which shorten it), and a
-    byte that is not two decimal digits is the sign's, the "/"'s or holds
-    some other character.  The digits next to the sign and the "/", which
-    share their bytes, are checked in the text.
+def _pack(body: str, neg: bool, slash: int) -> _Packed | None:
+    """The packed form of the literal whose ASCII text, its sign aside, is
+    ``body``, negative for ``neg``, if it is one: the digits of p and,
+    from ``slash`` (``body.find("/")``) on, "/" and the digits of q, the
+    first not 0.  Else None.
+
+    The digits are checked on the packed bytes: ``binascii.unhexlify``
+    takes only hex digits, and a byte that is not two decimal digits is
+    the sign's, the "/"'s or holds some other character.  The digits next
+    to the sign and the "/", which share their bytes, are checked in the
+    text.
     """
-    neg = s[:1] == "-"
-    body = s[1:] if neg or s[:1] == "+" else s
-    slash = body.find("/")
     if not "0" <= body[:1] <= "9" or slash >= 0 and not (
         "0" <= body[slash - 1] <= "9" and "1" <= body[slash + 1:slash + 2] <= "9"
     ):
         return None
-    hexed = body.replace("/", "f")
-    if (len(hexed) + neg) % 2:
-        hexed = "0" + hexed
-    if neg:
-        hexed = "e" + hexed
+    hexed = _HEX_HEADS[2 * neg + (len(body) + neg) % 2] + body.replace("/", "f")
     try:
-        packed = _Packed.fromhex(hexed)
+        packed = _Packed(unhexlify(hexed))
     except ValueError:
         return None
-    marks = len(packed.translate(None, _DIGIT_PAIRS))
-    return packed if 2 * len(packed) == len(hexed) and marks == neg + (slash >= 0) else None
+    return packed if len(packed.translate(None, _DIGIT_PAIRS)) == neg + (slash >= 0) else None
 
 
 def _literal(text: str | int) -> _Packed | int:
@@ -93,6 +91,14 @@ def _literal(text: str | int) -> _Packed | int:
         raise ValueError(f"malformed rational: {text!r}")
     if isinstance(text, int):
         return text
+    return _imaged(text)[0]
+
+
+def _imaged(text) -> tuple[_Packed, int, int]:
+    """``(literal, lo, hi)``: ``_literal(text)`` of a text (``str(text)``),
+    and its image, lo <= a * 2**K <= hi <= lo + 2 for its value a, K =
+    ``_IMAGE_BITS``, read from its ASCII text while it is in hand
+    (``_text_bounds``)."""
     s = str(text).strip()
     if not s.isascii():
         match = _RATIONAL_RE.match(s)
@@ -100,15 +106,17 @@ def _literal(text: str | int) -> _Packed | int:
             raise ValueError(f"malformed rational: {text!r}")
         num, den = match.groups()  # int() raises for an over-long part
         s = str(int(num)) if den is None else f"{int(num)}/{int(den)}"
-    packed = _pack(s)
+    neg = s[:1] == "-"
+    body = s[1:] if neg or s[:1] == "+" else s
+    slash = body.find("/")
+    packed = _pack(body, neg, slash)
     if packed is None:
         raise ValueError(f"malformed rational: {text!r}")
     limit = _digit_limit()
-    if limit and len(s) > limit:
-        for part in s.lstrip("+-").split("/"):
-            if len(part) > limit:
-                int(part)  # raises the error of an over-long literal
-    return packed
+    if limit and (slash > limit or len(body) - slash - 1 > limit):  # a part too long
+        int(body[:slash] if slash > limit else body[slash + 1:])  # raises int()'s error
+    low, high = _text_bounds(body, neg, slash)
+    return packed, low, high
 
 
 def _literal_pair(literal: _Packed | int) -> tuple[int, int]:
@@ -202,8 +210,9 @@ class SequencePrefix:
     builders they pass.  A prefix built from ``Fraction``s holds its
     values and builds its grid from them.  A
     prefix read by ``parse_sequence`` keeps each value as the literal read,
-    packed two digits a byte (``_Packed``): its image decodes the leading
-    digits of each value and its exact builder one literal per index, and
+    packed two digits a byte (``_Packed``), and the image read from the
+    leading digits of its text as it was packed; its exact builder decodes
+    one literal per index, and
     ``grid`` or ``values`` converts all the literals once to integer pairs
     (p, q), dropping them; the pairs give the grid with no gcd per value
     and ``values`` when asked for.  An integer table (``ErrorTerm._from_ints``)
@@ -238,13 +247,14 @@ class SequencePrefix:
         self._values, self._grid, self._image, self._certified = vals, None, None, None
 
     @classmethod
-    def _from_texts(cls, texts: list[_Packed | int]) -> SequencePrefix:
+    def _from_texts(cls, texts: _Literals) -> SequencePrefix:
         """The prefix of the validated literals ``texts`` (``_literal``:
-        packed or ints).  Its image reads the leading digits of each
-        (``_text_image``) and its exact builder one literal per index
-        (``_literal_pair``); its builders share one conversion of the
-        literals to pairs, made on the first use of ``grid`` or
-        ``values``, which drops the literals."""
+        packed or ints), with the image that was read from their text as
+        they were packed (``_Literals``).  Its exact builder reads one
+        literal per index (``_literal_pair``); its builders share one
+        conversion of the literals to pairs, made on the first use of
+        ``grid`` or ``values``, which drops the literals and their image
+        (if not yet in use)."""
         pairs = None
 
         def converted():
@@ -257,7 +267,7 @@ class SequencePrefix:
             len(texts),
             lambda: tuple(Fraction(p, q) for p, q in converted()),
             lambda: _integer_grid(converted()),
-            lambda: None if texts is None else _text_image(texts),
+            lambda: None if texts is None else (texts.lo, texts.hi),
             lambda ns: [_literal_pair(texts[n - 1]) if pairs is None else pairs[n - 1] for n in ns],
         )
 
@@ -306,7 +316,7 @@ class SequencePrefix:
         integer table, the smoothing of one), and the grid is the image.
 
         Built on first use and kept: by the image builder (of a convex or
-        smoothed prefix, or ``_text_image`` of a parsed text), else from
+        smoothed prefix; a parsed text's was read with its literals), else from
         ``values``, when the prefix holds them, as lo = floor(p * 2**K /
         q) and hi its ceiling.  With ``from_values`` false the values are
         not used and give None: a pass that the grid decides in a few
@@ -415,24 +425,15 @@ def _fixed_point_of(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[i
     return lo, hi
 
 
-# The leading digits of a literal p/q that ``_text_image`` reads: this many
+# The leading digits of a literal p/q that ``_text_bounds`` reads: this many
 # beyond the amount by which p is longer than q, enough for hi - lo <= 2.
 _IMAGE_DIGITS = 22
 
-# The sign and the zeros that lead the numerator of a packed literal, in
-# its hex digits.
-_LEADING_RE = re.compile(r"e?0*")
 
-def _digits(literal: _Packed, start: int, stop: int) -> str:
-    """The hex digits ``start`` to ``stop`` of a packed literal, from the
-    bytes that hold them alone."""
-    first = start % 2
-    return literal[start // 2:(stop + 1) // 2].hex()[first:first + stop - start]
-
-
-def _text_image(literals: Iterable[_Packed | int]) -> tuple[list[int], list[int]]:
-    """The image ``(lo, hi)`` of validated literals (``_literal``), with
-    lo[0] = hi[0] = 0 and lo[n] <= a(n) * 2**K <= hi[n] <= lo[n] + 2.
+def _text_bounds(body: str, neg: bool, slash: int) -> tuple[int, int]:
+    """``(lo, hi)``, lo <= a * 2**K <= hi <= lo + 2, for the value a of
+    the validated literal whose ASCII text, its sign aside, is ``body``
+    ("/" at ``slash``, -1 for none), negative for ``neg``.
 
     For ``p/q``, with Lp and Lq the digit counts of |p| and q (leading
     zeros dropped), only the first t = max(0, Lp - Lq) + 22 digits of each
@@ -442,43 +443,31 @@ def _text_image(literals: Iterable[_Packed | int]) -> tuple[list[int], list[int]
     those bounds, whose floor and ceiling are lo and hi.  A block of t
     digits is off by at most 10**(1 - t) relatively, and |p| * 2**K / q <
     10**(Lp - Lq + 1) * 2**K, so the two quotients differ by less than
-    0.21 and hi - lo <= 2.  Integers and zeros are read in full.  Only
-    the bytes of the digits read are decoded; the "/" is found from the
-    one byte that holds it.
+    0.21 and hi - lo <= 2.  Integers and zeros are read in full.
     """
-    lo, hi = [0], [0]
-    for literal in literals:
-        slash = start = 0
-        if not isinstance(literal, int):
-            marks = literal.translate(None, _DIGIT_PAIRS)
-            mark = marks[-1] if marks else 0xe0
-            if not 0xe0 <= mark < 0xf0:  # not the sign: the byte that holds "/"
-                slash = 2 * literal.find(mark) + (mark < 0xf0)
-                head = literal[:12].hex()
-                start = _LEADING_RE.match(head).end()
-                if start == len(head):  # zeros run on past the head
-                    start = _LEADING_RE.match(literal.hex()).end()
-        if start >= slash:  # an int or integer literal, or zero
-            p, q = _literal_pair(literal)
-            low, rem = divmod(p << _IMAGE_BITS, q)
-            lo.append(low)
-            hi.append(low + 1 if rem else low)
-            continue
-        end = 2 * len(literal)
-        long_p, long_q = slash - start, end - slash - 1
-        cut = max(0, long_p - long_q) + _IMAGE_DIGITS
-        drop_p, drop_q = max(0, long_p - cut), max(0, long_q - cut)
-        top_p = int(_digits(literal, start, slash - drop_p))
-        top_q = int(_digits(literal, slash + 1, end - drop_q))
-        shift = drop_p - drop_q
-        num, den = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
-        low = (top_p << _IMAGE_BITS) * num // ((top_q + (drop_q > 0)) * den)
-        high = -(-((top_p + (drop_p > 0)) << _IMAGE_BITS) * num // (top_q * den))
-        if literal[0] >= 0xe0:
-            low, high = -high, -low
-        lo.append(low)
-        hi.append(high)
-    return lo, hi
+    start = len(body) - len(body.lstrip("0")) if body[0] == "0" else 0
+    if start >= slash:  # an integer literal, or zero
+        p = int(body) if slash < 0 else 0
+        low = (-p if neg else p) << _IMAGE_BITS
+        return low, low
+    long_p, long_q = slash - start, len(body) - slash - 1
+    cut = (long_p - long_q if long_p > long_q else 0) + _IMAGE_DIGITS
+    drop_p = long_p - cut if long_p > cut else 0
+    drop_q = long_q - cut if long_q > cut else 0
+    top_p = int(body[start:slash - drop_p])
+    top_q = int(body[slash + 1:len(body) - drop_q])
+    # P * 2**K and (P + 1) * 2**K over Q + 1 and Q, the digits dropped
+    # made up by a power of ten on one side
+    low_p = top_p << _IMAGE_BITS
+    high_p = (top_p + 1) << _IMAGE_BITS if drop_p else low_p
+    low_q, high_q = top_q, top_q + 1 if drop_q else top_q
+    if drop_p >= drop_q:
+        scale = 10 ** (drop_p - drop_q)
+        low, high = low_p * scale // high_q, -(-high_p * scale // low_q)
+    else:
+        scale = 10 ** (drop_q - drop_p)
+        low, high = low_p // (high_q * scale), -(-high_p // (low_q * scale))
+    return (-high, -low) if neg else (low, high)
 
 
 def _integer_grid(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -1194,6 +1183,37 @@ _AFTER_ELEMENT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])")
 _NON_SPACE = re.compile(r"\S")  # as str.isspace() and str.lstrip() read it
 
 
+class _Literals(list):
+    """A list with the image of each item that is a literal: lo[i] <= a *
+    2**K <= hi[i] <= lo[i] + 2 for the value a of item i - 1, lo[0] = hi[0]
+    = 0, and None for an item that is no literal (a table holding one
+    raises when it is read).  Each array that ``_TextReader.json(literals)``
+    reads is one, and so is each table of validated literals that the
+    readers of a file give (``_table_from_json``, ``_table_from_csv``)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lo, self.hi = [0], [0]
+
+    def add(self, item) -> None:
+        """Append ``item``: a str that ``_literal`` takes as its packed
+        literal, with the image read from the text (``_imaged``); an int
+        with its image; anything else as it is, with no image."""
+        low = high = None
+        if type(item) is str:
+            try:
+                item, low, high = _imaged(item)
+            except ValueError:
+                pass  # kept as written: reading the table raises the error
+        elif _is_int(item):
+            low = high = item << _IMAGE_BITS
+        self.append(item)
+        self.lo.append(low)
+        self.hi.append(high)
+
+
 class _TextReader:
     """The text that ``source`` makes up, a str or an iterable of str
     pieces (a str is one piece), read forward through a window.
@@ -1202,8 +1222,13 @@ class _TextReader:
     ``start`` on, with the cursor ``pos`` in it.  ``_more`` drops what is
     before the cursor and reads pieces until the window has at least
     doubled, so an element that spans many pieces is read again only
-    O(log) times, in time linear in its length.  Besides what it returns,
-    the reader holds the window and no piece it has passed.
+    O(log) times, in time linear in its length.  A string that the
+    window's end cuts is told by its missing closing '"', and the window
+    is widened before the string is decoded, so no decoding error is made
+    (each would count the window's lines); the decoder's own error, caught,
+    still widens the window where an escaped '"' hides the cut, and is
+    raised as it is at the end of the text.  Besides what it returns, the
+    reader holds the window and no piece it has passed.
     """
 
     def __init__(self, source: str | Iterable[str]) -> None:
@@ -1227,6 +1252,7 @@ class _TextReader:
             self.start += pos
         parts = [text[pos:]] if pos < len(text) else []  # a lone piece is not copied
         kept = size = len(text) - pos
+        self.text = text = ""  # not held while the pieces are read and joined
         for piece in self._pieces:
             parts.append(piece)
             size += len(piece)
@@ -1262,9 +1288,10 @@ class _TextReader:
         """``json.loads`` of the rest of the text: the same value, or a
         ValueError where it raises one, worded as its error ("invalid
         JSON: " first) with the line, column and offset in the whole text.
-        With ``literals``, a string element of an array that is read on
-        its own and that ``_literal`` takes is kept packed as it is read
-        (``_Packed``), so that no list of the strings is ever held.
+        With ``literals``, each array walked here is a ``_Literals``, and
+        a string element of it that ``_literal`` takes is kept packed as it
+        is read (``_Packed``), so that no list of the strings is ever held,
+        with its image, read from the string then.
 
         Objects and arrays are walked here.  Each element of an array that
         ends, with the "," or "]" after it, inside the window is decoded
@@ -1280,7 +1307,7 @@ class _TextReader:
             char = self._skip()
             if char == "{" or char == "[":
                 self.pos += 1
-                value = {} if char == "{" else []
+                value = {} if char == "{" else _Literals() if literals else []
                 if self._skip() == ("}" if char == "{" else "]"):
                     self.pos += 1
                 elif char == "{":
@@ -1295,8 +1322,8 @@ class _TextReader:
                 container, key = top = stack[-1]
                 if key is not None:
                     container[key] = value
-                elif literals and type(value) is str:
-                    container.append(_packed_or_same(value))
+                elif literals:
+                    container.add(value)
                 else:
                     container.append(value)
                 char = self._skip()
@@ -1322,29 +1349,34 @@ class _TextReader:
     def _elements(self, array: list, literals: bool) -> bool:
         """Append to ``array`` the elements from the cursor on that end,
         with the "," or "]" after them, inside the window, each decoded
-        whole by one scan of the decoder (and kept packed as
-        ``json(literals)`` says).  True, with the cursor past the "]", when
-        that closes the array; else False, with the cursor on the element
-        for the walk to read.
+        whole by one scan of the decoder (and kept packed, with its image,
+        as ``json(literals)`` says).  True, with the cursor past the "]",
+        when that closes the array; else False, with the cursor on the
+        element for the walk to read.
 
-        Once an object or array element has run past the end of the
-        window, no other one is tried until the window moves, so that the
-        window is not scanned again for each container open at its end.
+        A string element that opens at the window's last '"' is cut by
+        the window's end: it is left to the walk without a scan, which
+        would fail.  Once an object or array element has run past the end
+        of the window, no other one is tried until the window moves, so
+        that the window is not scanned again for each container open at
+        its end.
         """
         self._skip()
         text, pos = self.text, self.pos
         window_end = self.start + len(text)
         guarded = self._overrun == window_end
         scan, after_element = _DECODER.scan_once, _AFTER_ELEMENT.match
+        add = array.add if literals else array.append
+        last_quote = text.rfind('"')
         try:
             while not (guarded and text[pos:pos + 1] in ("[", "{")):
+                if pos == last_quote:
+                    return False
                 value, end = scan(text, pos)
                 after = after_element(text, end)
                 if after is None:
                     return False
-                if literals and type(value) is str:
-                    value = _packed_or_same(value)
-                array.append(value)
+                add(value)
                 pos = after.end()
                 if text[pos - 1] == "]":
                     return True
@@ -1377,16 +1409,24 @@ class _TextReader:
         return key
 
     def _scalar(self):
-        """The scalar at the cursor, which moves past it.  A number may go
-        on in the next piece, and three more characters decide it, so a
+        """The scalar at the cursor, which moves past it.  A string with
+        no '"' after its opening one in the window is cut by the window's
+        end, so the window is widened before it is decoded.  A number may
+        go on in the next piece, and three more characters decide it, so a
         scalar within three of the window's end is read again on a wider
-        window, as is one that fails before the end of the text, unless
-        it is no value at all with nine characters in the window from
-        where it starts: the longest literal, ``-Infinity``, fits in nine,
-        so no cut element fails that way."""
+        window, as is one that fails before the end of the text (a string
+        cut after an escaped '"', say), unless it is no value at all with
+        nine characters in the window from where it starts: the longest
+        literal, ``-Infinity``, fits in nine, so no cut element fails that
+        way."""
         while True:
+            text, pos = self.text, self.pos
+            if not self.ended and text.startswith('"', pos) and text.find('"', pos + 1) < 0:
+                text = None  # the window ``_more`` drops
+                self._more()
+                continue
             try:
-                value, end = _DECODER.raw_decode(self.text, self.pos)
+                value, end = _DECODER.raw_decode(text, pos)
             except ValueError as exc:
                 decoded = isinstance(exc, json.JSONDecodeError)
                 final = decoded and exc.msg == "Expecting value" and len(self.text) - exc.pos >= 9
@@ -1412,24 +1452,21 @@ class _TextReader:
         )
 
 
-def _packed_or_same(text: str) -> _Packed | str:
-    """``_literal(text)``, or ``text`` itself when that raises: the error
-    is raised when the table is read (``_table_from_json``)."""
-    try:
-        return _literal(text)
-    except ValueError:
-        return text
-
-
-def _table_from_json(payload: dict, missing: str) -> list[_Packed | int]:
-    """The table of ``{"values": [...], "offset": 1}`` as validated
-    literals; tables are 1-indexed, so the offset is absent or the int 1.
-    ``missing``: the error for an object with no 'values' list."""
+def _table_from_json(payload: dict, missing: str) -> _Literals:
+    """The table of ``{"values": [...], "offset": 1}``, an object that
+    ``_TextReader.json(literals=True)`` read, as validated literals with
+    their image: its 'values' list, once every item is checked to be an
+    int or a packed literal.  Tables are 1-indexed, so the offset is
+    absent or the int 1.  ``missing``: the error for an object with no
+    'values' list."""
     values = payload.get("values")
     if not isinstance(values, list):
         raise ValueError(missing)
     _check_offset(payload)
-    return [_literal(v) for v in values]
+    for item in values:
+        if type(item) is not _Packed:
+            _literal(item)  # raises for anything but an int
+    return values
 
 
 def _check_offset(payload: dict) -> None:
@@ -1440,18 +1477,20 @@ def _check_offset(payload: dict) -> None:
 
 
 def _read_table(text: str | Iterable[str], from_object):
-    """``from_object`` of the JSON object (literals packed) of a text whose
-    first non-space character is "{", else the literals of its CSV rows."""
+    """``from_object`` of the JSON object (literals packed, with their
+    image) of a text whose first non-space character is "{", else the
+    literals of its CSV rows."""
     reader = _TextReader(text)
     if reader.first() == "{":
         return from_object(reader.json(literals=True))
     return _table_from_csv(reader.lines())
 
 
-def _table_from_csv(lines: Iterable[str]) -> list[_Packed | int]:
+def _table_from_csv(lines: Iterable[str]) -> _Literals:
     """The table of the ``index,value`` rows ``lines`` as validated
-    literals; indices are ASCII digits and run over 1..H, in any order."""
-    entries: dict[int, _Packed] = {}
+    literals with their image; indices are ASCII digits and run over
+    1..H, in any order."""
+    entries: dict[int, tuple[_Packed, int, int]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -1464,14 +1503,18 @@ def _table_from_csv(lines: Iterable[str]) -> list[_Packed | int]:
             raise ValueError(f"line {lineno}: index must be positive, got {idx}")
         if idx in entries:
             raise ValueError(f"line {lineno}: duplicate index {idx}")
-        entries[idx] = _literal(val_s)
+        entries[idx] = _imaged(val_s)
     if not entries:
         raise ValueError("empty sequence")
-    horizon = max(entries)
-    for i in range(1, horizon + 1):
+    table = _Literals()
+    for i in range(1, max(entries) + 1):
         if i not in entries:
             raise ValueError(f"missing index {i}")
-    return [entries[i] for i in range(1, horizon + 1)]
+        literal, low, high = entries.pop(i)
+        table.append(literal)
+        table.lo.append(low)
+        table.hi.append(high)
+    return table
 
 
 def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
@@ -1488,8 +1531,10 @@ def parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     them.  Every value is validated here (a malformed or over-long one
     raises ValueError) but kept as the literal written, packed two digits
     a byte as it is read (``_Packed``), so the prefix holds about half
-    the text's size: the prefix's fixed-point image decodes only leading
-    digits, ``_exact(n)`` and ``value(n)`` one literal, and all values
+    the text's size.  The prefix's fixed-point image is read from the
+    leading digits of each value's text as the value is packed, with no
+    second pass over the literals; ``_exact(n)`` and ``value(n)`` decode
+    one literal, and all values
     become integers (p, q), unreduced, on the first use of the grid or
     ``values``, which are built from them.  Written back, the prefix
     converts each of its ``values`` to text; only a convex prefix gives
@@ -1502,7 +1547,7 @@ def _parse_sequence(text: str | Iterable[str]) -> SequencePrefix:
     """``parse_sequence(text)``.  The CLI calls this name, so that a
     wrapper of ``parse_sequence`` that measures its argument as a str (as
     the benchmark's tracer does) sees only strs."""
-    def from_object(payload: dict) -> list[_Packed | int]:
+    def from_object(payload: dict) -> _Literals:
         if "values" not in payload and isinstance(payload.get("b"), dict):
             payload = payload["b"]  # construction outputs wrap their sequence in "b"
         return _table_from_json(payload, "expected a 'values' list")
@@ -1526,7 +1571,7 @@ def parse_error_term(text: str | Iterable[str]) -> ErrorTerm:
     return ErrorTerm(Fraction(p, q) for p, q in pairs)
 
 
-def _error_term_table(payload: dict) -> ErrorTerm | list[_Packed | int]:
+def _error_term_table(payload: dict) -> ErrorTerm | _Literals:
     """The term of a family descriptor, else the table of the object."""
     if "family" not in payload:
         return _table_from_json(payload, "expected 'family' or 'values'")

@@ -14,6 +14,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 import unicodedata
@@ -499,8 +500,8 @@ def test_text_image_bounds_each_literal(drawn):
     # a held literal is an int or packed, and gives back p and q as written
     assert type(literal) in (int, model._Packed)
     assert model._literal_pair(literal) == (value * q, q)
-    lo, hi = model._text_image([literal])
-    assert lo[0] == hi[0] == 0
+    (lo, hi), csv = _images_read(token)
+    assert csv == (lo, hi) and lo[0] == hi[0] == 0
     assert lo[1] <= value * _SCALE <= hi[1] and hi[1] - lo[1] <= 2
     # p and q as written, leading zeros dropped
     long_p, long_q = len(str(abs(value * q)).lstrip("0")), len(str(q))
@@ -518,11 +519,21 @@ def _ascii_text(token) -> str:
     return "".join(str(unicodedata.digit(c)) if c.isdecimal() else c for c in str(token).strip())
 
 
-def _image_of_text(text: str) -> tuple[list[int], list[int]]:
-    """The image ``_text_image`` defines, read from the ASCII text of one
-    literal: for p/q, the floor and ceiling of the bounds that the first
-    max(0, Lp - Lq) + 22 digits of |p| and q give, and for an integer or
-    a zero, of the value itself."""
+def _images_read(token) -> list[tuple[list[int], list[int]]]:
+    """The image of the prefix that ``parse_sequence`` reads from a JSON
+    file holding the one value ``token``, and from a CSV row of it."""
+    return [
+        parse_sequence(text)._fixed_point(from_values=False)
+        for text in (json.dumps({"values": [token]}), f"1,{token}\n")
+    ]
+
+
+def _image_of_text(text: str, cut: int = 22) -> tuple[list[int], list[int]]:
+    """The image a parsed literal has (``model._text_bounds``), read from
+    the ASCII text of one literal in fractions: for p/q, the floor and
+    ceiling of the bounds that the first max(0, Lp - Lq) + ``cut`` digits
+    of |p| and q give, and for an integer or a zero, of the value
+    itself."""
     negative, body = text[0] == "-", text.lstrip("+-")
     num, slash, den = body.partition("/")
     digits, q = num.lstrip("0"), int(den or 1)
@@ -530,7 +541,7 @@ def _image_of_text(text: str) -> tuple[list[int], list[int]]:
         value = Fraction(int(num), q) * _SCALE
         low, high = math.floor(value), math.ceil(value)
     else:
-        cut = max(0, len(digits) - len(den)) + 22
+        cut += max(0, len(digits) - len(den))
         drop_p, drop_q = max(0, len(digits) - cut), max(0, len(den) - cut)
         top_p, top_q = int(digits[:len(digits) - drop_p]), int(den[:len(den) - drop_q])
         scale = Fraction(10**drop_p, 10**drop_q) * _SCALE
@@ -539,6 +550,55 @@ def _image_of_text(text: str) -> tuple[list[int], list[int]]:
     if negative:
         low, high = -high, -low
     return [0, low], [0, high]
+
+
+# The sign and the zeros that lead the numerator of a packed literal, in
+# its hex digits.
+_LEADING_RE = re.compile(r"e?0*")
+
+
+def _packed_image(literals) -> tuple[list[int], list[int]]:
+    """The image of validated literals (``model._literal``: packed, or
+    ints) read back from the packed bytes: the package's image before it
+    was read from the text as each literal is packed, kept as a second
+    reference.  The digits of p and q are found from the byte that holds
+    the "/" and the leading zeros; only the bytes of the digits read are
+    decoded."""
+
+    def digits(literal, start, stop):  # hex digits start..stop, from their bytes
+        first = start % 2
+        return literal[start // 2:(stop + 1) // 2].hex()[first:first + stop - start]
+
+    lo, hi = [0], [0]
+    for literal in literals:
+        slash = start = 0
+        if not isinstance(literal, int):
+            marks = literal.translate(None, model._DIGIT_PAIRS)
+            mark = marks[-1] if marks else 0xe0
+            if not 0xe0 <= mark < 0xf0:  # not the sign: the byte that holds "/"
+                slash = 2 * literal.find(mark) + (mark < 0xf0)
+                start = _LEADING_RE.match(literal.hex()).end()
+        if start >= slash:  # an int or integer literal, or zero
+            p, q = model._literal_pair(literal)
+            low, rem = divmod(p * _SCALE, q)
+            lo.append(low)
+            hi.append(low + 1 if rem else low)
+            continue
+        end = 2 * len(literal)
+        long_p, long_q = slash - start, end - slash - 1
+        cut = max(0, long_p - long_q) + 22
+        drop_p, drop_q = max(0, long_p - cut), max(0, long_q - cut)
+        top_p = int(digits(literal, start, slash - drop_p))
+        top_q = int(digits(literal, slash + 1, end - drop_q))
+        shift = drop_p - drop_q
+        num, den = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
+        low = top_p * _SCALE * num // ((top_q + (drop_q > 0)) * den)
+        high = -(-(top_p + (drop_p > 0)) * _SCALE * num // (top_q * den))
+        if literal[0] >= 0xe0:
+            low, high = -high, -low
+        lo.append(low)
+        hi.append(high)
+    return lo, hi
 
 
 @given(literals())
@@ -554,14 +614,46 @@ def _image_of_text(text: str) -> tuple[list[int], list[int]]:
 @example((f"-{'9' * 45}/{'1' * 3}", Fraction(-int("9" * 45), 111), 111))
 @settings(max_examples=500, deadline=None)
 def test_packed_literal_reads_as_its_text(drawn):
-    # p, q and the image of a packed literal are those of its text
+    # p, q and the image of a packed literal are those of its text: the
+    # image read from a JSON file and from a CSV row, as the literal is
+    # packed, is the one its text defines and the one its packed bytes
+    # give back
     token, _, _ = drawn
     literal = model._literal(token)
     text = _ascii_text(token)
     num, _, den = text.partition("/")
     assert model._literal_pair(literal) == (int(num), int(den or 1))
-    assert model._text_image([literal]) == _image_of_text(text)
+    image = _image_of_text(text)
+    assert _images_read(token) == [image, image]
+    assert _packed_image([literal]) == image
     assert model._literal(literal) is literal  # held as it is
+
+
+def test_image_reads_each_literal_up_to_its_cut():
+    # random digits put a * 2**K near an integer often enough that reading
+    # one digit more or fewer than the cut moves lo or hi, where the drawn
+    # literals, whose digits are mostly regular, hardly ever do: the image
+    # of a JSON file and of CSV rows is the one the cut defines, and these
+    # literals tell it from those of a cut one more or one less
+    rng = random.Random(32)
+    texts = []
+    for _ in range(2000):
+        long_p, long_q = rng.randint(20, 80), rng.randint(20, 80)
+        p = rng.randrange(10 ** (long_p - 1), 10**long_p)
+        q = rng.randrange(10 ** (long_q - 1), 10**long_q)
+        texts.append(f"{rng.choice(['', '-', '+'])}{'0' * rng.randint(0, 2)}{p}/{q}")
+    want = [_image_of_text(text) for text in texts]
+    lo, hi = [0], [0]
+    for low, high in want:
+        lo.append(low[1])
+        hi.append(high[1])
+    for file in (
+        json.dumps({"values": texts}),
+        "".join(f"{n},{text}\n" for n, text in enumerate(texts, start=1)),
+    ):
+        assert parse_sequence(file)._fixed_point(from_values=False) == (lo, hi)
+    for cut in (21, 23):
+        assert sum(_image_of_text(text, cut) != image for text, image in zip(texts, want)) >= 5
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")

@@ -102,13 +102,21 @@ def json_texts(draw):
     return text
 
 
+def _literal_or_same(text: str):
+    """``model._literal(text)``, or ``text`` itself when that raises."""
+    try:
+        return model._literal(text)
+    except ValueError:
+        return text
+
+
 def _packed(value):
     """``value`` with each string element of an array packed when it is a
     literal: what ``_TextReader.json(literals=True)`` does to the strings
     it reads on their own (those of a whole element it decodes at once
     stay strings)."""
     if isinstance(value, list):
-        return [model._packed_or_same(v) if type(v) is str else _packed(v) for v in value]
+        return [_literal_or_same(v) if type(v) is str else _packed(v) for v in value]
     if isinstance(value, dict):
         return {key: _packed(v) for key, v in value.items()}
     return value
@@ -148,6 +156,12 @@ def _loaded(text: str, chunk: int, literals: bool):
 @example('{"values": [true, -Infinity]}', 14)  # cut after "tr"
 @settings(max_examples=400, deadline=None)
 def test_loader_reads_as_json_loads(text, chunk):
+    _assert_reads_as_json_loads(text, chunk)
+
+
+def _assert_reads_as_json_loads(text: str, chunk: int) -> None:
+    """The loader gives ``json.loads``'s value of ``text``, or its error,
+    read ``chunk`` characters at a time, with literals packed or not."""
     for literals in (False, True):
         want, got = _loaded(text, chunk, literals)
         if want[0] == "value":  # repr compares key order, int/float and NaN too
@@ -158,6 +172,94 @@ def test_loader_reads_as_json_loads(text, chunk):
         assert message.startswith("invalid JSON: ")
         if _SAME_WORDING and isinstance(exc, json.JSONDecodeError):
             assert message == f"invalid JSON: {exc}"
+
+
+# Texts whose window edges, at chunk sizes from 2 to 64, cut strings in
+# each way ``_edge_cuts`` names, and texts that end inside a string.
+_EDGE_TEXTS = [
+    '{"values": [' + ", ".join(f'"{n}/{3 * n + 1}"' for n in range(0, 400, 7)) + "]}",
+    '{"offset": 1, "values": [' + ", ".join([
+        '"1\\/2"', '"\\u0031\\u002f3"', '"-7\\/1"', '"x\\"y\\"z"', '"\\\\"',
+        '"a\\"\\"b"', '"12"', '"\\"5\\""', '"' + "9" * 40 + '\\"1"',
+    ] * 3) + "]}",
+    '{"val\\u0075es": ["1", "2"], "k\\"ey": "\\"v\\"", "\\u00e9": ["3/4", "\\u00e9"]}',
+    '{"values": ["1/2", "3/4',  # ends inside a string
+    '{"values": ["1/2", "3\\"',  # ends after an escaped quote
+    '{"values": ["1/2", "3\\u00',  # ends inside an escape
+]
+
+
+def _edge_cuts(text: str) -> dict[str, set[int]]:
+    """The offsets in ``text`` at which a window edge cuts a string: right
+    after its opening quote, inside an escape, between its closing quote
+    and a ",", and inside it where the first quote after the cut is an
+    escaped one."""
+    cuts = {"after the opening quote": set(), "inside an escape": set(),
+            "before the ','": set(), "before an escaped quote": set()}
+    escaped, opened, i = set(), None, 0
+    while i < len(text):
+        char = text[i]
+        if opened is None:
+            if char == '"':
+                opened = i
+                cuts["after the opening quote"].add(i + 1)
+        elif char == "\\":
+            width = 6 if text[i + 1:i + 2] == "u" else 2
+            cuts["inside an escape"].update(range(i + 1, min(i + width, len(text))))
+            if text[i + 1:i + 2] == '"':
+                escaped.add(i + 1)
+            i += width
+            continue
+        elif char == '"':
+            quotes = [j for j in range(opened + 1, i + 1) if text[j] == '"']
+            for cut in range(opened + 1, i + 1):
+                if min(j for j in quotes if j >= cut) in escaped:
+                    cuts["before an escaped quote"].add(cut)
+            if text[i + 1:i + 2] == ",":
+                cuts["before the ','"].add(i + 1)
+            opened = None
+        i += 1
+    return cuts
+
+
+def test_edge_texts_cut_strings_every_way():
+    # each kind of cut falls on a window edge at many chunk sizes besides
+    # 1, which cuts everywhere
+    for kind in _edge_cuts("").keys():
+        sizes = {
+            chunk for text in _EDGE_TEXTS for chunk in range(2, 65)
+            if set(range(chunk, len(text), chunk)) & _edge_cuts(text)[kind]
+        }
+        assert len(sizes) > 10, kind
+
+
+@pytest.mark.parametrize("index", range(len(_EDGE_TEXTS)))
+def test_loader_reads_strings_cut_at_window_edges_as_json_loads(index):
+    for chunk in range(1, 65):
+        _assert_reads_as_json_loads(_EDGE_TEXTS[index], chunk)
+
+
+def test_loader_widens_the_window_over_a_cut_string_without_an_error():
+    # a string element that a window edge cuts has no closing quote in the
+    # window: the window is widened before it is decoded, and reading the
+    # file raises no JSONDecodeError (each one counts the window's lines)
+    values = [f"{n}/{n + 1}" for n in range(2000)]
+    text = json.dumps({"values": values})
+    made = []
+    real = json.JSONDecodeError.__init__
+
+    def counting(self, *args):
+        made.append(args[0])
+        real(self, *args)
+
+    with mock.patch.object(json.JSONDecodeError, "__init__", counting), \
+            mock.patch.object(cli, "_READ_CHARS", 100):
+        a = model._parse_sequence(cli._pieces(io.StringIO(text)))
+    assert made == []
+    assert a._exact(*range(1, 2001)) == [(n, n + 1) for n in range(2000)]
+    # and most edges between the pieces fall inside a string
+    cut = [text.count('"', 0, edge) % 2 for edge in range(100, len(text), 100)]
+    assert sum(cut) > len(cut) / 2
 
 
 def _scanned(text: str, chunk: int):

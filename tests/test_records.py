@@ -174,6 +174,27 @@ def test_two_good_chain_rejects_a_bad_chain(chain, message):
         TwoGoodChain(7, 2, 3, chain, ())
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: QSequence(True, (Fraction(1),)), TypeError, "window start must be an int, got bool"),
+        (lambda: QSequence(1.0, ()), TypeError, "window start must be an int, got float"),
+        (lambda: QSequence(0, (Fraction(1),)), ValueError, "window start must be positive"),
+        (lambda: LimitBracket(True, Fraction(1, 2), 1, ()), TypeError, "threshold must be an int"),
+        (lambda: LimitBracket(1, 0.5, True, ()), TypeError, "argmin must be an int, got bool"),
+        (lambda: LimitBracket(0, Fraction(1), 1, ()), ValueError, "threshold must be positive"),
+        (lambda: LimitBracket(1, Fraction(1), -3, ()), ValueError, "argmin must be positive"),
+        (lambda: Eq8Sample("4", 1, Fraction(1)), TypeError, "index must be an int, got str"),
+        (lambda: Eq8Sample(4, False, Fraction(1)), TypeError, "window start must be an int"),
+        (lambda: Eq8Sample(0, 1, Fraction(1)), ValueError, "index must be positive"),
+        (lambda: Eq8Sample(4, 0, Fraction(1)), ValueError, "window start must be positive"),
+    ],
+)
+def test_records_refuse_integer_fields_of_the_wrong_kind(build, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build()
+
+
 def test_chain_certificate_dict_is_unchanged():
     assert mu_chain_certificate("3/2", 1, 5).to_json_dict() == {
         "mu": "3/2",
